@@ -6,14 +6,13 @@ rho r(tau) <x E(x)> with E(x) = exp(-rho x R(tau)), so
     L = N c + sum_i log r(tau_i) + sum_i log <x E_i(x)>,
 
 where <.> averages over the Beta(a, b) priority.  The Beta-exponential
-moments reduce to Kummer functions: <x E> = [a/(a+b)] 1F1(a+1, a+b+1; -w)
-with w = rho R(tau), and <x^2 E>/<x E> = [(a+1)/(a+b+1)] F1''/F1'.  The
-shape gradients additionally need <E log x> and <E log(1-x)> under
-Beta(a+1, b); those have no closed form and are integrated numerically.
-<E log x> is taken by direct quadrature (every term shares the sign of
-log x, so nothing cancels); for <E log(1-x)> the flat part of E is split
-off analytically (digamma) so the quadrature integrand vanishes at the
-log(1-x) endpoint.
+moment reduces to a Kummer function: <x E> = [a/(a+b)] F with
+F = 1F1(a+1, a+b+1; -w) and w = rho R(tau).  The gradient needs the
+derivatives of log F in a, b and w; the last is minus the ratio
+<x^2 E>/<x E>, which also drives the rate and kernel gradients.  All three
+come out of the same series pass that computes log F (see
+special._log_hyp1f1_neg), each as a positive-weighted sum, so asking for
+the gradient never changes the value.
 
 Everything hypergeometric is carried in log space, so month-long gaps
 (w ~ 1e7 and beyond) lose no precision to underflow.  Interval values are
@@ -30,15 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ModelParams, RefractoryKernel, VARIANTS, _variant_spec
-from .special import (
-    DEFAULT_QUADRATURE,
-    QuadratureConfig,
-    _beta_nodes_full,
-    _flatten_exponent,
-    _gl_nodes01,
-    _log_hyp1f1_neg,
-    digamma,
-)
+from .special import PrecisionLossError, _log_hyp1f1_neg
 
 __all__ = [
     "ItiSet",
@@ -49,18 +40,6 @@ __all__ = [
     "gradient",
     "effective_reg_weight",
 ]
-
-# Rows are processed in blocks so the (intervals x nodes) work arrays stay
-# cache-friendly and bounded in memory.
-_CHUNK = 8192
-
-# Above this w = rho R(tau), <E f(x)> integrals switch from Beta-weighted
-# quadrature on (0,1) to a rescaled integral truncated at _LAPLACE_TRUNC,
-# where exp(-t) has decayed below 1e-26.  The switch keeps t/w <= 0.6 so
-# the (1 - t/w)^(b-1) factor stays smooth.
-_LAPLACE_SWITCH = 100.0
-_LAPLACE_TRUNC = 60.0
-
 
 class InfeasibleParamsError(ValueError):
     """The kernel drives the event rate nonpositive at an observed interval."""
@@ -147,75 +126,6 @@ def effective_reg_weight(variant: str, reg_weight: float | None = None) -> float
     return weight
 
 
-def _grad_shape_ratios(
-    a: float,
-    b: float,
-    w: np.ndarray,
-    log_f1: np.ndarray,
-    need_k: bool,
-    cfg: QuadratureConfig,
-) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
-    """<E log x> / <E>, <E log(1-x)> / <E>, and <E x> / <E> under Beta(a+1, b).
-
-    The last ratio equals <x^2 E>/<x E> under Beta(a, b), which the rate
-    and kernel gradients need; sharing the nodes here is much cheaper
-    than a second hypergeometric evaluation.
-    """
-    out_j = np.empty_like(w)
-    out_k = np.empty_like(w) if need_k else None
-    out_m = np.empty_like(w)
-
-    small = np.nonzero(w <= _LAPLACE_SWITCH)[0]
-    if small.size:
-        x, omx, wts = _beta_nodes_full(a + 1.0, b, cfg)
-        w_logx = wts * np.log(x)
-        # for b small enough the endpoint substitution underflows 1 - x
-        # to zero at its innermost nodes; their true contribution to the
-        # (E - E(1)) log(1-x) integral vanishes, so drop them instead of
-        # letting log(0) poison the matmul
-        with np.errstate(divide="ignore"):
-            w_logomx = wts * np.log(omx)
-        w_logomx[~np.isfinite(w_logomx)] = 0.0
-        w_x = wts * x
-        gap_k = digamma(b) - digamma(a + 1.0 + b)
-        for lo in range(0, small.size, _CHUNK):
-            rows = small[lo : lo + _CHUNK]
-            f1 = np.exp(log_f1[rows])
-            ew = np.exp(-w[rows, None] * x[None, :])
-            # direct quadrature: every term has the sign of log x, so no
-            # cancellation at any w (the log endpoint is tamed by the
-            # node substitution since the shape a+1 exceeds 1)
-            out_j[rows] = (ew @ w_logx) / f1
-            out_m[rows] = (ew @ w_x) / f1
-            if need_k:
-                # split: quadrature sees E - E(1), which vanishes at the
-                # log(1-x) endpoint; the remainder is exact in digammas
-                e_at_1 = np.exp(-w[rows])
-                kval = (ew - e_at_1[:, None]) @ w_logomx + e_at_1 * gap_k
-                out_k[rows] = kval / f1
-
-    big = np.nonzero(w > _LAPLACE_SWITCH)[0]
-    if big.size:
-        # rescaled t = w x, truncated; shared powers of w cancel in ratios
-        flat = max(2, _flatten_exponent(a + 1.0, 0.0))
-        q = flat / (a + 1.0)
-        u, gu = _gl_nodes01(cfg.node_count)
-        t = _LAPLACE_TRUNC * u**q
-        base = gu * u ** (flat - 1)
-        log_t = np.log(t)
-        for lo in range(0, big.size, _CHUNK):
-            rows = big[lo : lo + _CHUNK]
-            tw = t[None, :] / w[rows, None]
-            fac = np.exp(-t)[None, :] * (1.0 - tw) ** (b - 1.0)
-            g_f = fac @ base
-            g_j = (fac * log_t[None, :]) @ base
-            out_j[rows] = g_j / g_f - np.log(w[rows])
-            out_m[rows] = ((fac * tw) @ base) / g_f
-            if need_k:
-                out_k[rows] = ((fac * np.log1p(-tw)) @ base) / g_f
-    return out_j, out_k, out_m
-
-
 def _evaluate(
     a: float,
     b: float,
@@ -226,7 +136,6 @@ def _evaluate(
     reg_weight: float,
     want_grad: bool,
     free_b: bool,
-    cfg: QuadratureConfig = DEFAULT_QUADRATURE,
 ) -> tuple[ObjectiveValue, np.ndarray | None]:
     """Objective (and gradient in packing order a, [b], c, gammas)."""
     tau, cnt = data._unique()
@@ -250,7 +159,10 @@ def _evaluate(
     if w.min() <= 0.0:
         raise InfeasibleParamsError("integrated rate R(tau) <= 0 at an interval")
 
-    log_f1 = _log_hyp1f1_neg(a + 1.0, a + b + 1.0, w)
+    if want_grad:
+        log_f1, d_a, d_b, ratio = _log_hyp1f1_neg(a + 1.0, a + b + 1.0, w, grad=True)
+    else:
+        log_f1 = _log_hyp1f1_neg(a + 1.0, a + b + 1.0, w)
     loglik = (
         n_data * c
         + log_r_sum
@@ -262,14 +174,12 @@ def _evaluate(
     if not want_grad:
         return value, None
 
-    ratio_j, ratio_k, ratio2 = _grad_shape_ratios(a, b, w, log_f1, free_b, cfg)
-
-    grad = [float(cnt @ ratio_j) - n_data * (digamma(a) - digamma(a + b))]
+    grad = [float(cnt @ d_a) + n_data * (1.0 / a - 1.0 / (a + b))]
     if free_b:
-        grad.append(float(cnt @ ratio_k) - n_data * (digamma(b) - digamma(a + b)))
-    grad.append(n_data - rho * float(cnt @ (big_r * ratio2)))
+        grad.append(float(cnt @ d_b) - n_data / (a + b))
+    grad.append(n_data - rho * float(cnt @ (big_r * ratio)))
     if gamma.size:
-        weighted = cnt * ratio2
+        weighted = cnt * ratio
         d_gamma = (cnt / r) @ decay - rho * (weighted @ decay_int)
         d_gamma -= 2.0 * reg_weight * gamma
         grad.extend(d_gamma)
@@ -340,8 +250,9 @@ def _vector_objective(
     """Objective on a packed vector; None signals out-of-domain/infeasible.
 
     This is the fitter's entry point: it must be able to probe points
-    where ModelParams construction would fail (a <= 0, negative kernel)
-    and see them rejected rather than raised.
+    where ModelParams construction would fail (a <= 0, negative kernel),
+    or where no 1F1 regime reaches its accuracy (precision loss), and see
+    them rejected rather than raised.
     """
     spec = _variant_spec(variant)
     a = float(vec[0])
@@ -361,5 +272,5 @@ def _vector_objective(
             a, b, c, gamma, _variant_alpha(variant), data,
             reg_weight, want_grad, spec.free_b,
         )
-    except InfeasibleParamsError:
+    except (InfeasibleParamsError, PrecisionLossError):
         return None, None

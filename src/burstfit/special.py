@@ -1,10 +1,12 @@
-"""Scalar special functions and Beta-weighted quadrature.
+"""Scalar special functions, log 1F1 with its derivatives, and Beta quadrature.
 
 The interval density and its likelihood reduce to confluent hypergeometric
-evaluations plus expectations under a Beta weight whose integrands can be
-steep or endpoint-singular.  This module owns those numerics: log-gamma,
-digamma, log-beta, a 1F1 evaluator with regime switching, and a fixed-order
-Gauss-Legendre rule with endpoint-flattening substitutions.
+evaluations.  This module owns those numerics: log-gamma, digamma,
+log-beta, and a 1F1 evaluator with regime switching whose series pass
+also returns the derivatives of log 1F1 that the likelihood gradient
+needs.  A fixed-order Gauss-Legendre rule for expectations under a Beta
+weight, with endpoint-flattening substitutions, stays public as an
+independent check of the series; no model or likelihood path uses it.
 """
 
 from __future__ import annotations
@@ -140,14 +142,27 @@ def _series_pos(a: float, b: float, z: float) -> float:
     )
 
 
-def _log_transformed_series(a: float, b: float, w: np.ndarray) -> np.ndarray:
-    """log 1F1(a, b; -w) via exp(-w) * 1F1(b-a, b; w), elementwise, 0 <= w < ~300.
+# Terms of the transformed series are buffered this many at a time and
+# folded into the derivative sums by one small matrix product per block.
+_TERM_BLOCK = 64
+
+
+def _transformed_series(
+    a: float, b: float, w: np.ndarray, grad: bool
+) -> tuple[np.ndarray, ...]:
+    """log 1F1(a, b; -w) = log T - w, T = 1F1(b-a, b; w), for 0 <= w < ~300.
 
     The series needs roughly w + O(sqrt(w)) terms, so rows are grouped
     into bands of similar w and each band iterates only as long as it
     must.  With millisecond-quantized data most rows sit in the small-w
     bands, which makes this the difference between a fast and a slow
     likelihood evaluation.
+
+    With grad, the terms t_k = (b-a)_k / (b)_k * w^k / k! are also folded
+    into three sums whose weights depend only on k and share one sign:
+    -H_k with H_k = sum_{j<k} 1/(b+j) gives the shift derivative,
+    sum_{j<k} a/((b-a+j)(b+j)) the b derivative at fixed a, and a/(b+k)
+    the ratio a/b * 1F1(a+1, b+1; -w) / 1F1(a, b; -w).  See _log_hyp1f1_neg.
     """
     out = np.empty_like(w)
     order = np.argsort(w, kind="stable")
@@ -155,66 +170,140 @@ def _log_transformed_series(a: float, b: float, w: np.ndarray) -> np.ndarray:
     edges = np.searchsorted(ws, [1.0, 4.0, 16.0, 64.0], side="right")
     bounds = [0, *edges.tolist(), ws.size]
     ap = b - a
+    if grad:
+        d_shift, d_b, ratio = np.empty_like(w), np.empty_like(w), np.empty_like(w)
+        j = np.arange(_MAX_SERIES_TERMS + 1.0)
+        inv_b = 1.0 / (b + j)
+        weights = np.zeros((3, j.size))
+        weights[0, 1:] = -np.cumsum(inv_b[:-1])
+        weights[1, 1:] = np.cumsum((a * inv_b / (ap + j))[:-1])
+        weights[2] = a * inv_b
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         if lo == hi:
             continue
         wb = ws[lo:hi]
         term = np.ones_like(wb)
         total = np.ones_like(wb)
+        if grad:
+            sums = np.zeros((3, wb.size))
+            buf = np.empty((_TERM_BLOCK, wb.size))
+            buf[0] = term
         for k in range(_MAX_SERIES_TERMS):
             term = term * wb * ((ap + k) / ((b + k) * (k + 1.0)))
             total += term
-            if term[-1] <= _SERIES_STOP * total[-1] and np.all(
+            done = term[-1] <= _SERIES_STOP * total[-1] and np.all(
                 term <= _SERIES_STOP * total
-            ):
+            )
+            if grad:
+                row = (k + 1) % _TERM_BLOCK
+                buf[row] = term
+                if done or row == _TERM_BLOCK - 1:
+                    first = k + 1 - row
+                    sums += weights[:, first : k + 2] @ buf[: row + 1]
+            if done:
                 break
         else:
             raise PrecisionLossError("transformed 1F1 series did not converge")
-        out[order[lo:hi]] = np.log(total) - wb
-    return out
+        rows = order[lo:hi]
+        out[rows] = np.log(total) - wb
+        if grad:
+            d_shift[rows] = sums[0] / total
+            d_b[rows] = sums[1] / total
+            ratio[rows] = sums[2] / total
+    return (out, d_shift, d_b, ratio) if grad else (out,)
 
 
-def _asym_1f1_neg(a: float, b: float, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _asym_1f1_neg(
+    a: float, b: float, w: np.ndarray, grad: bool
+) -> tuple[np.ndarray, ...]:
     """Asymptotic form of 1F1(a, b; -w) for large w.
 
-    Returns (log value, S) where 1F1(a,b;-w) = Gamma(b)/Gamma(b-a) * w^-a * S
-    and S = sum_s (a)_s (a-b+1)_s / (s! w^s), truncated at the smallest term
-    (optimal truncation).  Raises PrecisionLossError if the smallest term is
-    still too large relative to the sum.
+    1F1(a,b;-w) = Gamma(b)/Gamma(b-a) * w^-a * S with S = sum_s u_s,
+    u_s = (a)_s (a-b+1)_s / (s! w^s), truncated per row at the smallest
+    term (optimal truncation) or once the terms stop mattering.  Raises
+    PrecisionLossError if the smallest term is still too large relative
+    to the sum.
+
+    With grad, the derivatives of log S are taken term by term: the shift
+    derivative weights u_s by A_s = sum_{j<s} 1/(a+j), the w derivative
+    by -s/w, and the b derivative sums v_s = d u_s / db, carried by its
+    own recurrence because at integer b the u_s terminate while the v_s
+    do not.  These sums are truncated on max(|u_s|, |v_s|), independently
+    of the value, so the value does not depend on grad.
     """
+    c = a - b + 1.0
     term = np.ones_like(w)
     total = np.ones_like(w)
+    last = term
     active = np.ones(w.shape, dtype=bool)
+    if grad:
+        dterm = np.zeros_like(w)
+        mag = term
+        mag_last = term
+        sums = np.zeros((3,) + w.shape)
+        d_active = active.copy()
+        shift_weight = 0.0
     for s in range(80):
-        nxt = term * ((a + s) * (a - b + 1.0 + s) / ((s + 1.0) * w))
-        grew = np.abs(nxt) >= np.abs(term)
-        active &= ~grew
+        nxt = term * ((a + s) * (c + s) / ((s + 1.0) * w))
+        active &= np.abs(nxt) < np.abs(term)
         total = np.where(active, total + nxt, total)
-        term = np.where(active, nxt, term)
-        if not np.any(active & (np.abs(term) > _SERIES_STOP * np.abs(total))):
+        last = np.where(active, nxt, last)
+        active &= np.abs(last) > _SERIES_STOP * np.abs(total)
+        if grad:
+            dterm = (dterm * (c + s) - term) * ((a + s) / ((s + 1.0) * w))
+            shift_weight += 1.0 / (a + s)
+            mag_nxt = np.maximum(np.abs(nxt), np.abs(dterm))
+            d_active &= mag_nxt < mag
+            sums += np.where(
+                d_active, np.array([shift_weight * nxt, dterm, (s + 1.0) * nxt]), 0.0
+            )
+            mag_last = np.where(d_active, mag_nxt, mag_last)
+            d_active &= mag_last > _SERIES_STOP * np.abs(total)
+            mag = mag_nxt
+        term = nxt
+        if not (active.any() or (grad and d_active.any())):
             break
-    resid = np.abs(term) / np.abs(total)
+    resid = np.abs(last) / np.abs(total)
+    if grad:
+        resid = np.maximum(resid, mag_last / np.abs(total))
     if np.any(resid > 1e-9) or np.any(total <= 0.0):
         raise PrecisionLossError(
             f"asymptotic 1F1 failed for a={a}, b={b}, min w={w.min():g}"
         )
-    log_val = (
-        np.log(total) + log_gamma(b) - log_gamma(b - a) - a * np.log(w)
+    log_w = np.log(w)
+    log_val = np.log(total) + log_gamma(b) - log_gamma(b - a) - a * log_w
+    if not grad:
+        return (log_val,)
+    psi_b = digamma(b)
+    return (
+        log_val,
+        psi_b - log_w + sums[0] / total,
+        psi_b - digamma(b - a) + sums[1] / total,
+        (a + sums[2] / total) / w,
     )
-    return log_val, total
 
 
-def _log_hyp1f1_neg(a: float, b: float, w: np.ndarray) -> np.ndarray:
-    """log 1F1(a, b; -w) elementwise for w >= 0, b > a > 0."""
+def _log_hyp1f1_neg(a: float, b: float, w: np.ndarray, grad: bool = False):
+    """log 1F1(a, b; -w) elementwise for w >= 0, b > a > 0.
+
+    With grad, returns (log F, d_shift, d_b, ratio) instead, from the same
+    series pass: d_shift = (d/da + d/db) log F, d_b = d/db log F at fixed a,
+    and ratio = -d/dw log F = a/b * 1F1(a+1, b+1; -w) / 1F1(a, b; -w).  For
+    F = 1F1(p+1, p+q+1; -w) these are the derivatives in p and q, and
+    ratio = <x E>/<E> under Beta(p+1, q) with E = exp(-w x).  In the series
+    regime each is a positive-weighted sum of the value's terms, and in the
+    asymptotic regime a digamma/log w part plus a term-wise derivative of
+    the asymptotic sum, so none is formed as a cancelling difference of
+    generic partials (DLMF 13.2, 13.7).  The value does not depend on grad.
+    """
     w = np.asarray(w, dtype=float)
-    out = np.empty_like(w)
+    parts = [np.empty_like(w) for _ in range(4 if grad else 1)]
     small = w < _ASYM_SWITCH
-    if small.any():
-        out[small] = _log_transformed_series(a, b, w[small])
-    big = ~small
-    if big.any():
-        out[big] = _asym_1f1_neg(a, b, w[big])[0]
-    return out
+    for rows, regime in ((small, _transformed_series), (~small, _asym_1f1_neg)):
+        if rows.any():
+            for dst, src in zip(parts, regime(a, b, w[rows], grad)):
+                dst[rows] = src
+    return tuple(parts) if grad else parts[0]
 
 
 def kummer_1f1(a: float, b: float, z: float) -> float:

@@ -21,6 +21,7 @@ from burstfit.likelihood import (
     objective,
 )
 from burstfit.model import (
+    VARIANTS,
     ModelParams,
     RefractoryKernel,
     iti_density,
@@ -216,3 +217,29 @@ def test_vector_objective_flags_out_of_domain():
         np.array([0.7, 0.0]), "M1", data, 0.0, True
     )
     assert value is not None and grad.shape == (2,)
+
+
+@pytest.mark.parametrize("want_grad", [False, True])
+def test_vector_objective_rejects_precision_loss(want_grad):
+    """At b = 200 the asymptotic 1F1 regime (w >= 300) cannot reach its
+    accuracy; the probe must come back as out-of-domain, not raise."""
+    value, grad = _likelihood_internals._vector_objective(
+        np.array([0.7, 200.0, 0.0]), "M2", ItiSet(np.array([0.5, 301.0])), 0.0, want_grad
+    )
+    assert value is None and grad is None
+
+
+@pytest.mark.parametrize("variant", ["M1", "M2", "M3", "M4", "M5"])
+def test_objective_value_does_not_depend_on_want_grad(variant):
+    """Objective traces are bit-identical whether or not a gradient is asked for."""
+    params = _sample_params(variant)
+    iv = simulate_continuous(params, 400, seed=60)
+    iv = np.concatenate([np.maximum(np.rint(iv * 1000.0), 1.0) / 1000.0, [150.0, 2e4, 3e6]])
+    data = ItiSet(iv)
+    free_b = VARIANTS[variant].free_b
+    gamma = np.asarray(params.kernel.gamma, dtype=float)
+    args = (params.a, params.b, params.c, gamma, params.kernel.alpha, data, 0.01)
+    value_only, none = _likelihood_internals._evaluate(*args, False, free_b)
+    value, grad = _likelihood_internals._evaluate(*args, True, free_b)
+    assert none is None and grad is not None
+    assert value == value_only

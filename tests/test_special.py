@@ -1,8 +1,10 @@
 """Tests for the numerics layer: log-gamma, digamma, the confluent
-hypergeometric function on the negative axis, and Beta-weighted quadrature.
+hypergeometric function on the negative axis with the derivatives its
+series pass returns, and Beta-weighted quadrature.
 
-Reference values in _KUMMER_TABLE were computed offline with mpmath at
-40 significant digits and are frozen here as literals.
+Reference values in _KUMMER_TABLE and _SHAPE_DERIVATIVE_TABLE were
+computed offline with mpmath at 40 significant digits and are frozen here
+as literals.
 """
 
 import math
@@ -11,6 +13,7 @@ import numpy as np
 import pytest
 
 from burstfit.special import (
+    _log_hyp1f1_neg,
     DEFAULT_QUADRATURE,
     IntegrationError,
     PrecisionLossError,
@@ -202,6 +205,114 @@ def test_kummer_monotone_decreasing_in_w():
     vals = np.array([kummer_1f1(0.7, 1.7, -wi) for wi in w])
     assert np.all(np.diff(vals) < 0.0)
     assert np.all(vals > 0.0)
+
+
+# ----------------------------------------------------------------------
+# log 1F1(a+1, a+b+1; -w) and its derivatives from the series pass
+# ----------------------------------------------------------------------
+
+# (a, b, w, log F, d/da log F, d/db log F, <x E>/<E>) for
+# F = 1F1(a+1, a+b+1; -w), where <x E>/<E> = -d/dw log F is taken under
+# Beta(a+1, b) with E = exp(-w x).  Frozen from a 40-digit arbitrary-
+# precision evaluation (derivatives by mpmath.diff, the ratio through
+# 1F1(a+2, a+b+2; -w)), agreeing to 40 digits between 50- and 70-digit
+# working precision.  The grid straddles the asymptotic switch at w = 300
+# and includes integer b, where the asymptotic value series terminates
+# but its b derivative does not.
+_SHAPE_DERIVATIVE_TABLE = [
+    (0.3, 1.0, 0.5, -0.27322188038138686, -0.098040026672049915, 0.12087763039980017, 0.5275461802123101),
+    (0.3, 1.0, 50.0, -4.9314404520969593, -3.3119831250641765, 1.1506293748923768, 0.026),
+    (0.3, 1.0, 299.0, -7.2563871904482617, -5.1004036930267169, 1.1728908723831172, 0.0043478260869565217),
+    (0.3, 1.0, 301.0, -7.2650538892139078, -5.1070703843849062, 1.1729199855513396, 0.0043189368770764119),
+    (0.3, 1.0, 1000.0, -8.8258924077171475, -6.3077153986181675, 1.1759540469658502, 0.0013),
+    (0.3, 1.0, 100000.0, -14.812613649501666, -10.912885584606259, 1.1772425451159991, 1.3e-5),
+    (0.3, 1.0, 10000000.0, -20.799334891286185, -15.51805577059435, 1.1772554152654875, 1.3e-7),
+    (0.3, 1.3, 0.5, -0.24133285933147497, -0.098314419192486284, 0.093511551473414436, 0.46538493412396601),
+    (0.3, 1.3, 50.0, -4.6280054213763467, -3.1671835846167609, 0.89378287785832614, 0.025837381092022078),
+    (0.3, 1.3, 299.0, -6.9462987100854622, -4.950405046270187, 0.91587809478469347, 0.0043434342627256059),
+    (0.3, 1.3, 301.0, -6.9549566837620302, -4.9570649966719181, 0.91590714890719435, 0.0043146034170236546),
+    (0.3, 1.3, 1000.0, -8.5148855803512813, -6.1570083223844293, 0.91893723502491557, 0.0012996092178039182),
+    (0.3, 1.3, 100000.0, -14.501220331443457, -10.761881012246253, 0.92022534152977426, 1.2999960999219978e-5),
+    (0.3, 1.3, 10000000.0, -20.487937712188979, -15.367048228184848, 0.92023821164026482, 1.2999999609999922e-7),
+    (0.3, 2.0, 0.5, -0.19012803017015567, -0.092127537667558085, 0.057290428394261841, 0.36678202983149773),
+    (0.3, 2.0, 50.0, -4.1248753045014572, -2.8977343972720151, 0.58597220023478318, 0.02546611909650924),
+    (0.3, 2.0, 299.0, -6.4278353728821134, -4.6689801706595833, 0.607688199404033, 0.0043332213637890493),
+    (0.3, 2.0, 301.0, -6.436473056705062, -4.6756244456925907, 0.60771711645518763, 0.0043045260099523665),
+    (0.3, 2.0, 1000.0, -7.9942841305150916, -5.8739340916147152, 0.61073796035751684, 0.0012986983078001402),
+    (0.3, 2.0, 100000.0, -13.979717526651063, -10.478112976040608, 0.612025153941656, 1.2999869998309978e-5),
+    (0.3, 2.0, 10000000.0, -19.966425898351089, -15.083273261898711, 0.61203802396115266, 1.2999998699999831e-7),
+    (0.3, 3.19, 0.5, -0.1401844615479591, -0.07837984991582121, 0.030789284877137591, 0.271410375947026),
+    (0.3, 3.19, 50.0, -3.5781855886510472, -2.5700348618394857, 0.36578088897382189, 0.02485999468325369),
+    (0.3, 3.19, 299.0, -5.8556745070892398, -4.3214045553525755, 0.38687899940427873, 0.0043159700681703365),
+    (0.3, 3.19, 301.0, -5.8642779172175042, -4.3280223529577098, 0.38690768566724228, 0.0042875028516362142),
+    (0.3, 3.19, 1000.0, -7.418503485039912, -5.523566227586121, 0.38991292455194761, 0.0012971526946059547),
+    (0.3, 3.19, 100000.0, -13.402406042845557, -10.126566772699609, 0.39119856911483321, 1.2999715299686907e-5),
+    (0.3, 3.19, 10000000.0, -19.389099099314422, -14.731715277533324, 0.39121143897964316, 1.2999997152999969e-7),
+    (0.6, 1.0, 0.5, -0.29934706732672978, -0.077328356567837388, 0.11763356424940091, 0.58177167519425109),
+    (0.6, 1.0, 50.0, -5.9018249451360539, -3.1609755526546698, 1.2953881478476546, 0.032),
+    (0.6, 1.0, 299.0, -8.7632978538761184, -4.9493961206172102, 1.322888492209578, 0.0053511705685618728),
+    (0.6, 1.0, 301.0, -8.7739645600492213, -4.9560628119753995, 1.3229243600708952, 0.0053156146179401993),
+    (0.6, 1.0, 1000.0, -10.694996582822439, -6.1567078262086608, 1.3266610326657091, 0.0016),
+    (0.6, 1.0, 100000.0, -18.063268880403385, -10.761878012196752, 1.3282471174670041, 1.6e-5),
+    (0.6, 1.0, 10000000.0, -25.431541177984332, -15.367048198184844, 1.3282629576749883, 1.6e-7),
+    (0.6, 1.3, 0.5, -0.26788968556727416, -0.079686516307263275, 0.093500226567433315, 0.51976524806260652),
+    (0.6, 1.3, 50.0, -5.5580228825796222, -3.0357704824458799, 1.0190286970657878, 0.031798573445880643),
+    (0.6, 1.3, 299.0, -8.4112768662551968, -4.8189535697976928, 1.0463216725229646, 0.0053457597677906842),
+    (0.6, 1.3, 301.0, -8.4219328230094242, -4.825613506573462, 1.0463574674915502, 0.0053102757590952234),
+    (0.6, 1.3, 1000.0, -10.341844579755265, -6.0255559149088518, 1.0500892368585162, 0.0015995188925735167),
+    (0.6, 1.3, 100000.0, -17.709641124250394, -10.630428514390986, 1.0516748393445409, 1.5999951998895966e-5),
+    (0.6, 1.3, 10000000.0, -25.077908669776145, -15.235595730320582, 1.0516906795045275, 1.5999999519999889e-7),
+    (0.6, 2.0, 0.5, -0.21556338629414591, -0.078014478240104759, 0.059824438534583643, 0.41792312625185381),
+    (0.6, 2.0, 50.0, -4.9788366918141775, -2.7970213250640786, 0.68070180225367683, 0.031338842975206611),
+    (0.6, 2.0, 299.0, -7.8131519482133138, -4.5681432107832647, 0.70752202837681666, 0.0053331773924739042),
+    (0.6, 2.0, 301.0, -7.8237829077851327, -4.5747874407200683, 0.70755765413161977, 0.0052978603940993836),
+    (0.6, 2.0, 1000.0, -9.7410864191619769, -5.7730940441573788, 0.71127802402693236, 0.0015983974358974359),
+    (0.6, 2.0, 100000.0, -17.10777343550395, -10.37727262774137, 0.71286250224239545, 1.5999839997439959e-5),
+    (0.6, 2.0, 10000000.0, -24.476029892956908, -14.982432913569475, 0.71287834229038892, 1.5999998399999744e-7),
+    (0.6, 3.19, 0.5, -0.16229191551692421, -0.069277831002704019, 0.033540770579789641, 0.31530103141440237),
+    (0.6, 3.19, 50.0, -4.3382837681663439, -2.4981503135131624, 0.43197527458903571, 0.030588661570915706),
+    (0.6, 3.19, 299.0, -7.1411450794630848, -4.2492627315062874, 0.45802571977929668, 0.0053119239289189915),
+    (0.6, 3.19, 301.0, -7.15173381424448, -4.255880431540261, 0.45806106063569556, 0.0052768881309273956),
+    (0.6, 3.19, 1000.0, -9.0646215538869602, -5.4514177000441186, 0.46176218341669367, 0.0015964945736471785),
+    (0.6, 3.19, 100000.0, -16.42942417664589, -10.054417587886894, 0.4633447540004507, 1.5999649598563462e-5),
+    (0.6, 3.19, 10000000.0, -23.797661784555015, -14.659566092654915, 0.46336059385805938, 1.5999996495999856e-7),
+    (1.7, 1.0, 0.5, -0.35947933430147438, -0.038561764049693761, 0.099787243383876369, 0.70790917569937193),
+    (1.7, 1.0, 50.0, -9.1343897879906063, -2.7448694660666347, 1.6882339694975143, 0.053999999999999999),
+    (1.7, 1.0, 299.0, -13.963125321489465, -4.5332900340291751, 1.7352826380434644, 0.0090301003344481604),
+    (1.7, 1.0, 301.0, -13.981125388156576, -4.5399567253873644, 1.7353433905456814, 0.0089700996677740862),
+    (1.7, 1.0, 1000.0, -17.222866926586382, -5.7406017396206257, 1.7416641935447753, 0.0027),
+    (1.7, 1.0, 100000.0, -29.656826428754228, -10.345771925608717, 1.7443422037635286, 2.7e-5),
+    (1.7, 1.0, 10000000.0, -42.090785930922075, -14.950942111596808, 1.7443689342629943, 2.7e-7),
+    (1.7, 1.3, 0.5, -0.33191149867997198, -0.042432066045502461, 0.084637328912156315, 0.65244320614345581),
+    (1.7, 1.3, 50.0, -8.6793117450528597, -2.6623016722000141, 1.3695501462258882, 0.053651924903965507),
+    (1.7, 1.3, 299.0, -13.493987946781554, -4.4453396149088552, 1.4162312712332129, 0.0090209355477252747),
+    (1.7, 1.3, 301.0, -13.511969806365796, -4.4519995013667951, 1.4162918993479992, 0.0089610569623360163),
+    (1.7, 1.3, 1000.0, -16.751816355350781, -5.6519385290060651, 1.4226043623683662, 0.0026991872344807255),
+    (1.7, 1.3, 100000.0, -29.184972576821405, -10.256810796629931, 1.4252815568800902, 2.6999918997245885e-5),
+    (1.7, 1.3, 10000000.0, -41.618924059851561, -14.861978012526528, 1.4253082872985582, 2.6999999189999724e-7),
+    (1.7, 2.0, 0.5, -0.28183699760328577, -0.046469641006389782, 0.060497551985222281, 0.55281469457751969),
+    (1.7, 2.0, 50.0, -7.8815696782706863, -2.4957408448449902, 0.95973936151864819, 0.052858350951374206),
+    (1.7, 2.0, 299.0, -12.663863620650453, -4.2663947215719321, 1.0055837676954864, 0.0089996241267719938),
+    (1.7, 2.0, 301.0, -12.68180314173457, -4.2730387849863532, 1.0056441070728261, 0.0089400289347275757),
+    (1.7, 2.0, 1000.0, -15.917237758510518, -5.4713341766600917, 1.0119371811891781, 0.002697292690263712),
+    (1.7, 2.0, 100000.0, -28.348520609468556, -10.075511655608454, 1.0146124743038161, 2.6999729992709803e-5),
+    (1.7, 2.0, 10000000.0, -40.782453381271933, -14.680671941326565, 1.0146392045332916, 2.6999997299999271e-7),
+    (1.7, 3.19, 0.5, -0.22471589865899146, -0.046451570007295858, 0.038118918730685282, 0.44049992012489339),
+    (1.7, 3.19, 50.0, -6.9569796051845194, -2.2717061281247827, 0.6372974103635128, 0.051565898751106937),
+    (1.7, 3.19, 299.0, -11.685534968933914, -4.0218485234472489, 0.68178281901140248, 0.0089636277496340125),
+    (1.7, 3.19, 301.0, -11.703402975970711, -4.0284658632204744, 0.6818426723053877, 0.008904509673057285),
+    (1.7, 3.19, 1000.0, -14.931368339804569, -5.2239787889055879, 0.68810301180254322, 0.0026940780840729652),
+    (1.7, 3.19, 100000.0, -27.359469512325613, -9.8269762633824138, 0.69077507869524534, 2.6999408691071495e-5),
+    (1.7, 3.19, 10000000.0, -39.793370475347077, -14.432124767909554, 0.69080180860343936, 2.6999994086999107e-7),
+]
+
+
+@pytest.mark.parametrize("a,b,w,log_f,d_a,d_b,ratio", _SHAPE_DERIVATIVE_TABLE)
+def test_series_pass_derivatives_frozen_values(a, b, w, log_f, d_a, d_b, ratio):
+    got = _log_hyp1f1_neg(a + 1.0, a + b + 1.0, np.array([w]), grad=True)
+    assert [float(g[0]) for g in got] == pytest.approx(
+        [log_f, d_a, d_b, ratio], rel=1e-10
+    )
 
 
 # ----------------------------------------------------------------------
