@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -142,6 +141,10 @@ def _cmd_compare(args, parser) -> int:
     todo = [v for v in args.variants or () if v not in results]
     if todo:
         if args.jobs > 1 and len(todo) > 1:
+            # imported here: the pool machinery costs every other command
+            # its import time
+            from concurrent.futures import ProcessPoolExecutor
+
             with ProcessPoolExecutor(max_workers=args.jobs) as pool:
                 fitted = pool.map(
                     _fit_one, todo, [args.infile] * len(todo), [args.config] * len(todo)

@@ -29,8 +29,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .likelihood import ItiSet, ObjectiveValue, _vector_objective, _variant_alpha, effective_reg_weight
-from .model import ModelParams, params_to_vector, vector_to_params, _variant_spec
+from .likelihood import ItiSet, ObjectiveValue, _vector_objective, effective_reg_weight
+from .model import ModelParams, VariantSpec, params_to_vector, vector_to_params, _variant_spec
 from .selection import bic
 
 __all__ = [
@@ -179,7 +179,7 @@ class FitResult:
         return self.objective_trace[-1].log_likelihood
 
 
-def _grid_basis(variant: str, grid: np.ndarray) -> np.ndarray:
+def _grid_basis(spec: VariantSpec, grid: np.ndarray) -> np.ndarray:
     """exp(-alpha_k t_i) for the variant's kernel, shape (1 + grid, n).
 
     Row 0 is the lag-zero constraint (all ones): without it the rate
@@ -187,11 +187,7 @@ def _grid_basis(variant: str, grid: np.ndarray) -> np.ndarray:
     the integrated rate at the shortest observed interval against zero,
     where every further step leaves the likelihood domain.
     """
-    alpha = _variant_alpha(variant)
-    if not alpha:
-        return np.zeros((grid.size + 1, 0))
-    al = np.asarray(alpha)
-    return np.exp(-np.concatenate(([0.0], grid))[:, None] * al)
+    return np.exp(-np.concatenate(([0.0], grid))[:, None] * np.asarray(spec.alpha))
 
 
 def feasible(kernel, grid: np.ndarray) -> tuple[bool, int | None]:
@@ -200,17 +196,19 @@ def feasible(kernel, grid: np.ndarray) -> tuple[bool, int | None]:
     Returns (True, None) or (False, index of the most violated point).
     """
     grid = np.asarray(grid, dtype=float)
-    if kernel.n == 0:
+    basis = np.exp(-grid[:, None] * np.asarray(kernel.alpha))
+    return _basis_feasible(basis, np.asarray(kernel.gamma))
+
+
+def _basis_feasible(basis: np.ndarray, gamma: np.ndarray) -> tuple[bool, int | None]:
+    """feasible() on a precomputed basis exp(-alpha_k t_i)."""
+    if basis.shape[1] == 0:
         return True, None
-    rate = 1.0 + np.exp(-grid[:, None] * np.asarray(kernel.alpha)) @ np.asarray(kernel.gamma)
+    rate = 1.0 + basis @ gamma
     worst = int(np.argmin(rate))
     if rate[worst] >= 0.0:
         return True, None
     return False, worst
-
-
-def _gamma_offset(variant: str) -> int:
-    return 3 if _variant_spec(variant).free_b else 2
 
 
 def _project_row(theta: np.ndarray, w: np.ndarray, off: int) -> np.ndarray:
@@ -235,9 +233,8 @@ def project(theta_prime: np.ndarray, violated_index: int, variant: str, grid: np
     spec = _variant_spec(variant)
     if spec.n_kernel_terms == 0:
         return theta_prime
-    off = _gamma_offset(variant)
-    w = np.exp(-float(grid[violated_index]) * np.asarray(_variant_alpha(variant)))
-    return _project_row(theta_prime, w, off)
+    w = np.exp(-float(grid[violated_index]) * np.asarray(spec.alpha))
+    return _project_row(theta_prime, w, spec.gamma_offset)
 
 
 def _repair(theta: np.ndarray, basis: np.ndarray, off: int) -> tuple[np.ndarray, int]:
@@ -248,7 +245,7 @@ def _repair(theta: np.ndarray, basis: np.ndarray, off: int) -> tuple[np.ndarray,
     """
     used = 0
     for _ in range(1000):
-        ok, worst = _vector_feasible(theta, basis, off)
+        ok, worst = _basis_feasible(basis, theta[off:])
         if ok:
             return theta, used
         theta = _project_row(theta, basis[worst], off)
@@ -265,16 +262,10 @@ def _initial_vector(variant: str, data: ItiSet, cfg: FitConfig) -> np.ndarray:
             )
         return params_to_vector(cfg.init_params)
     span = float(np.sum(data.intervals))
-    vec = [0.8]
-    if spec.free_b:
-        vec.append(1.2)
-    vec.append(math.log(data.n / span))
-    vec.extend([0.0] * spec.n_kernel_terms)
-    out = np.array(vec, dtype=float)
+    out = spec.pack(0.8, 1.2, math.log(data.n / span), np.zeros(spec.n_kernel_terms))
     if cfg.seed is not None:
         rng = np.random.default_rng(cfg.seed)
-        jitter = rng.uniform(-0.1, 0.1, size=2 + (1 if spec.free_b else 0))
-        out[: jitter.size] += jitter
+        out[: spec.gamma_offset] += rng.uniform(-0.1, 0.1, size=spec.gamma_offset)
     return out
 
 
@@ -381,8 +372,8 @@ def fit(variant: str, data: ItiSet, cfg: FitConfig | None = None) -> FitResult:
         cfg = FitConfig()
     spec = _variant_spec(variant)
     grid = cfg.constraint_grid
-    basis = _grid_basis(variant, grid)
-    off = _gamma_offset(variant)
+    basis = _grid_basis(spec, grid)
+    off = spec.gamma_offset
     reg = effective_reg_weight(variant, cfg.reg_weight)
     n = data.n
 
@@ -492,11 +483,11 @@ def _backtrack(
     while True:
         cand = theta + eta * direction
         used = 0
-        ok, worst = _vector_feasible(cand, basis, off)
+        ok, worst = _basis_feasible(basis, cand[off:])
         while not ok and used < max_proj:
             cand = _project_row(cand, basis[worst], off)
             used += 1
-            ok, worst = _vector_feasible(cand, basis, off)
+            ok, worst = _basis_feasible(basis, cand[off:])
         if ok:
             cand_value, cand_grad = _vector_objective(cand, variant, data, reg, True)
             if (
@@ -509,13 +500,3 @@ def _backtrack(
         if eta <= _ETA_MIN:
             return False, theta, value, None, eta, 0
         eta = max(eta / 2.0, _ETA_MIN)
-
-
-def _vector_feasible(theta: np.ndarray, basis: np.ndarray, off: int) -> tuple[bool, int | None]:
-    if basis.shape[1] == 0:
-        return True, None
-    rate = 1.0 + basis @ theta[off:]
-    worst = int(np.argmin(rate))
-    if rate[worst] >= 0.0:
-        return True, None
-    return False, worst

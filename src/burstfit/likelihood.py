@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelParams, RefractoryKernel, VARIANTS, _variant_spec
+from .model import ModelParams, VARIANTS, _variant_spec
 from .special import PrecisionLossError, _log_hyp1f1_neg
 
 __all__ = [
@@ -135,9 +135,12 @@ def _evaluate(
     data: ItiSet,
     reg_weight: float,
     want_grad: bool,
-    free_b: bool,
-) -> tuple[ObjectiveValue, np.ndarray | None]:
-    """Objective (and gradient in packing order a, [b], c, gammas)."""
+) -> tuple[ObjectiveValue, tuple | None]:
+    """Objective, and its gradient as (d/da, d/db, d/dc, d/dgamma).
+
+    The gradient always carries the b entry; VariantSpec.pack drops it
+    for variants that fix b.
+    """
     tau, cnt = data._unique()
     n_data = float(data.n)
     if gamma.size:
@@ -174,16 +177,16 @@ def _evaluate(
     if not want_grad:
         return value, None
 
-    grad = [float(cnt @ d_a) + n_data * (1.0 / a - 1.0 / (a + b))]
-    if free_b:
-        grad.append(float(cnt @ d_b) - n_data / (a + b))
-    grad.append(n_data - rho * float(cnt @ (big_r * ratio)))
+    g_a = float(cnt @ d_a) + n_data * (1.0 / a - 1.0 / (a + b))
+    g_b = float(cnt @ d_b) - n_data / (a + b)
+    g_c = n_data - rho * float(cnt @ (big_r * ratio))
     if gamma.size:
         weighted = cnt * ratio
         d_gamma = (cnt / r) @ decay - rho * (weighted @ decay_int)
         d_gamma -= 2.0 * reg_weight * gamma
-        grad.extend(d_gamma)
-    return value, np.asarray(grad)
+    else:
+        d_gamma = gamma
+    return value, (g_a, g_b, g_c, d_gamma)
 
 
 def _params_pieces(params: ModelParams):
@@ -194,7 +197,7 @@ def _params_pieces(params: ModelParams):
 def log_likelihood(params: ModelParams, data: ItiSet) -> float:
     """Exact log-likelihood of the interval set under params."""
     a, b, c, gamma, alpha = _params_pieces(params)
-    value, _ = _evaluate(a, b, c, gamma, alpha, data, 0.0, False, False)
+    value, _ = _evaluate(a, b, c, gamma, alpha, data, 0.0, False)
     return value.log_likelihood
 
 
@@ -209,7 +212,7 @@ def objective(
     """
     a, b, c, gamma, alpha = _params_pieces(params)
     weight = effective_reg_weight(params.variant, reg_weight)
-    value, _ = _evaluate(a, b, c, gamma, alpha, data, weight, False, False)
+    value, _ = _evaluate(a, b, c, gamma, alpha, data, weight, False)
     return value
 
 
@@ -221,23 +224,8 @@ def gradient(
     spec = _variant_spec(params.variant)
     a, b, c, gamma, alpha = _params_pieces(params)
     weight = effective_reg_weight(params.variant, reg_weight)
-    _, grad = _evaluate(
-        a, b, c, gamma, alpha, data, weight, True, spec.free_b
-    )
-    return grad
-
-
-_VARIANT_ALPHA: dict[str, tuple[float, ...]] = {}
-
-
-def _variant_alpha(variant: str) -> tuple[float, ...]:
-    alpha = _VARIANT_ALPHA.get(variant)
-    if alpha is None:
-        n = VARIANTS[variant].n_kernel_terms
-        kernel = RefractoryKernel.log_spaced([0.0] * n) if n else RefractoryKernel.none()
-        alpha = kernel.alpha
-        _VARIANT_ALPHA[variant] = alpha
-    return alpha
+    _, grad = _evaluate(a, b, c, gamma, alpha, data, weight, True)
+    return spec.pack(*grad)
 
 
 def _vector_objective(
@@ -255,22 +243,13 @@ def _vector_objective(
     them rejected rather than raised.
     """
     spec = _variant_spec(variant)
-    a = float(vec[0])
-    idx = 1
-    if spec.free_b:
-        b = float(vec[idx])
-        idx += 1
-    else:
-        b = 1.0
-    c = float(vec[idx])
-    idx += 1
-    gamma = np.asarray(vec[idx:], dtype=float)
+    a, b, c, gamma = spec.unpack(vec)
     if not (a > 0.0 and b > 0.0 and math.isfinite(a + b + c)):
         return None, None
     try:
-        return _evaluate(
-            a, b, c, gamma, _variant_alpha(variant), data,
-            reg_weight, want_grad, spec.free_b,
+        value, grad = _evaluate(
+            a, b, c, gamma, spec.alpha, data, reg_weight, want_grad
         )
     except (InfeasibleParamsError, PrecisionLossError):
         return None, None
+    return value, None if grad is None else spec.pack(*grad)

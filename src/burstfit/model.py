@@ -14,7 +14,7 @@ coordinate used by the fitter, so ModelParams stores c rather than rho.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -122,31 +122,71 @@ class RefractoryKernel:
 
 @dataclass(frozen=True)
 class VariantSpec:
-    """Shape of one model variant: which coordinates are free."""
+    """Shape of one model variant and the codec of its packed vector.
+
+    The fitted coordinates are packed as a, [b], c, gamma_1..gamma_n, with
+    b left out where the variant fixes it at 1.  ``alpha`` is the variant's
+    fixed bank of kernel decay rates.
+    """
 
     name: str
     n_kernel_terms: int
     free_b: bool
-    n_params: int
     reg_weight: float
+    alpha: tuple[float, ...] = field(init=False)
+
+    def __post_init__(self) -> None:
+        bank = RefractoryKernel.log_spaced((0.0,) * self.n_kernel_terms)
+        object.__setattr__(self, "alpha", bank.alpha)
+
+    @property
+    def gamma_offset(self) -> int:
+        """Index of gamma_1 in the packed vector."""
+        return 3 if self.free_b else 2
+
+    @property
+    def n_params(self) -> int:
+        return self.gamma_offset + self.n_kernel_terms
+
+    def names(self) -> tuple[str, ...]:
+        head = ("a", "b", "c") if self.free_b else ("a", "c")
+        return head + tuple(f"gamma{k + 1}" for k in range(self.n_kernel_terms))
+
+    def pack(self, a: float, b: float, c: float, gamma) -> np.ndarray:
+        """Packed vector of the coordinates; b is dropped where fixed."""
+        head = (a, b, c) if self.free_b else (a, c)
+        return np.array([*head, *gamma], dtype=float)
+
+    def unpack(self, vec) -> tuple[float, float, float, np.ndarray]:
+        """(a, b, c, gamma) of a packed vector, b = 1 where fixed.
+
+        Checks the length only: the fitter probes points outside the
+        model domain through this.
+        """
+        vec = np.asarray(vec, dtype=float)
+        if vec.shape != (self.n_params,):
+            raise ValueError(
+                f"variant {self.name} packs {self.n_params} parameters, "
+                f"got shape {vec.shape}"
+            )
+        off = self.gamma_offset
+        b = float(vec[1]) if self.free_b else 1.0
+        return float(vec[0]), b, float(vec[off - 1]), vec[off:]
 
 
 VARIANTS = {
-    "M1": VariantSpec("M1", 0, False, 2, 0.0),
-    "M2": VariantSpec("M2", 0, True, 3, 0.0),
-    "M3": VariantSpec("M3", 8, False, 10, 0.01),
-    "M4": VariantSpec("M4", 8, True, 11, 0.01),
-    "M5": VariantSpec("M5", 12, True, 15, 0.01),
+    "M1": VariantSpec("M1", 0, False, 0.0),
+    "M2": VariantSpec("M2", 0, True, 0.0),
+    "M3": VariantSpec("M3", 8, False, 0.01),
+    "M4": VariantSpec("M4", 8, True, 0.01),
+    "M5": VariantSpec("M5", 12, True, 0.01),
 }
 
 
 def _infer_variant(n_kernel_terms: int, b: float) -> str:
-    if n_kernel_terms == 0:
-        return "M1" if b == 1.0 else "M2"
-    if n_kernel_terms == 8:
-        return "M3" if b == 1.0 else "M4"
-    if n_kernel_terms == 12:
-        return "M5"
+    for name, spec in VARIANTS.items():
+        if spec.n_kernel_terms == n_kernel_terms and (spec.free_b or b == 1.0):
+            return name
     # Kernel sizes outside the variant table are allowed for simulation and
     # density evaluation but cannot be packed or fitted.
     return "custom"
@@ -331,47 +371,17 @@ def _variant_spec(variant: str) -> VariantSpec:
 
 def free_param_names(variant: str) -> tuple[str, ...]:
     """Names of the fitted coordinates in packing order: a, [b], c, gammas."""
-    spec = _variant_spec(variant)
-    names = ["a"]
-    if spec.free_b:
-        names.append("b")
-    names.append("c")
-    names.extend(f"gamma{k + 1}" for k in range(spec.n_kernel_terms))
-    return tuple(names)
+    return _variant_spec(variant).names()
 
 
 def params_to_vector(params: ModelParams) -> np.ndarray:
     """Pack the free coordinates of params into a flat vector."""
     spec = _variant_spec(params.variant)
-    vec = [params.a]
-    if spec.free_b:
-        vec.append(params.b)
-    vec.append(params.c)
-    vec.extend(params.kernel.gamma)
-    return np.array(vec, dtype=float)
+    return spec.pack(params.a, params.b, params.c, params.kernel.gamma)
 
 
 def vector_to_params(vec, variant: str) -> ModelParams:
     """Inverse of params_to_vector; validates length and domain."""
     spec = _variant_spec(variant)
-    vec = np.asarray(vec, dtype=float)
-    if vec.shape != (spec.n_params,):
-        raise ValueError(
-            f"variant {variant} packs {spec.n_params} parameters, "
-            f"got shape {vec.shape}"
-        )
-    i = 0
-    a = float(vec[i])
-    i += 1
-    if spec.free_b:
-        b = float(vec[i])
-        i += 1
-    else:
-        b = 1.0
-    c = float(vec[i])
-    i += 1
-    if spec.n_kernel_terms:
-        kernel = RefractoryKernel.log_spaced(vec[i:])
-    else:
-        kernel = RefractoryKernel.none()
-    return ModelParams(a=a, b=b, c=c, kernel=kernel, variant=variant)
+    a, b, c, gamma = spec.unpack(vec)
+    return ModelParams(a, b, c, RefractoryKernel(gamma, spec.alpha), variant)

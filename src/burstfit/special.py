@@ -47,21 +47,16 @@ class QuadratureConfig:
     substitution_exponent_threshold: shapes below this always get the exact
         power substitution (x = u**(1/shape)); above it an integer-flattening
         variant is used, see _flatten_exponent.
-    relative_tolerance: accuracy target used when truncating series tails
-        and exponential cutoffs derived from this config.
     """
 
     node_count: int = 200
     substitution_exponent_threshold: float = 1.0
-    relative_tolerance: float = 1e-10
 
     def __post_init__(self) -> None:
         if self.node_count < 16:
             raise ValueError("node_count must be at least 16")
         if not (self.substitution_exponent_threshold > 0):
             raise ValueError("substitution_exponent_threshold must be positive")
-        if not (0 < self.relative_tolerance < 1):
-            raise ValueError("relative_tolerance must be in (0, 1)")
 
 
 DEFAULT_QUADRATURE = QuadratureConfig()
@@ -126,20 +121,6 @@ def log_beta(a: float, b: float) -> float:
 _ASYM_SWITCH = 300.0
 _MAX_SERIES_TERMS = 1800
 _SERIES_STOP = 1e-17
-
-
-def _series_pos(a: float, b: float, z: float) -> float:
-    """Taylor series of 1F1(a, b; z) for z >= 0 with a, b > 0 (positive terms)."""
-    term = 1.0
-    total = 1.0
-    for k in range(_MAX_SERIES_TERMS):
-        term *= z * (a + k) / ((b + k) * (k + 1.0))
-        total += term
-        if term <= _SERIES_STOP * total:
-            return total
-    raise PrecisionLossError(
-        f"1F1 series did not converge for a={a}, b={b}, z={z}"
-    )
 
 
 # Terms of the transformed series are buffered this many at a time and
@@ -307,25 +288,20 @@ def _log_hyp1f1_neg(a: float, b: float, w: np.ndarray, grad: bool = False):
 
 
 def kummer_1f1(a: float, b: float, z: float) -> float:
-    """Confluent hypergeometric 1F1(a, b; z) for b > a > 0.
+    """Confluent hypergeometric 1F1(a, b; z) for b > a > 0 and z <= 0.
 
-    Relative error is ~1e-13 for z <= 0 (the regime the interval density
-    uses) and for moderate positive z.  Raises PrecisionLossError when no
-    regime can meet tolerance (very large positive z).
+    Relative error is ~1e-13.  Only the negative axis, where the interval
+    density lives, is implemented; z > 0 raises ValueError.
     """
     a = _require_finite("a", a)
     b = _require_finite("b", b)
     z = _require_finite("z", z)
     if not (b > a > 0.0):
         raise ValueError(f"kummer_1f1 requires b > a > 0, got a={a}, b={b}")
+    if z > 0.0:
+        raise ValueError(f"kummer_1f1 requires z <= 0, got z={z}")
     if z == 0.0:
         return 1.0
-    if z > 0.0:
-        if z > 700.0:
-            raise PrecisionLossError(
-                f"1F1 overflows in double precision for z={z}"
-            )
-        return _series_pos(a, b, z)
     return float(np.exp(_log_hyp1f1_neg(a, b, np.array([-z])))[0])
 
 

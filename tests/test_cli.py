@@ -1,11 +1,17 @@
-"""End-to-end tests of the command-line entry points, run in process."""
+"""End-to-end tests of the command-line entry points, run in process
+(the import-cost check alone starts a fresh interpreter)."""
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import burstfit
 from burstfit.cli import main
 from burstfit.fit import FitResult
 from burstfit.io import (
@@ -262,3 +268,13 @@ def test_eval_density_bad_grid_spec(tmp_path):
         main(["eval-density", "--fit", "x.json", "--tau-grid", "1:10",
               "--out", str(tmp_path / "d.txt")])
     assert exc.value.code == 2
+
+
+def test_cli_import_leaves_process_pool_unloaded():
+    """Only compare --jobs > 1 uses the process pool, so importing the CLI,
+    which every command does, must not import it."""
+    src = str(Path(burstfit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, burstfit.cli; print('concurrent.futures.process' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

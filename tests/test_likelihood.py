@@ -21,7 +21,6 @@ from burstfit.likelihood import (
     objective,
 )
 from burstfit.model import (
-    VARIANTS,
     ModelParams,
     RefractoryKernel,
     iti_density,
@@ -236,10 +235,24 @@ def test_objective_value_does_not_depend_on_want_grad(variant):
     iv = simulate_continuous(params, 400, seed=60)
     iv = np.concatenate([np.maximum(np.rint(iv * 1000.0), 1.0) / 1000.0, [150.0, 2e4, 3e6]])
     data = ItiSet(iv)
-    free_b = VARIANTS[variant].free_b
     gamma = np.asarray(params.kernel.gamma, dtype=float)
     args = (params.a, params.b, params.c, gamma, params.kernel.alpha, data, 0.01)
-    value_only, none = _likelihood_internals._evaluate(*args, False, free_b)
-    value, grad = _likelihood_internals._evaluate(*args, True, free_b)
+    value_only, none = _likelihood_internals._evaluate(*args, False)
+    value, grad = _likelihood_internals._evaluate(*args, True)
     assert none is None and grad is not None
     assert value == value_only
+
+
+@pytest.mark.parametrize("fixed,free", [("M1", "M2"), ("M3", "M4")])
+def test_fixed_b_gradient_is_free_b_gradient_without_b(fixed, free):
+    """At b = 1 a fixed-b variant and its free-b sibling describe the same
+    point: equal objectives, and the same gradient once the b entry of the
+    sibling's is deleted, bit for bit."""
+    params = _sample_params(fixed)
+    sibling = ModelParams(a=params.a, b=1.0, c=params.c, kernel=params.kernel, variant=free)
+    iv = simulate_continuous(params, 400, seed=61)
+    data = ItiSet(np.concatenate([iv, [150.0, 2e4]]))
+    assert objective(params, data) == objective(sibling, data)
+    np.testing.assert_array_equal(
+        gradient(params, data), np.delete(gradient(sibling, data), 1)
+    )

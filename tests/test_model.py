@@ -214,6 +214,15 @@ def test_vector_round_trip_all_variants():
         np.testing.assert_allclose(params_to_vector(params), vec, rtol=0, atol=0)
 
 
+def test_variant_codec_agrees_with_table():
+    """The packed vector's length and kernel bank come from the variant table."""
+    for name, spec in VARIANTS.items():
+        vec = np.full(spec.n_params, 0.5)
+        assert vector_to_params(vec, name).kernel.alpha == spec.alpha
+        assert spec.alpha == RefractoryKernel.log_spaced(np.zeros(spec.n_kernel_terms)).alpha
+        assert len(free_param_names(name)) == spec.n_params
+
+
 def test_vector_packing_errors():
     with pytest.raises(ValueError):
         vector_to_params(np.zeros(3), "M1")

@@ -16,7 +16,6 @@ from burstfit.special import (
     _log_hyp1f1_neg,
     DEFAULT_QUADRATURE,
     IntegrationError,
-    PrecisionLossError,
     QuadratureConfig,
     beta_expectation,
     digamma,
@@ -143,13 +142,6 @@ def test_kummer_closed_form_a1_b2():
         assert kummer_1f1(1.0, 2.0, z) == pytest.approx(math.expm1(z) / z, rel=1e-12)
 
 
-def test_kummer_positive_argument():
-    # exercised by nothing in the fitting path, but the function accepts it;
-    # expected values frozen from a 40-digit evaluation
-    for z, expected in [(0.5, 1.2612588562095525), (3.0, 5.0965046784615649), (200.0, 3.0549400547066673e83)]:
-        assert kummer_1f1(1.3, 2.9, z) == pytest.approx(expected, rel=1e-11)
-
-
 def test_kummer_asymptotic_leading_term_agreement():
     """At z = -1e4 the value sits within 1% of Gamma(b)/Gamma(b-a) |z|^-a."""
     a, b, z = 1.61, 2.61, -1e4
@@ -193,11 +185,8 @@ def test_kummer_domain_errors():
         kummer_1f1(-0.5, 2.0, -1.0)
     with pytest.raises(ValueError):
         kummer_1f1(1.0, 2.0, float("nan"))
-
-
-def test_kummer_large_positive_argument_reports_precision_loss():
-    with pytest.raises(PrecisionLossError):
-        kummer_1f1(1.0, 2.0, 1e4)
+    with pytest.raises(ValueError):
+        kummer_1f1(1.3, 2.9, 0.5)  # only z <= 0 is implemented
 
 
 def test_kummer_monotone_decreasing_in_w():
@@ -405,7 +394,5 @@ def test_quadrature_config_validation():
         QuadratureConfig(node_count=8)
     with pytest.raises(ValueError):
         QuadratureConfig(substitution_exponent_threshold=0.0)
-    with pytest.raises(ValueError):
-        QuadratureConfig(relative_tolerance=0.0)
     cfg = QuadratureConfig(node_count=64)
     assert cfg.node_count == 64
