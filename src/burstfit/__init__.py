@@ -54,10 +54,7 @@ from .simulate import (
     simulate_discrete,
 )
 from .special import (
-    IntegrationError,
     PrecisionLossError,
-    QuadratureConfig,
-    beta_expectation,
     digamma,
     kummer_1f1,
     log_beta,
@@ -73,19 +70,16 @@ __all__ = [
     "FitConfig",
     "FitResult",
     "InfeasibleParamsError",
-    "IntegrationError",
     "ItiSet",
     "LogBinnedHistogram",
     "ModelParams",
     "ObjectiveValue",
     "PrecisionLossError",
     "PriorityTransform",
-    "QuadratureConfig",
     "RefractoryKernel",
     "SimConfig",
     "VARIANTS",
     "apply_priority_transform",
-    "beta_expectation",
     "bic",
     "compare",
     "compute_itis",

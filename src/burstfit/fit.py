@@ -365,8 +365,10 @@ def fit(variant: str, data: ItiSet, cfg: FitConfig | None = None) -> FitResult:
     """Maximize the penalized objective for one variant on one data set.
 
     Never raises for a fit that merely fails to converge; the result
-    carries a converged flag and a reason string ("gradient tolerance",
-    "objective stall", or "max iterations").
+    carries a converged flag and a reason string.  "gradient tolerance"
+    and "objective stall" (no progress over the stall window) count as
+    converged; "line search failed" (no improving step even after a
+    fresh curvature map) and "max iterations" do not.
     """
     if cfg is None:
         cfg = FitConfig()
@@ -445,8 +447,7 @@ def fit(variant: str, data: ItiSet, cfg: FitConfig | None = None) -> FitResult:
             fresh = True
             eta = float(np.clip(cfg.step_size, _ETA_MIN, _ETA_MAX))
         if not accepted:
-            converged = True
-            reason = "objective stall"
+            reason = "line search failed"
             break
         trace.append(value)
 

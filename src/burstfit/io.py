@@ -66,29 +66,24 @@ class LogBinnedHistogram:
 
 
 def _iter_lines(source):
-    if isinstance(source, (str, Path)):
-        with open(source, "rb") as fh:
-            yield from fh
-        return
     if isinstance(source, bytes):
         yield from source.splitlines(keepends=True)
         return
-    yield from source
+    with open(source, "rb") as fh:
+        yield from fh
 
 
 def load_timestamps(source) -> EventTrain:
     """Parse newline-delimited millisecond timestamps into an EventTrain.
 
-    source may be a path, a bytes blob, or an iterable of lines.  A
-    single ``unit=ms`` header line is allowed at the top.  Timestamps
-    are sorted and exact duplicates collapsed (count logged); anything
-    non-integer raises with its line number.
+    source is a file path or a bytes blob.  A single ``unit=ms`` header
+    line is allowed at the top.  Timestamps are sorted and exact
+    duplicates collapsed (count logged); anything non-integer raises with
+    its line number.
     """
     values: list[int] = []
     for lineno, raw in enumerate(_iter_lines(source), start=1):
-        if isinstance(raw, bytes):
-            raw = raw.decode("utf-8", errors="replace")
-        text = raw.strip()
+        text = raw.decode("utf-8", errors="replace").strip()
         if not text:
             continue
         if lineno == 1 and text.replace(" ", "") == "unit=ms":

@@ -183,11 +183,11 @@ VARIANTS = {
 }
 
 
-def _infer_variant(n_kernel_terms: int, b: float) -> str:
+def _infer_variant(alpha: tuple[float, ...], b: float) -> str:
     for name, spec in VARIANTS.items():
-        if spec.n_kernel_terms == n_kernel_terms and (spec.free_b or b == 1.0):
+        if spec.alpha == alpha and (spec.free_b or b == 1.0):
             return name
-    # Kernel sizes outside the variant table are allowed for simulation and
+    # Kernel banks outside the variant table are allowed for simulation and
     # density evaluation but cannot be packed or fitted.
     return "custom"
 
@@ -197,7 +197,7 @@ class ModelParams:
     """One point in parameter space: priority shapes, log rate, kernel.
 
     ``variant`` may be left None, in which case the smallest variant
-    consistent with the kernel size and b is picked.
+    consistent with the kernel's decay rates and b is picked.
     """
 
     a: float
@@ -219,16 +219,16 @@ class ModelParams:
             raise ValueError(f"b must be positive and finite, got {b}")
         if not math.isfinite(c):
             raise ValueError(f"c must be finite, got {c}")
-        variant = self.variant or _infer_variant(self.kernel.n, b)
+        variant = self.variant or _infer_variant(self.kernel.alpha, b)
         spec = VARIANTS.get(variant)
         if spec is None:
             if variant != "custom":
                 raise ValueError(f"unknown variant {variant!r}")
         else:
-            if spec.n_kernel_terms != self.kernel.n:
+            if spec.alpha != self.kernel.alpha:
                 raise ValueError(
-                    f"variant {variant} needs {spec.n_kernel_terms} kernel "
-                    f"terms, kernel has {self.kernel.n}"
+                    f"variant {variant} needs the kernel rates {spec.alpha}, "
+                    f"kernel has {self.kernel.alpha}"
                 )
             if not spec.free_b and b != 1.0:
                 raise ValueError(f"variant {variant} fixes b = 1, got b={b}")

@@ -48,7 +48,6 @@ class EventTrain:
     """Strictly increasing event timestamps in integer milliseconds."""
 
     timestamps_ms: np.ndarray
-    origin: int = 0
 
     def __post_init__(self) -> None:
         ts = np.asarray(self.timestamps_ms)

@@ -1,65 +1,29 @@
-"""Scalar special functions, log 1F1 with its derivatives, and Beta quadrature.
+"""Log-gamma, digamma, log-beta, and 1F1 with the derivatives of its log.
 
 The interval density and its likelihood reduce to confluent hypergeometric
 evaluations.  This module owns those numerics: log-gamma, digamma,
 log-beta, and a 1F1 evaluator with regime switching whose series pass
 also returns the derivatives of log 1F1 that the likelihood gradient
-needs.  A fixed-order Gauss-Legendre rule for expectations under a Beta
-weight, with endpoint-flattening substitutions, stays public as an
-independent check of the series; no model or likelihood path uses it.
+needs.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import lru_cache
-from typing import Callable
 
 import numpy as np
 
 __all__ = [
     "PrecisionLossError",
-    "IntegrationError",
-    "QuadratureConfig",
-    "DEFAULT_QUADRATURE",
     "log_gamma",
     "digamma",
     "log_beta",
     "kummer_1f1",
-    "beta_expectation",
 ]
 
 
 class PrecisionLossError(ArithmeticError):
     """No evaluation regime reached the requested accuracy."""
-
-
-class IntegrationError(ArithmeticError):
-    """Quadrature failed, typically on a non-finite integrand value."""
-
-
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Policy knobs for the Beta-weighted fixed-order quadrature.
-
-    node_count: Gauss-Legendre order used on each transformed subdomain.
-    substitution_exponent_threshold: shapes below this always get the exact
-        power substitution (x = u**(1/shape)); above it an integer-flattening
-        variant is used, see _flatten_exponent.
-    """
-
-    node_count: int = 200
-    substitution_exponent_threshold: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.node_count < 16:
-            raise ValueError("node_count must be at least 16")
-        if not (self.substitution_exponent_threshold > 0):
-            raise ValueError("substitution_exponent_threshold must be positive")
-
-
-DEFAULT_QUADRATURE = QuadratureConfig()
 
 
 def _require_finite(name: str, value: float) -> float:
@@ -287,132 +251,22 @@ def _log_hyp1f1_neg(a: float, b: float, w: np.ndarray, grad: bool = False):
     return tuple(parts) if grad else parts[0]
 
 
-def kummer_1f1(a: float, b: float, z: float) -> float:
+def kummer_1f1(a: float, b: float, z: float | np.ndarray) -> float | np.ndarray:
     """Confluent hypergeometric 1F1(a, b; z) for b > a > 0 and z <= 0.
 
-    Relative error is ~1e-13.  Only the negative axis, where the interval
-    density lives, is implemented; z > 0 raises ValueError.
+    Elementwise in z: a scalar z gives a float, an array an array of the
+    same shape.  Relative error is ~1e-13.  Only the negative axis, where
+    the interval density lives, is implemented; any z > 0 raises
+    ValueError.
     """
     a = _require_finite("a", a)
     b = _require_finite("b", b)
-    z = _require_finite("z", z)
     if not (b > a > 0.0):
         raise ValueError(f"kummer_1f1 requires b > a > 0, got a={a}, b={b}")
-    if z > 0.0:
-        raise ValueError(f"kummer_1f1 requires z <= 0, got z={z}")
-    if z == 0.0:
-        return 1.0
-    return float(np.exp(_log_hyp1f1_neg(a, b, np.array([-z])))[0])
-
-
-# Beta-weighted quadrature.
-
-
-@lru_cache(maxsize=8)
-def _gl_nodes01(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights mapped to (0, 1)."""
-    x, w = np.polynomial.legendre.leggauss(n)
-    x = (x + 1.0) / 2.0
-    w = w / 2.0
-    x.setflags(write=False)
-    w.setflags(write=False)
-    return x, w
-
-
-def _flatten_exponent(shape: float, threshold: float) -> int:
-    """Integer l such that x = u**(l/shape) turns x^{shape-1} dx into u^{l-1} du.
-
-    Below the threshold this is the exact endpoint substitution (l = 1).
-    Above it we still substitute, with l chosen so the residual branch
-    exponent l/shape stays >= 1.5; a bare non-integer power x^{shape-1}
-    otherwise caps fixed-order Gauss-Legendre near 1e-7.
-    """
-    if shape < threshold:
-        return 1
-    return max(1, math.ceil(1.5 * shape - 1e-9))
-
-
-def _beta_nodes_full(
-    a: float, b: float, cfg: QuadratureConfig
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Nodes x, their complements 1-x, and weights for int f(x) Beta(x;a,b) dx.
-
-    The domain is split at 1/2; each half gets the power substitution that
-    absorbs its endpoint weight exactly, so sum(w_i) = 1 to quadrature
-    accuracy and f is only ever evaluated at interior points.  The 1-x array
-    is computed analytically per piece so callers can take log(1-x) without
-    cancellation.
-    """
-    u, gw = _gl_nodes01(cfg.node_count)
-    thr = cfg.substitution_exponent_threshold
-    ln_b = log_beta(a, b)
-
-    xs = []
-    omxs = []
-    wts = []
-
-    # Left half, endpoint weight x^{a-1}.
-    la = _flatten_exponent(a, thr)
-    qa = la / a
-    ua = 0.5 ** (1.0 / qa)
-    un = u * ua
-    x = un ** qa * 1.0
-    omx = 1.0 - x
-    logw = (
-        np.log(gw)
-        + math.log(qa)
-        + la * math.log(ua)
-        + (la - 1.0) * np.log(u)
-        + (b - 1.0) * np.log(omx)
-        - ln_b
-    )
-    xs.append(x)
-    omxs.append(omx)
-    wts.append(np.exp(logw))
-
-    # Right half, endpoint weight (1-x)^{b-1}.
-    lb = _flatten_exponent(b, thr)
-    qb = lb / b
-    ub = 0.5 ** (1.0 / qb)
-    vn = u * ub
-    omx = vn ** qb * 1.0
-    x = 1.0 - omx
-    logw = (
-        np.log(gw)
-        + math.log(qb)
-        + lb * math.log(ub)
-        + (lb - 1.0) * np.log(u)
-        + (a - 1.0) * np.log(x)
-        - ln_b
-    )
-    xs.append(x)
-    omxs.append(omx)
-    wts.append(np.exp(logw))
-
-    return np.concatenate(xs), np.concatenate(omxs), np.concatenate(wts)
-
-
-def beta_expectation(
-    f: Callable[[np.ndarray], np.ndarray],
-    a: float,
-    b: float,
-    cfg: QuadratureConfig = DEFAULT_QUADRATURE,
-) -> float:
-    """Expectation of f under Beta(a, b) by fixed-order transformed quadrature.
-
-    f is called with an array of interior nodes and should return values of
-    the same shape (a scalar-only callable is looped over).  Non-finite
-    integrand values raise IntegrationError.
-    """
-    a = _require_finite("a", a)
-    b = _require_finite("b", b)
-    if a <= 0.0 or b <= 0.0:
-        raise ValueError(f"beta_expectation requires a, b > 0, got a={a}, b={b}")
-    x, _, w = _beta_nodes_full(a, b, cfg)
-    vals = f(x)
-    arr = np.asarray(vals, dtype=float)
-    if arr.shape != x.shape:
-        arr = np.array([float(f(xi)) for xi in x])
-    if not np.all(np.isfinite(arr)):
-        raise IntegrationError("integrand returned non-finite values at nodes")
-    return float(np.dot(w, arr))
+    z = np.asarray(z, dtype=float)
+    if not np.all(np.isfinite(z)):
+        raise ValueError("kummer_1f1 requires finite z")
+    if np.any(z > 0.0):
+        raise ValueError(f"kummer_1f1 requires z <= 0, got z up to {z.max()}")
+    out = np.exp(_log_hyp1f1_neg(a, b, -z.ravel())).reshape(z.shape)
+    return float(out) if out.ndim == 0 else out

@@ -242,6 +242,17 @@ def test_fit_max_iters_reason():
     assert len(res.objective_trace) <= 4
 
 
+def test_fit_failed_line_search_is_not_convergence():
+    """Poisson intervals fitted cold with M2 drive b towards zero until no
+    step improves, even after a fresh curvature map: a failed search,
+    which must not be reported as convergence."""
+    rng = np.random.default_rng(0)
+    iv = np.maximum(np.round(rng.exponential(0.2, 20_000) * 1000.0), 1.0) / 1000.0
+    res = fit("M2", ItiSet(iv))
+    assert res.reason == "line search failed"
+    assert not res.converged
+
+
 def test_fit_single_interval_terminates():
     res = fit("M1", ItiSet(np.array([0.8])))
     assert res.converged

@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 
+from beta_oracle import beta_expectation
 from burstfit.model import (
     VARIANTS,
     ModelParams,
@@ -26,7 +27,6 @@ from burstfit.model import (
     refractory_integral,
     vector_to_params,
 )
-from burstfit.special import DEFAULT_QUADRATURE, beta_expectation
 
 # geometric step between decay rates: 20^(1/7) for 8 terms spanning
 # 50 ms..1 s, 30^(1/11) for 12 terms spanning 50 ms..1.5 s
@@ -178,6 +178,14 @@ def test_params_variant_inference():
     assert ModelParams(a=0.7, b=1.0, c=0.0, kernel=k1).variant == "custom"
 
 
+def test_params_kernel_rates_must_match_variant():
+    """A kernel of a variant's size on another rate bank is not that variant."""
+    kernel = RefractoryKernel.log_spaced([-0.1] * 8, slowest_timescale=3.0)
+    assert ModelParams(a=0.7, b=1.0, c=0.0, kernel=kernel).variant == "custom"
+    with pytest.raises(ValueError, match="rates"):
+        ModelParams(a=0.7, b=1.0, c=0.0, kernel=kernel, variant="M3")
+
+
 def test_params_validation():
     with pytest.raises(ValueError):
         ModelParams(a=0.0, b=1.0, c=0.0)
@@ -326,7 +334,6 @@ def test_marginal_equals_priority_average_of_conditional():
                     ),
                     a,
                     b,
-                    DEFAULT_QUADRATURE,
                 )
                 assert direct == pytest.approx(averaged, rel=1e-6), (kernel.n, a, b, rho, tau)
 
