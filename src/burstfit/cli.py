@@ -10,6 +10,7 @@ Exit codes: 0 success, 1 runtime failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -109,14 +110,12 @@ def _load_itis(path) -> ItiSet:
     return bio.compute_itis(bio.load_timestamps(path))
 
 
-def _fit_one(variant: str, data_path: str, config_path: str | None):
-    data = _load_itis(data_path)
-    cfg = FitConfig.from_file(config_path) if config_path else FitConfig()
-    return variant, fit(variant, data, cfg)
+def _load_config(path) -> FitConfig:
+    return FitConfig.from_file(path) if path else FitConfig()
 
 
 def _cmd_fit(args, parser) -> int:
-    _, result = _fit_one(args.variant, args.infile, args.config)
+    result = fit(args.variant, _load_itis(args.infile), _load_config(args.config))
     bio.write_atomic(args.out, bio.serialize_fit(result))
     p = result.params_star
     print(
@@ -140,19 +139,17 @@ def _cmd_compare(args, parser) -> int:
         results[res.variant] = res
     todo = [v for v in args.variants or () if v not in results]
     if todo:
+        # parsed once; the pool pickles both into each task
+        fit_one = functools.partial(fit, data=_load_itis(args.infile), cfg=_load_config(args.config))
         if args.jobs > 1 and len(todo) > 1:
             # imported here: the pool machinery costs every other command
             # its import time
             from concurrent.futures import ProcessPoolExecutor
 
             with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-                fitted = pool.map(
-                    _fit_one, todo, [args.infile] * len(todo), [args.config] * len(todo)
-                )
-                results.update(dict(fitted))
+                results.update(zip(todo, pool.map(fit_one, todo)))
         else:
-            for variant in todo:
-                results.update([_fit_one(variant, args.infile, args.config)])
+            results.update(zip(todo, map(fit_one, todo)))
     matrix = compare(results)
     bio.write_atomic(args.out, bio.serialize_comparison(matrix))
     for name in sorted(matrix.bic):
@@ -168,24 +165,21 @@ def _cmd_compare(args, parser) -> int:
     return 0
 
 
+def _write_table(path, taus: np.ndarray, values: np.ndarray) -> None:
+    lines = [f"{t:.12g} {v:.12g}" for t, v in zip(taus, values)]
+    bio.write_atomic(path, "\n".join(lines) + "\n")
+
+
 def _cmd_hist(args, parser) -> int:
     data = _load_itis(args.infile)
     hist = bio.log_binned_histogram(data, bins_per_decade=args.bins_per_decade)
-    lines = [
-        f"{c:.12g} {d:.12g}" for c, d in zip(hist.centers, hist.densities)
-    ]
-    bio.write_atomic(args.out, "\n".join(lines) + "\n")
+    _write_table(args.out, hist.centers, hist.densities)
     print(f"{hist.n_total} intervals in {hist.counts.size} bins -> {args.out}")
     return 0
 
 
 def _load_fit_params(path) -> ModelParams:
     return bio.deserialize_fit(Path(path).read_text()).params_star
-
-
-def _write_table(path, taus: np.ndarray, values: np.ndarray) -> None:
-    lines = [f"{t:.12g} {v:.12g}" for t, v in zip(taus, values)]
-    bio.write_atomic(path, "\n".join(lines) + "\n")
 
 
 def _cmd_eval_density(args, parser) -> int:

@@ -237,20 +237,22 @@ def project(theta_prime: np.ndarray, violated_index: int, variant: str, grid: np
     return _project_row(theta_prime, w, spec.gamma_offset)
 
 
-def _repair(theta: np.ndarray, basis: np.ndarray, off: int) -> tuple[np.ndarray, int]:
+def _repair(theta: np.ndarray, basis: np.ndarray, off: int, cap: int) -> tuple[np.ndarray, int] | None:
     """Project onto most-violated hyperplanes until all are satisfied.
 
-    Alternating halfspace projections converge here because gamma = 0 is
-    strictly interior; the cap is a safety net, not an expected path.
+    Returns (theta, projections used), or None once cap projections have
+    not restored feasibility.  Alternating halfspace projections converge
+    here because gamma = 0 is strictly interior.
     """
     used = 0
-    for _ in range(1000):
+    while True:
         ok, worst = _basis_feasible(basis, theta[off:])
         if ok:
             return theta, used
+        if used == cap:
+            return None
         theta = _project_row(theta, basis[worst], off)
         used += 1
-    raise ArithmeticError("constraint repair did not terminate")
 
 
 def _initial_vector(variant: str, data: ItiSet, cfg: FitConfig) -> np.ndarray:
@@ -314,9 +316,9 @@ def _curvature_matrix(
         up, dn = theta.copy(), theta.copy()
         up[i] += h
         dn[i] -= h
-        _, gp = _vector_objective(up, variant, data, reg, True)
-        _, gm = _vector_objective(dn, variant, data, reg, True)
-        if gp is None or gm is None or not np.all(np.isfinite(gp) & np.isfinite(gm)):
+        _, gp = _vector_objective(up, variant, data, reg)
+        _, gm = _vector_objective(dn, variant, data, reg)
+        if gp is None or gm is None:
             if previous is not None:
                 cols[:, i] = previous[:, i] * n
             else:
@@ -336,7 +338,7 @@ def _ascent_map(curvature: np.ndarray) -> np.ndarray:
     """
     lam, q = np.linalg.eigh(-curvature)
     top = float(lam.max()) if lam.size else 0.0
-    if not np.isfinite(top) or top <= 0.0:
+    if not math.isfinite(top) or top <= 0.0:
         return np.eye(curvature.shape[0])
     lam = np.maximum(lam, _CURV_FLOOR * top)
     return (q / lam) @ q.T
@@ -350,7 +352,7 @@ def _secant_update(ascent: np.ndarray, s: np.ndarray, y: np.ndarray) -> np.ndarr
     else leaves the map untouched.
     """
     sy = float(s @ y)
-    if not np.isfinite(sy) or sy <= 1e-12 * float(np.linalg.norm(s) * np.linalg.norm(y)):
+    if not math.isfinite(sy) or sy <= 1e-12 * float(np.linalg.norm(s) * np.linalg.norm(y)):
         return ascent
     rho = 1.0 / sy
     hy = ascent @ y
@@ -379,14 +381,18 @@ def fit(variant: str, data: ItiSet, cfg: FitConfig | None = None) -> FitResult:
     reg = effective_reg_weight(variant, cfg.reg_weight)
     n = data.n
 
-    theta = _initial_vector(variant, data, cfg)
-    theta, n_proj = _repair(theta, basis, off)
-    value, grad = _vector_objective(theta, variant, data, reg, True)
+    # a cap this high is a safety net, not an expected path
+    repaired = _repair(_initial_vector(variant, data, cfg), basis, off, 1000)
+    if repaired is None:
+        raise ArithmeticError("constraint repair did not terminate")
+    theta, n_proj = repaired
+    value, grad = _vector_objective(theta, variant, data, reg)
     if value is None:
         raise ValueError("initial parameters are outside the model domain")
 
     trace = [value]
-    eta = float(np.clip(cfg.step_size, _ETA_MIN, _ETA_MAX))
+    start_eta = float(np.clip(cfg.step_size, _ETA_MIN, _ETA_MAX))
+    eta = start_eta
     converged = False
     reason = "max iterations"
     max_proj = spec.n_kernel_terms + 1
@@ -395,7 +401,8 @@ def fit(variant: str, data: ItiSet, cfg: FitConfig | None = None) -> FitResult:
     refresh_at = 0
 
     for it in range(cfg.max_iters):
-        free = _free_gradient(grad / n, theta, basis, off)
+        scaled = grad / n
+        free = _free_gradient(scaled, theta, basis, off)
         if np.max(np.abs(free)) < cfg.grad_tolerance:
             converged = True
             reason = "gradient tolerance"
@@ -407,15 +414,13 @@ def fit(variant: str, data: ItiSet, cfg: FitConfig | None = None) -> FitResult:
                 reason = "objective stall"
                 break
 
-        fresh = False
-        if it >= refresh_at:
-            curv = _curvature_matrix(theta, variant, data, reg, n, curv)
-            ascent = _ascent_map(curv)
-            refresh_at = max(10, it * 2)
-            fresh = True
-
-        accepted = False
+        prev_theta = theta
+        refresh = it >= refresh_at
         while True:
+            if refresh:
+                curv = _curvature_matrix(theta, variant, data, reg, n, curv)
+                ascent = _ascent_map(curv)
+                refresh_at = max(10, it * 2)
             # The solve breaks tangency to active walls, so remove
             # outward components again; with the iterate on a wall a
             # step that pushes through it projects onto a fixed,
@@ -424,31 +429,25 @@ def fit(variant: str, data: ItiSet, cfg: FitConfig | None = None) -> FitResult:
             peak = float(np.max(np.abs(direction), initial=0.0))
             if peak > _DIR_CAP:
                 direction *= _DIR_CAP / peak
-            prev_theta, prev_scaled = theta, grad / n
             accepted, theta, value, new_grad, eta, used = _backtrack(
                 theta, value, direction, eta, variant, data, reg, basis, off, max_proj
             )
-            if accepted:
-                grad = new_grad
-                n_proj += used
-                # Secant update keeps the map tracking the local
-                # curvature between the much more expensive probe
-                # rebuilds; steps that fail its positivity condition
-                # (projected, or crossing a convex patch) are skipped.
-                ascent = _secant_update(ascent, theta - prev_theta, prev_scaled - grad / n)
-                break
-            if fresh:
+            if accepted or refresh:
                 break
             # The map in hand may describe a region the iterate left
             # several steps ago; rebuild it once before giving up.
-            curv = _curvature_matrix(theta, variant, data, reg, n, curv)
-            ascent = _ascent_map(curv)
-            refresh_at = max(10, it * 2)
-            fresh = True
-            eta = float(np.clip(cfg.step_size, _ETA_MIN, _ETA_MAX))
+            refresh = True
+            eta = start_eta
         if not accepted:
             reason = "line search failed"
             break
+        grad = new_grad
+        n_proj += used
+        # Secant update keeps the map tracking the local curvature
+        # between the much more expensive probe rebuilds; steps that
+        # fail its positivity condition (projected, or crossing a convex
+        # patch) are skipped.
+        ascent = _secant_update(ascent, theta - prev_theta, scaled - grad / n)
         trace.append(value)
 
     params_star = vector_to_params(theta, variant)
@@ -482,21 +481,11 @@ def _backtrack(
     rejected search hands back the incoming point with grad None.
     """
     while True:
-        cand = theta + eta * direction
-        used = 0
-        ok, worst = _basis_feasible(basis, cand[off:])
-        while not ok and used < max_proj:
-            cand = _project_row(cand, basis[worst], off)
-            used += 1
-            ok, worst = _basis_feasible(basis, cand[off:])
-        if ok:
-            cand_value, cand_grad = _vector_objective(cand, variant, data, reg, True)
-            if (
-                cand_value is not None
-                and np.isfinite(cand_value.objective)
-                and np.all(np.isfinite(cand_grad))
-                and cand_value.objective >= value.objective
-            ):
+        repaired = _repair(theta + eta * direction, basis, off, max_proj)
+        if repaired is not None:
+            cand, used = repaired
+            cand_value, cand_grad = _vector_objective(cand, variant, data, reg)
+            if cand_value is not None and cand_value.objective >= value.objective:
                 return True, cand, cand_value, cand_grad, min(eta * _ETA_GROW, _ETA_MAX), used
         if eta <= _ETA_MIN:
             return False, theta, value, None, eta, 0

@@ -14,6 +14,7 @@ import math
 import os
 import tempfile
 from dataclasses import dataclass
+from io import BytesIO
 from pathlib import Path
 
 import numpy as np
@@ -42,9 +43,6 @@ log = logging.getLogger(__name__)
 _FIT_FORMAT = "burstfit-fit"
 _FIT_VERSION = 1
 
-# intervals shorter than the recording resolution are floored to it
-_MIN_INTERVAL = 1e-3
-
 
 @dataclass(frozen=True)
 class LogBinnedHistogram:
@@ -65,38 +63,32 @@ class LogBinnedHistogram:
         return np.diff(self.edges)
 
 
-def _iter_lines(source):
-    if isinstance(source, bytes):
-        yield from source.splitlines(keepends=True)
-        return
-    with open(source, "rb") as fh:
-        yield from fh
-
-
 def load_timestamps(source) -> EventTrain:
     """Parse newline-delimited millisecond timestamps into an EventTrain.
 
-    source is a file path or a bytes blob.  A single ``unit=ms`` header
-    line is allowed at the top.  Timestamps are sorted and exact
+    source is a file path or a bytes blob, read alike as one binary
+    stream that splits lines at newline bytes only.  A single ``unit=ms``
+    header line is allowed at the top.  Timestamps are sorted and exact
     duplicates collapsed (count logged); anything non-integer raises with
     its line number.
     """
     values: list[int] = []
-    for lineno, raw in enumerate(_iter_lines(source), start=1):
-        text = raw.decode("utf-8", errors="replace").strip()
-        if not text:
-            continue
-        if lineno == 1 and text.replace(" ", "") == "unit=ms":
-            continue
-        try:
-            values.append(int(text))
-        except ValueError:
-            raise ValueError(
-                f"line {lineno}: expected an integer millisecond timestamp, got {text!r}"
-            ) from None
+    with BytesIO(source) if isinstance(source, bytes) else open(source, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            text = raw.decode("utf-8", errors="replace").strip()
+            if not text:
+                continue
+            if lineno == 1 and text.replace(" ", "") == "unit=ms":
+                continue
+            try:
+                values.append(int(text))
+            except ValueError:
+                raise ValueError(
+                    f"line {lineno}: expected an integer millisecond timestamp, got {text!r}"
+                ) from None
     if not values:
         raise ValueError("timestamp stream contains no events")
-    ts = np.sort(np.asarray(values, dtype=np.int64))
+    ts = np.asarray(values, dtype=np.int64)
     unique = np.unique(ts)
     n_dup = ts.size - unique.size
     if n_dup:
@@ -113,14 +105,12 @@ def save_timestamps(train: EventTrain, path) -> None:
 def compute_itis(train: EventTrain) -> ItiSet:
     """Consecutive-event intervals in seconds.
 
-    Sub-millisecond intervals are floored to 1 ms; after duplicate
-    collapsing they cannot occur, but the guard keeps hand-built trains
-    safe too.
+    An EventTrain is strictly increasing in whole milliseconds, so every
+    interval is at least 1 ms.
     """
     if train.n_events < 2:
         raise ValueError("need at least 2 events to form intervals")
-    iv = np.diff(train.timestamps_ms) / 1000.0
-    return ItiSet(np.maximum(iv, _MIN_INTERVAL))
+    return ItiSet(train.intervals_seconds())
 
 
 def log_binned_histogram(

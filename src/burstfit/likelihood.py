@@ -233,23 +233,24 @@ def _vector_objective(
     variant: str,
     data: ItiSet,
     reg_weight: float,
-    want_grad: bool,
 ) -> tuple[ObjectiveValue | None, np.ndarray | None]:
-    """Objective on a packed vector; None signals out-of-domain/infeasible.
+    """Objective and gradient on a packed vector; (None, None) out of domain.
 
-    This is the fitter's entry point: it must be able to probe points
+    This is the fitter's one domain gate: it must be able to probe points
     where ModelParams construction would fail (a <= 0, negative kernel),
-    or where no 1F1 regime reaches its accuracy (precision loss), and see
-    them rejected rather than raised.
+    where exp(c) overflows, where no 1F1 regime reaches its accuracy
+    (precision loss), or where the objective or gradient is not finite,
+    and see them rejected rather than raised.
     """
     spec = _variant_spec(variant)
     a, b, c, gamma = spec.unpack(vec)
     if not (a > 0.0 and b > 0.0 and math.isfinite(a + b + c)):
         return None, None
     try:
-        value, grad = _evaluate(
-            a, b, c, gamma, spec.alpha, data, reg_weight, want_grad
-        )
-    except (InfeasibleParamsError, PrecisionLossError):
+        value, grad = _evaluate(a, b, c, gamma, spec.alpha, data, reg_weight, True)
+    except (InfeasibleParamsError, PrecisionLossError, OverflowError):
         return None, None
-    return value, None if grad is None else spec.pack(*grad)
+    grad = spec.pack(*grad)
+    if not (math.isfinite(value.objective) and np.all(np.isfinite(grad))):
+        return None, None
+    return value, grad

@@ -19,6 +19,7 @@ Two routes produce event data:
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -103,44 +104,21 @@ class SimConfig:
             raise ValueError("duration must be positive")
 
 
-class _Uniforms:
-    """Buffered stream of uniforms from one generator."""
+class _Stream:
+    """Buffered stream of draws; fill(size) makes the next block."""
 
-    __slots__ = ("rng", "buf", "i")
+    __slots__ = ("fill", "buf", "i")
 
-    def __init__(self, rng: np.random.Generator, block: int = 1 << 14):
-        self.rng = rng
-        self.buf = rng.random(block)
-        self.i = 0
-
-    def u(self) -> float:
-        i = self.i
-        buf = self.buf
-        if i == buf.size:
-            buf = self.rng.random(buf.size)
-            self.buf = buf
-            i = 0
-        self.i = i + 1
-        return buf[i]
-
-
-class _Betas:
-    """Buffered stream of Beta(a, b) draws."""
-
-    __slots__ = ("rng", "a", "b", "buf", "i")
-
-    def __init__(self, rng: np.random.Generator, a: float, b: float, block: int = 1 << 13):
-        self.rng = rng
-        self.a = a
-        self.b = b
-        self.buf = rng.beta(a, b, block)
+    def __init__(self, fill, block: int):
+        self.fill = fill
+        self.buf = fill(block)
         self.i = 0
 
     def draw(self) -> float:
         i = self.i
         buf = self.buf
         if i == buf.size:
-            buf = self.rng.beta(self.a, self.b, buf.size)
+            buf = self.fill(buf.size)
             self.buf = buf
             i = 0
         self.i = i + 1
@@ -202,9 +180,10 @@ def _run_chain(params: ModelParams, cfg: SimConfig) -> np.ndarray:
         r_list = []
 
     stream_x, stream_y, stream_t = np.random.SeedSequence(cfg.seed).spawn(3)
-    xs = _Betas(np.random.default_rng(stream_x), params.a, params.b)
-    ys = _Uniforms(np.random.default_rng(stream_y))
-    ts = _Uniforms(np.random.default_rng(stream_t))
+    beta = np.random.default_rng(stream_x).beta
+    xs = _Stream(functools.partial(beta, params.a, params.b), 1 << 13)
+    ys = _Stream(np.random.default_rng(stream_y).random, 1 << 14)
+    ts = _Stream(np.random.default_rng(stream_t).random, 1 << 14)
 
     warm_bins = math.ceil(10.0 / rho / dt)
     if cfg.duration is not None:
@@ -218,11 +197,11 @@ def _run_chain(params: ModelParams, cfg: SimConfig) -> np.ndarray:
     events: list[int] = []
     prev = -warm_bins
     x = xs.draw()
-    y = ys.u()
+    y = ys.draw()
     while True:
-        u_first = ts.u()
-        u_jump = ts.u()
-        u_y = ys.u()
+        u_first = ts.draw()
+        u_jump = ts.draw()
+        u_y = ys.draw()
         if x > y and u_first < p_first:
             k = 1
         else:
@@ -236,9 +215,9 @@ def _run_chain(params: ModelParams, cfg: SimConfig) -> np.ndarray:
                 if not support:
                     break
                 rk = r_list[k - 1] if k <= support else 1.0
-                if ts.u() * r_max <= rk:
+                if ts.draw() * r_max <= rk:
                     break
-                u_jump = ts.u()
+                u_jump = ts.draw()
             if k is None:
                 break
             y = x * u_y

@@ -13,7 +13,7 @@ import pytest
 
 import burstfit
 from burstfit.cli import main
-from burstfit.fit import FitResult
+from burstfit.fit import FitConfig, FitResult
 from burstfit.io import (
     compute_itis,
     deserialize_fit,
@@ -177,6 +177,32 @@ def test_compare_from_artifacts_and_refit(tmp_path, capsys):
                "--out", str(cmp2)])
     assert rc == 0
     assert json.loads(cmp2.read_text())["bic"] == doc["bic"]
+
+
+def test_compare_parses_inputs_once(tmp_path, monkeypatch):
+    """compare reads the timestamp file and the config once for all the
+    variants it fits, and the process pool gives the same comparison."""
+    sim = tmp_path / "sim.txt"
+    main(["simulate", "--a", "0.8", "--rho", "3", "--events", "400",
+          "--seed", "22", "--out", str(sim)])
+    cfg = tmp_path / "fit.cfg"
+    cfg.write_text("max_iters=5\n")
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args):
+            calls.append(fn.__name__)
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(burstfit.io, "load_timestamps", counted(burstfit.io.load_timestamps))
+    monkeypatch.setattr(FitConfig, "from_file", counted(FitConfig.from_file))
+    args = ["compare", "--variants", "M1", "M2", "M3", "--in", str(sim), "--config", str(cfg)]
+    assert main(args + ["--out", str(tmp_path / "seq.json")]) == 0
+    assert sorted(calls) == ["from_file", "load_timestamps"]
+    monkeypatch.undo()
+    assert main(args + ["--jobs", "2", "--out", str(tmp_path / "pool.json")]) == 0
+    assert (tmp_path / "pool.json").read_bytes() == (tmp_path / "seq.json").read_bytes()
 
 
 def test_compare_usage_errors(tmp_path):

@@ -285,6 +285,30 @@ def test_fit_repairs_infeasible_initialization():
     assert res.n_projections >= 1
 
 
+def test_fit_line_search_projects_onto_the_wall():
+    """A start just inside the lag-zero wall (rate 1e-6 at t = 0), on data
+    whose strong refractory dip pulls gamma_1 further down: the start needs
+    no projection, so every projection counted comes from the line search,
+    and the iterate it hands back is feasible."""
+    truth = ModelParams(
+        a=0.8, b=1.0, c=math.log(4.0), kernel=RefractoryKernel.log_spaced([-1.0] + [0.0] * 7)
+    )
+    data = ItiSet(simulate_continuous(truth, 1500, seed=76))
+    start_gamma = [-(1.0 - 1e-6)] + [0.0] * 7
+    start = ModelParams(
+        a=0.8, b=1.0, c=math.log(4.0), kernel=RefractoryKernel.log_spaced(start_gamma)
+    )
+    grid = FitConfig().constraint_grid
+    assert feasible(start.kernel, grid) == (True, None) and 1.0 + sum(start_gamma) > 0.0
+    res = fit("M3", data, FitConfig(init_params=start, max_iters=10))
+    assert res.n_projections >= 1
+    kernel = res.params_star.kernel
+    assert feasible(kernel, grid) == (True, None)
+    assert 1.0 + sum(kernel.gamma) >= 0.0
+    trace = [v.objective for v in res.objective_trace]
+    assert trace[-1] > trace[0]
+
+
 def test_fit_scale_covariance_without_kernel():
     """Rescaling every interval by k shifts the fitted log-rate by -log k
     and leaves the shape estimate unchanged (kernel-free model only)."""

@@ -60,6 +60,9 @@ def test_load_timestamps_header_and_blank_lines():
 def test_load_timestamps_parse_error_has_line_number():
     with pytest.raises(ValueError, match="line 3"):
         load_timestamps(b"10\n20\nthirty\n")
+    # a bare carriage return does not end a line
+    with pytest.raises(ValueError, match="line 1"):
+        load_timestamps(b"1\r2\r3\r")
 
 
 def test_load_timestamps_empty_stream():
@@ -74,6 +77,23 @@ def test_load_timestamps_from_path(tmp_path):
     path.write_text("unit=ms\n5\n25\n125\n")
     train = load_timestamps(path)
     assert train.n_events == 3
+
+
+@pytest.mark.parametrize(
+    "blob", [b"1\r2\r3\r", b"unit=ms\r\n1\r\n2\r\n", b"5\n\n7\nx8\n"]
+)
+def test_load_timestamps_path_and_bytes_parse_alike(tmp_path, blob):
+    """The same bytes give the same train, or the same error, from a file
+    and from memory: both are split on newlines only."""
+    path = tmp_path / "train.txt"
+    path.write_bytes(blob)
+    outcomes = []
+    for source in (blob, path):
+        try:
+            outcomes.append(load_timestamps(source).timestamps_ms.tolist())
+        except ValueError as exc:
+            outcomes.append(str(exc))
+    assert outcomes[0] == outcomes[1]
 
 
 def test_save_load_round_trip(tmp_path):

@@ -209,22 +209,39 @@ def test_gradient_ordering_matches_packing():
 def test_vector_objective_flags_out_of_domain():
     data = ItiSet(np.array([0.1, 0.4]))
     value, grad = _likelihood_internals._vector_objective(
-        np.array([-0.2, 0.0]), "M1", data, 0.0, True
+        np.array([-0.2, 0.0]), "M1", data, 0.0
     )
     assert value is None and grad is None
     value, grad = _likelihood_internals._vector_objective(
-        np.array([0.7, 0.0]), "M1", data, 0.0, True
+        np.array([0.7, 0.0]), "M1", data, 0.0
     )
     assert value is not None and grad.shape == (2,)
 
 
-@pytest.mark.parametrize("want_grad", [False, True])
-def test_vector_objective_rejects_precision_loss(want_grad):
+def test_vector_objective_rejects_precision_loss():
     """At b = 200 the asymptotic 1F1 regime (w >= 300) cannot reach its
     accuracy; the probe must come back as out-of-domain, not raise."""
     value, grad = _likelihood_internals._vector_objective(
-        np.array([0.7, 200.0, 0.0]), "M2", ItiSet(np.array([0.5, 301.0])), 0.0, want_grad
+        np.array([0.7, 200.0, 0.0]), "M2", ItiSet(np.array([0.5, 301.0])), 0.0
     )
+    assert value is None and grad is None
+
+
+def test_vector_objective_rejects_rate_overflow():
+    """exp(c) overflows a float at c >= 709.79; the probe is out of domain."""
+    value, grad = _likelihood_internals._vector_objective(
+        np.array([0.7, 710.0]), "M1", ItiSet(np.array([0.1, 0.4, 2.0])), 0.0
+    )
+    assert value is None and grad is None
+
+
+def test_vector_objective_rejects_non_finite_objective():
+    """At c = 700 a 1e10 s interval gives w ~ 1e314: the log-likelihood is
+    -inf, so the probe is out of domain rather than a value to compare."""
+    with np.errstate(over="ignore"):
+        value, grad = _likelihood_internals._vector_objective(
+            np.array([0.7, 700.0]), "M1", ItiSet(np.array([0.1, 1e10])), 0.0
+        )
     assert value is None and grad is None
 
 

@@ -184,6 +184,18 @@ def test_discrete_determinism():
     assert not np.array_equal(first.timestamps_ms, other.timestamps_ms)
 
 
+def test_discrete_draw_order_is_frozen():
+    """The chain's draw order, pinned as literals: the first timestamps of
+    one M3 seed, and the last of a run long enough to refill every buffered
+    stream several times."""
+    p = ModelParams(a=0.7, b=1.0, c=math.log(8.0), kernel=RefractoryKernel.log_spaced(_TEST_GAMMA))
+    train = simulate_discrete(p, SimConfig(seed=121, n_events=20_000))
+    np.testing.assert_array_equal(
+        train.timestamps_ms[:8], [1586, 1731, 2174, 2298, 2474, 2823, 3875, 4793]
+    )
+    assert train.timestamps_ms[-1] == 1290941235
+
+
 def test_discrete_intervals_are_grid_multiples():
     p = ModelParams(a=0.7, b=1.0, c=math.log(5.0))
     iv = discrete_intervals(p, SimConfig(seed=8, dt=2e-3, n_events=800))
