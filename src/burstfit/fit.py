@@ -7,7 +7,8 @@ parameter vector, so a violated iterate is repaired by orthogonal
 projection onto the most violated hyperplane (repeated if needed).
 
 Step-size control is a plain backtracking scheme on the objective: halve
-on decrease, grow 1.1x on acceptance, clamped to [1e-8, 1e-1].  The raw
+on decrease, grow 1.1x on acceptance, clamped to [1e-8, 1].  The upper
+end, 1, is the full curvature-mapped (quasi-Newton) step.  The raw
 gradient is scaled by 1/N so the step size means the same thing across
 data sizes.  A projected step is allowed to lower the objective (it
 restores feasibility); the stall detector ends the run if no progress
@@ -43,7 +44,7 @@ __all__ = [
 ]
 
 _ETA_MIN = 1e-8
-_ETA_MAX = 1e-1
+_ETA_MAX = 1.0
 _ETA_GROW = 1.1
 _STALL_WINDOW = 50
 _STALL_REL = 1e-9
