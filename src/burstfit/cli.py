@@ -131,6 +131,8 @@ def _cmd_compare(args, parser) -> int:
         parser.error("give fit artifacts (--fits) and/or variants to fit (--variants)")
     if args.variants and not args.infile:
         parser.error("--variants needs --in to fit against")
+    if args.jobs < 1:
+        parser.error("--jobs must be at least 1")
     results = {}
     for path in args.fits or ():
         res = bio.deserialize_fit(Path(path).read_text())
@@ -146,7 +148,7 @@ def _cmd_compare(args, parser) -> int:
             # its import time
             from concurrent.futures import ProcessPoolExecutor
 
-            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+            with ProcessPoolExecutor(max_workers=min(args.jobs, len(todo))) as pool:
                 results.update(zip(todo, pool.map(fit_one, todo)))
         else:
             results.update(zip(todo, map(fit_one, todo)))
@@ -171,6 +173,8 @@ def _write_table(path, taus: np.ndarray, values: np.ndarray) -> None:
 
 
 def _cmd_hist(args, parser) -> int:
+    if args.bins_per_decade < 1:
+        parser.error("--bins-per-decade must be at least 1")
     data = _load_itis(args.infile)
     hist = bio.log_binned_histogram(data, bins_per_decade=args.bins_per_decade)
     _write_table(args.out, hist.centers, hist.densities)

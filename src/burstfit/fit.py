@@ -108,12 +108,11 @@ class FitConfig:
         grid = grid.copy()
         grid.setflags(write=False)
         object.__setattr__(self, "constraint_grid", grid)
-        if self.step_size <= 0.0:
-            raise ValueError("step_size must be positive")
+        for name in ("step_size", "grad_tolerance"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
-        if self.grad_tolerance <= 0.0:
-            raise ValueError("grad_tolerance must be positive")
 
     @classmethod
     def from_file(cls, path) -> "FitConfig":

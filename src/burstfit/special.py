@@ -2,9 +2,9 @@
 
 The interval density and its likelihood reduce to confluent hypergeometric
 evaluations.  This module owns those numerics: log-gamma, digamma,
-log-beta, and a 1F1 evaluator with regime switching whose series pass
-also returns the derivatives of log 1F1 that the likelihood gradient
-needs.
+log-beta, and a 1F1 evaluator with regime switching whose series pass,
+one sweep over sorted w that retires rows as they converge, also
+returns the derivatives of log 1F1 that the likelihood gradient needs.
 """
 
 from __future__ import annotations
@@ -88,7 +88,8 @@ _SERIES_STOP = 1e-17
 
 
 # Terms of the transformed series are buffered this many at a time and
-# folded into the derivative sums by one small matrix product per block.
+# folded into the derivative sums by one small matrix product per block;
+# rows whose series has converged are retired at the same folds.
 _TERM_BLOCK = 64
 
 
@@ -97,11 +98,11 @@ def _transformed_series(
 ) -> tuple[np.ndarray, ...]:
     """log 1F1(a, b; -w) = log T - w, T = 1F1(b-a, b; w), for 0 <= w < ~300.
 
-    The series needs roughly w + O(sqrt(w)) terms, so rows are grouped
-    into bands of similar w and each band iterates only as long as it
-    must.  With millisecond-quantized data most rows sit in the small-w
-    bands, which makes this the difference between a fast and a slow
-    likelihood evaluation.
+    The series needs roughly w + O(sqrt(w)) terms and t_k / T_k grows
+    with w, so for ascending w the rows converge from the front.  One
+    sweep over k retires the converged leading rows at each block fold;
+    the fewer than _TERM_BLOCK terms a row takes past its convergence are
+    each below half an ulp of its total, so no value depends on w's order.
 
     With grad, the terms t_k = (b-a)_k / (b)_k * w^k / k! are also folded
     into three sums whose weights depend only on k and share one sign:
@@ -109,53 +110,44 @@ def _transformed_series(
     sum_{j<k} a/((b-a+j)(b+j)) the b derivative at fixed a, and a/(b+k)
     the ratio a/b * 1F1(a+1, b+1; -w) / 1F1(a, b; -w).  See _log_hyp1f1_neg.
     """
-    out = np.empty_like(w)
-    order = np.argsort(w, kind="stable")
-    ws = w[order]
-    edges = np.searchsorted(ws, [1.0, 4.0, 16.0, 64.0], side="right")
-    bounds = [0, *edges.tolist(), ws.size]
+    # Row 0 is the value, rows 1-3 the derivative sums; `live` is the unretired tail.
+    res = live = np.zeros((4 if grad else 1, w.size))
     ap = b - a
+    term = np.ones_like(w)
+    total = np.ones_like(w)
     if grad:
-        d_shift, d_b, ratio = np.empty_like(w), np.empty_like(w), np.empty_like(w)
         j = np.arange(_MAX_SERIES_TERMS + 1.0)
         inv_b = 1.0 / (b + j)
         weights = np.zeros((3, j.size))
         weights[0, 1:] = -np.cumsum(inv_b[:-1])
         weights[1, 1:] = np.cumsum((a * inv_b / (ap + j))[:-1])
         weights[2] = a * inv_b
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        if lo == hi:
+        buf = np.empty((_TERM_BLOCK, w.size))
+        buf[0] = term
+    for k in range(_MAX_SERIES_TERMS):
+        term = term * w * ((ap + k) / ((b + k) * (k + 1.0)))
+        total += term
+        row = (k + 1) % _TERM_BLOCK
+        if grad:
+            buf[row] = term
+        done = term[-1] <= _SERIES_STOP * total[-1] and np.all(
+            term <= _SERIES_STOP * total
+        )
+        if not (done or row == _TERM_BLOCK - 1):
             continue
-        wb = ws[lo:hi]
-        term = np.ones_like(wb)
-        total = np.ones_like(wb)
         if grad:
-            sums = np.zeros((3, wb.size))
-            buf = np.empty((_TERM_BLOCK, wb.size))
-            buf[0] = term
-        for k in range(_MAX_SERIES_TERMS):
-            term = term * wb * ((ap + k) / ((b + k) * (k + 1.0)))
-            total += term
-            done = term[-1] <= _SERIES_STOP * total[-1] and np.all(
-                term <= _SERIES_STOP * total
-            )
-            if grad:
-                row = (k + 1) % _TERM_BLOCK
-                buf[row] = term
-                if done or row == _TERM_BLOCK - 1:
-                    first = k + 1 - row
-                    sums += weights[:, first : k + 2] @ buf[: row + 1]
-            if done:
-                break
-        else:
-            raise PrecisionLossError("transformed 1F1 series did not converge")
-        rows = order[lo:hi]
-        out[rows] = np.log(total) - wb
+            live[1:] += weights[:, k + 1 - row : k + 2] @ buf[: row + 1]
+        n = w.size if done else int(np.argmin(term <= _SERIES_STOP * total))
+        live[0, :n] = np.log(total[:n]) - w[:n]
+        live[1:, :n] /= total[:n]
+        if done:
+            break
+        w, term, total, live = w[n:], term[n:], total[n:], live[:, n:]
         if grad:
-            d_shift[rows] = sums[0] / total
-            d_b[rows] = sums[1] / total
-            ratio[rows] = sums[2] / total
-    return (out, d_shift, d_b, ratio) if grad else (out,)
+            buf = buf[:, n:]
+    else:
+        raise PrecisionLossError("transformed 1F1 series did not converge")
+    return tuple(res)
 
 
 def _asym_1f1_neg(
@@ -229,7 +221,10 @@ def _asym_1f1_neg(
 
 
 def _log_hyp1f1_neg(a: float, b: float, w: np.ndarray, grad: bool = False):
-    """log 1F1(a, b; -w) elementwise for w >= 0, b > a > 0.
+    """log 1F1(a, b; -w) elementwise for a 1-D w >= 0, b > a > 0.
+
+    w is sorted once and cut at _ASYM_SWITCH, so each regime gets one
+    ascending slice; a row's value never depends on its neighbours.
 
     With grad, returns (log F, d_shift, d_b, ratio) instead, from the same
     series pass: d_shift = (d/da + d/db) log F, d_b = d/db log F at fixed a,
@@ -242,12 +237,13 @@ def _log_hyp1f1_neg(a: float, b: float, w: np.ndarray, grad: bool = False):
     generic partials (DLMF 13.2, 13.7).  The value does not depend on grad.
     """
     w = np.asarray(w, dtype=float)
-    parts = [np.empty_like(w) for _ in range(4 if grad else 1)]
-    small = w < _ASYM_SWITCH
-    for rows, regime in ((small, _transformed_series), (~small, _asym_1f1_neg)):
-        if rows.any():
-            for dst, src in zip(parts, regime(a, b, w[rows], grad)):
-                dst[rows] = src
+    order = np.argsort(w, kind="stable")
+    ws = w[order]
+    cut = int(np.searchsorted(ws, _ASYM_SWITCH))
+    parts = np.empty((4 if grad else 1, w.size))
+    for regime, lo, hi in (_transformed_series, 0, cut), (_asym_1f1_neg, cut, w.size):
+        if hi > lo:
+            parts[:, order[lo:hi]] = regime(a, b, ws[lo:hi], grad)
     return tuple(parts) if grad else parts[0]
 
 

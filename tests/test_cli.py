@@ -212,6 +212,51 @@ def test_compare_usage_errors(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["compare", "--variants", "M1", "--out", str(tmp_path / "c.json")])
     assert exc.value.code == 2
+    sim = tmp_path / "sim.txt"
+    main(["simulate", "--events", "50", "--seed", "23", "--out", str(sim)])
+    for jobs in ("0", "-3"):
+        with pytest.raises(SystemExit) as exc:
+            main(["compare", "--variants", "M1", "--in", str(sim), "--jobs", jobs,
+                  "--out", str(tmp_path / "c.json")])
+        assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["hist", "--in", str(sim), "--bins-per-decade", "0",
+              "--out", str(tmp_path / "h.txt")])
+    assert exc.value.code == 2
+    assert not (tmp_path / "c.json").exists() and not (tmp_path / "h.txt").exists()
+
+
+def test_compare_pool_never_outnumbers_its_fits(tmp_path, monkeypatch):
+    """--jobs larger than the number of fits starts one worker per fit."""
+    import concurrent.futures
+
+    sim = tmp_path / "sim.txt"
+    main(["simulate", "--a", "0.8", "--rho", "3", "--events", "400",
+          "--seed", "24", "--out", str(sim)])
+    cfg = tmp_path / "fit.cfg"
+    cfg.write_text("max_iters=5\n")
+    workers = []
+
+    class RecordingExecutor:
+        """Runs the tasks in process and records the requested pool size."""
+
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
+    rc = main(["compare", "--variants", "M1", "M2", "--in", str(sim), "--config", str(cfg),
+               "--jobs", "64", "--out", str(tmp_path / "c.json")])
+    assert rc == 0
+    assert workers == [2]
 
 
 # ----------------------------------------------------------------------

@@ -51,13 +51,24 @@ def test_default_constraint_grid():
         default_constraint_grid(t_min=2.0, t_max=1.0)
 
 
-def test_fit_config_validation():
+def test_fit_config_validation(tmp_path):
     with pytest.raises(ValueError):
         FitConfig(step_size=0.0)
     with pytest.raises(ValueError):
         FitConfig(max_iters=0)
     with pytest.raises(ValueError):
         FitConfig(grad_tolerance=-1e-6)
+    # a NaN step would make the backtracking search halve it forever, and
+    # a NaN tolerance would switch the gradient stop off
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError):
+            FitConfig(step_size=bad)
+        with pytest.raises(ValueError):
+            FitConfig(grad_tolerance=bad)
+    nan_step = tmp_path / "nan.cfg"
+    nan_step.write_text("step_size = nan\n")
+    with pytest.raises(ValueError, match="step_size"):
+        FitConfig.from_file(nan_step)
     with pytest.raises(ValueError):
         FitConfig(constraint_grid=np.array([1.0, 0.5, 2.0]))
     with pytest.raises(ValueError):

@@ -321,6 +321,30 @@ def test_series_pass_derivatives_frozen_values(a, b, w, log_f, d_a, d_b, ratio):
     )
 
 
+@pytest.mark.parametrize("a,b", [(0.7, 1.0), (1.7, 3.19), (0.3, 40.0)])
+def test_series_pass_row_ignores_its_neighbours(a, b):
+    """One call over many w gives each row what a call on that row alone
+    gives: values bit for bit, derivatives to rounding.  The w include
+    zero, duplicates, a run of equal values, and both sides of 1, 4, 16,
+    64 and the asymptotic switch at 300."""
+    edges = [1.0, 4.0, 16.0, 64.0, 300.0]
+    w = np.array(
+        [0.0, 0.0, 0.25, 2.5, 2.5, 37.0, 150.0, 1200.0]
+        + [10.0] * 6
+        + [e * f for e in edges for f in (0.999, 1.0, 1.001)]
+        + [np.nextafter(e, 0.0) for e in edges]
+    )
+    w = np.random.default_rng(11).permutation(w)
+    p, q = a + 1.0, a + b + 1.0
+    batch = _log_hyp1f1_neg(p, q, w, grad=True)
+    assert np.array_equal(_log_hyp1f1_neg(p, q, w), batch[0])
+    for i, wi in enumerate(w):
+        alone = _log_hyp1f1_neg(p, q, np.array([wi]), grad=True)
+        assert batch[0][i] == alone[0][0], wi
+        for got, want in zip(batch[1:], alone[1:]):
+            np.testing.assert_allclose(got[i], want[0], rtol=1e-14, atol=0.0)
+
+
 # ----------------------------------------------------------------------
 # beta_expectation, the quadrature oracle in tests/beta_oracle.py
 # ----------------------------------------------------------------------
