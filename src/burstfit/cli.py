@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import sys
 from pathlib import Path
 
@@ -49,6 +50,8 @@ def _parse_grid(text: str) -> np.ndarray:
         raise argparse.ArgumentTypeError(f"bad grid spec {text!r}") from None
     if not 0.0 < start < stop or count < 2:
         raise argparse.ArgumentTypeError(f"grid needs 0 < start < stop and count >= 2, got {text!r}")
+    if not math.isfinite(stop):
+        raise argparse.ArgumentTypeError(f"grid bounds must be finite, got {text!r}")
     return np.geomspace(start, stop, count)
 
 
@@ -98,6 +101,8 @@ def _cmd_simulate(args, parser) -> int:
             seed=args.seed, dt=args.dt, n_events=args.events, duration=args.duration
         )
         train = simulate_discrete(params, cfg)
+        if not train.n_events:
+            raise RuntimeError("the simulation produced no events; nothing written")
 
     bio.save_timestamps(train, args.out)
     span = train.duration_seconds

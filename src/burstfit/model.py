@@ -287,6 +287,31 @@ def _restore(values: np.ndarray, shape) -> float | np.ndarray:
     return values.reshape(shape)
 
 
+def _decay_matrix(kernel: RefractoryKernel, t: np.ndarray) -> np.ndarray:
+    """exp(-alpha_k tau): one row per time in t, one column per kernel term.
+
+    r and R both come from this matrix; a caller that needs both at the
+    same times (the inverter of R) builds it once.
+    """
+    decay = -t[:, None] * np.asarray(kernel.alpha)
+    return np.exp(decay, out=decay)
+
+
+def _rate_from_decay(kernel: RefractoryKernel, decay: np.ndarray) -> np.ndarray:
+    """r at the times whose decay matrix is given, dust clamped to 0."""
+    out = 1.0 + decay @ np.asarray(kernel.gamma)
+    out[(out < 0.0) & (out >= -_KERNEL_DUST)] = 0.0
+    return out
+
+
+def _integral_from_decay(
+    kernel: RefractoryKernel, t: np.ndarray, decay: np.ndarray
+) -> np.ndarray:
+    """R at the times t from their decay matrix."""
+    g = np.asarray(kernel.gamma)
+    return t + (1.0 - decay) @ (g / np.asarray(kernel.alpha))
+
+
 def refractory_eval(kernel: RefractoryKernel, tau):
     """r(tau) = 1 + sum_k gamma_k exp(-alpha_k tau), elementwise.
 
@@ -295,24 +320,17 @@ def refractory_eval(kernel: RefractoryKernel, tau):
     violation instead of a silently repaired kernel.
     """
     t, shape = _as_times(tau, minimum=0.0)
-    out = np.ones_like(t)
-    if kernel.n:
-        g = np.asarray(kernel.gamma)
-        al = np.asarray(kernel.alpha)
-        out = out + np.exp(-t[:, None] * al) @ g
-        out[(out < 0.0) & (out >= -_KERNEL_DUST)] = 0.0
-    return _restore(out, shape)
+    if not kernel.n:
+        return _restore(np.ones_like(t), shape)
+    return _restore(_rate_from_decay(kernel, _decay_matrix(kernel, t)), shape)
 
 
 def refractory_integral(kernel: RefractoryKernel, tau):
     """R(tau) = tau + sum_k (gamma_k/alpha_k)(1 - exp(-alpha_k tau))."""
     t, shape = _as_times(tau, minimum=0.0)
-    out = t.copy()
-    if kernel.n:
-        g = np.asarray(kernel.gamma)
-        al = np.asarray(kernel.alpha)
-        out = out + (1.0 - np.exp(-t[:, None] * al)) @ (g / al)
-    return _restore(out, shape)
+    if not kernel.n:
+        return _restore(t.copy(), shape)
+    return _restore(_integral_from_decay(kernel, t, _decay_matrix(kernel, t)), shape)
 
 
 def iti_density_conditional(params: ModelParams, x: float, tau):

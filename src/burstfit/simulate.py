@@ -8,25 +8,36 @@ Two routes produce event data:
   any other bin redraws y uniformly.  The implementation skips empty bins
   by geometric jumps with thinning, which leaves the sampled law exactly
   that of the bin-by-bin chain while running in time linear in the event
-  count.
+  count.  Its three random streams are endless iterators of Python
+  floats, refilled a numpy block at a time, so a draw is one ``next``.
 
 * ``simulate_continuous`` draws intervals directly by time rescaling: with
   x ~ Beta(a, b) and eps a unit exponential, the interval solves
   rho x R(tau) = eps.
 
-``invert_R`` is the bracketed root finder backing the second route.
+``invert_R`` is the bracketed root finder backing the second route; each
+Newton round builds one kernel decay matrix and takes R and r from it.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelParams, RefractoryKernel, refractory_eval, refractory_integral
+from .model import (
+    ModelParams,
+    RefractoryKernel,
+    _decay_matrix,
+    _integral_from_decay,
+    _rate_from_decay,
+    refractory_eval,
+    refractory_integral,
+)
 
 __all__ = [
     "EventTrain",
@@ -104,25 +115,9 @@ class SimConfig:
             raise ValueError("duration must be positive")
 
 
-class _Stream:
-    """Buffered stream of draws; fill(size) makes the next block."""
-
-    __slots__ = ("fill", "buf", "i")
-
-    def __init__(self, fill, block: int):
-        self.fill = fill
-        self.buf = fill(block)
-        self.i = 0
-
-    def draw(self) -> float:
-        i = self.i
-        buf = self.buf
-        if i == buf.size:
-            buf = self.fill(buf.size)
-            self.buf = buf
-            i = 0
-        self.i = i + 1
-        return buf[i]
+def _stream(fill, block: int):
+    """Endless iterator of draws as Python floats, fill(block) at a time."""
+    return itertools.chain.from_iterable(iter(lambda: fill(block).tolist(), None))
 
 
 def _kernel_support_bins(kernel: RefractoryKernel, dt: float) -> int:
@@ -181,9 +176,9 @@ def _run_chain(params: ModelParams, cfg: SimConfig) -> np.ndarray:
 
     stream_x, stream_y, stream_t = np.random.SeedSequence(cfg.seed).spawn(3)
     beta = np.random.default_rng(stream_x).beta
-    xs = _Stream(functools.partial(beta, params.a, params.b), 1 << 13)
-    ys = _Stream(np.random.default_rng(stream_y).random, 1 << 14)
-    ts = _Stream(np.random.default_rng(stream_t).random, 1 << 14)
+    next_x = _stream(functools.partial(beta, params.a, params.b), 1 << 13).__next__
+    next_y = _stream(np.random.default_rng(stream_y).random, 1 << 14).__next__
+    next_t = _stream(np.random.default_rng(stream_t).random, 1 << 14).__next__
 
     warm_bins = math.ceil(10.0 / rho / dt)
     if cfg.duration is not None:
@@ -196,12 +191,12 @@ def _run_chain(params: ModelParams, cfg: SimConfig) -> np.ndarray:
     p_first = rho * (r_list[0] if support else 1.0) * dt
     events: list[int] = []
     prev = -warm_bins
-    x = xs.draw()
-    y = ys.draw()
+    x = next_x()
+    y = next_y()
     while True:
-        u_first = ts.draw()
-        u_jump = ts.draw()
-        u_y = ys.draw()
+        u_first = next_t()
+        u_jump = next_t()
+        u_y = next_y()
         if x > y and u_first < p_first:
             k = 1
         else:
@@ -215,9 +210,9 @@ def _run_chain(params: ModelParams, cfg: SimConfig) -> np.ndarray:
                 if not support:
                     break
                 rk = r_list[k - 1] if k <= support else 1.0
-                if ts.draw() * r_max <= rk:
+                if next_t() * r_max <= rk:
                     break
-                u_jump = ts.draw()
+                u_jump = next_t()
             if k is None:
                 break
             y = x * u_y
@@ -228,7 +223,7 @@ def _run_chain(params: ModelParams, cfg: SimConfig) -> np.ndarray:
             events.append(prev)
             if want is not None and len(events) == want:
                 break
-        x = xs.draw()
+        x = next_x()
     return np.asarray(events, dtype=np.int64)
 
 
@@ -307,27 +302,39 @@ def invert_R(kernel: RefractoryKernel, target):
     tau = np.clip(t, lo, hi)
     tol = 1e-10 * np.maximum(1.0, t)
 
+    # r == 0 at the accepted tau: the root sits on a plateau of R
+    flat = np.zeros(t.size, dtype=bool)
     active = np.arange(t.size)
     for _ in range(200):
-        resid = refractory_integral(kernel, tau[active]) - t[active]
+        # one decay matrix per round gives R here and r below; it is
+        # dropped before the next round builds its own
+        at = tau[active]
+        decay = _decay_matrix(kernel, at)
+        resid = _integral_from_decay(kernel, at, decay) - t[active]
         keep = np.abs(resid) > tol[active]
+        done = ~keep
+        flat[active[done]] = _rate_from_decay(kernel, decay[done]) == 0.0
         if not keep.any():
             break
         active = active[keep]
+        at = at[keep]
         resid = resid[keep]
+        # r from the kept rows' own matrix: a BLAS product may round a
+        # row differently by its position, so slicing r of all rows would
+        # not give r at these times bit for bit
+        deriv = _rate_from_decay(kernel, decay[keep])
+        del decay
         above = resid >= 0.0
-        hi[active[above]] = tau[active[above]]
-        lo[active[~above]] = tau[active[~above]]
-        deriv = refractory_eval(kernel, tau[active])
+        hi[active[above]] = at[above]
+        lo[active[~above]] = at[~above]
         with np.errstate(divide="ignore", invalid="ignore"):
-            cand = tau[active] - resid / deriv
+            cand = at - resid / deriv
         bad = ~np.isfinite(cand) | (cand <= lo[active]) | (cand >= hi[active])
         cand[bad] = 0.5 * (lo[active][bad] + hi[active][bad])
         tau[active] = cand
     else:
         raise ArithmeticError("invert_R failed to converge in 200 iterations")
 
-    flat = refractory_eval(kernel, tau) == 0.0
     if flat.any():
         warnings.warn(
             "R(tau) plateaus at the requested level; returning the left "

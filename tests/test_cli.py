@@ -101,6 +101,16 @@ def test_simulate_usage_errors(tmp_path):
     assert exc.value.code == 2  # M1 takes no kernel coefficients
 
 
+def test_simulate_without_events_fails_cleanly(tmp_path, capsys):
+    """A horizon too short for one event is a runtime error: no file is
+    written that load_timestamps would reject."""
+    out = tmp_path / "empty.txt"
+    rc = main(["simulate", "--mode", "discrete", "--duration", "0.001", "--out", str(out)])
+    assert rc == 1
+    assert "no events" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ----------------------------------------------------------------------
 # fit / compare
 # ----------------------------------------------------------------------
@@ -339,6 +349,15 @@ def test_eval_density_bad_grid_spec(tmp_path):
         main(["eval-density", "--fit", "x.json", "--tau-grid", "1:10",
               "--out", str(tmp_path / "d.txt")])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("spec", ["0.001:inf:5", "0.001:1e400:5", "0.001:nan:5", "inf:1e400:5"])
+def test_eval_density_grid_bounds_must_be_finite(tmp_path, spec):
+    with pytest.raises(SystemExit) as exc:
+        main(["eval-density", "--fit", "x.json", "--tau-grid", spec,
+              "--out", str(tmp_path / "d.txt")])
+    assert exc.value.code == 2
+    assert not (tmp_path / "d.txt").exists()
 
 
 def test_cli_import_leaves_process_pool_unloaded():

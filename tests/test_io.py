@@ -3,10 +3,12 @@
 import json
 import logging
 import math
+from io import BytesIO
 
 import numpy as np
 import pytest
 
+from burstfit import io as bio
 from burstfit.fit import FitResult, fit
 from burstfit.io import (
     compute_itis,
@@ -112,6 +114,104 @@ def test_ingestion_is_idempotent(tmp_path):
     save_timestamps(train, path)
     again = load_timestamps(path)
     np.testing.assert_array_equal(again.timestamps_ms, train.timestamps_ms)
+
+
+def _line_loop_oracle(blob: bytes) -> EventTrain:
+    """Reference parse: decode, strip and int() one line at a time, then
+    np.unique; the bulk parse must agree with it on every input."""
+    values = []
+    for lineno, raw in enumerate(BytesIO(blob), start=1):
+        text = raw.decode("utf-8", errors="replace").strip()
+        if not text:
+            continue
+        if lineno == 1 and text.replace(" ", "") == "unit=ms":
+            continue
+        try:
+            values.append(int(text))
+        except ValueError:
+            raise ValueError(
+                f"line {lineno}: expected an integer millisecond timestamp, got {text!r}"
+            ) from None
+    if not values:
+        raise ValueError("timestamp stream contains no events")
+    return EventTrain(np.unique(np.asarray(values, dtype=np.int64)))
+
+
+def _outcome(parse, source):
+    try:
+        return parse(source).timestamps_ms.tolist()
+    except (ValueError, OverflowError) as exc:
+        return type(exc), str(exc)
+
+
+_GOOD_LINES = b"".join(b"%d\n" % (3 * i) for i in range(10_000))
+
+_PARSE_CASES = {
+    "crlf": b"unit=ms\r\n5\r\n7\r\n",
+    "tabs and spaces": b"\t5 \n  7\t\n 9\n",
+    "sign, underscore, leading zeros": b"+7\n1_000\n007\n0\n",
+    "blank lines": b"5\n\n7\n\n\n",
+    "whitespace-only lines": b"5\n   \n\r\n7\n\t\n",
+    "no final newline": b"5\n7",
+    "spaced header with cr": b"unit = ms\r\n5\n7\n",
+    "header on line 2": b"5\nunit=ms\n7\n",
+    "bad line after 10k": _GOOD_LINES + b"30001\nbad\n30004\n",
+    "blank line after 10k": _GOOD_LINES + b"\n30001\n",
+    "unicode digits": "\u0663\n\uff11\uff12\n5\n".encode(),
+    "unicode whitespace": "\x1c5\n7\u00a0\n".encode(),
+    "invalid utf-8": b"5\n\xff7\n",
+    "int64 overflow": b"5\n99999999999999999999\n",
+    "int64 overflow before a bad line": b"99999999999999999999\nbad\n",
+    "negative": b"-5\n7\n",
+    "unsorted with duplicates": b"30\n10\n20\n10\n30\n30\n",
+    "header only": b"unit=ms\n",
+    "empty": b"",
+}
+
+
+@pytest.mark.parametrize("blob", _PARSE_CASES.values(), ids=_PARSE_CASES.keys())
+def test_bulk_parse_matches_line_loop(tmp_path, blob):
+    """The bulk parse gives the line loop's train, or its exact error,
+    from bytes and from a file alike."""
+    want = _outcome(_line_loop_oracle, blob)
+    path = tmp_path / "train.txt"
+    path.write_bytes(blob)
+    assert _outcome(load_timestamps, blob) == want
+    assert _outcome(load_timestamps, path) == want
+
+
+def test_bulk_parse_error_names_its_line():
+    """Pinned apart from the oracle, which shares the fallback's loop."""
+    with pytest.raises(ValueError, match="^line 10002: .*'bad'"):
+        load_timestamps(_PARSE_CASES["bad line after 10k"])
+    assert load_timestamps(_PARSE_CASES["unicode digits"]).timestamps_ms.tolist() == [3, 5, 12]
+
+
+def test_bulk_parse_counts_duplicates(caplog):
+    with caplog.at_level(logging.INFO, logger="burstfit.io"):
+        train = load_timestamps(_PARSE_CASES["unsorted with duplicates"])
+    assert train.timestamps_ms.tolist() == [10, 20, 30]
+    assert [rec.getMessage() for rec in caplog.records] == ["collapsed 3 duplicate timestamp(s)"]
+
+
+def test_emitted_bytes_are_frozen(tmp_path):
+    path = tmp_path / "out.txt"
+    save_timestamps(EventTrain(np.array([0, 7, 19, 1000], dtype=np.int64)), path)
+    assert path.read_bytes() == b"unit=ms\n0\n7\n19\n1000\n"
+    save_timestamps(EventTrain(np.array([], dtype=np.int64)), path)
+    assert path.read_bytes() == b"unit=ms\n\n"
+
+
+def test_emission_across_format_blocks(tmp_path):
+    """A train spanning several format blocks writes the bytes of one
+    whole-train join."""
+    rng = np.random.default_rng(17)
+    ts = np.cumsum(rng.integers(1, 10**9, 3 * bio._FORMAT_BLOCK + 7))
+    path = tmp_path / "out.txt"
+    save_timestamps(EventTrain(ts), path)
+    want = "unit=ms\n" + "\n".join(map(str, ts.tolist())) + "\n"
+    assert path.read_bytes() == want.encode()
+    np.testing.assert_array_equal(load_timestamps(path).timestamps_ms, ts)
 
 
 # ----------------------------------------------------------------------

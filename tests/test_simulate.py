@@ -273,6 +273,18 @@ def test_continuous_determinism_and_shape():
         simulate_continuous(p, 0, seed=1)
 
 
+def test_continuous_draws_are_frozen():
+    """The continuous sampler and invert_R's Newton path, pinned bit for
+    bit: the first intervals of one M3 seed and the last of 20k draws."""
+    p = ModelParams(a=0.7, b=1.0, c=math.log(8.0), kernel=RefractoryKernel.log_spaced(_TEST_GAMMA))
+    iv = simulate_continuous(p, 20_000, seed=121)
+    assert iv[:8].tolist() == [
+        0.0752868653097785, 0.018847035215076646, 0.3533043772764651, 0.2899807968965014,
+        0.07783251465312341, 0.3057727875346461, 1.1351928871409618, 0.6706462446359588,
+    ]
+    assert iv[-1] == 0.43275175865722415
+
+
 def test_continuous_rejects_infeasible_kernel():
     p = ModelParams(a=1.0, b=1.0, c=0.0, kernel=RefractoryKernel.log_spaced([-2.0]))
     with pytest.raises(ValueError, match="infeasible"):
