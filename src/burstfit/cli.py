@@ -76,8 +76,8 @@ def _build_params(args, parser) -> ModelParams:
 
 
 def _cmd_simulate(args, parser) -> int:
-    if args.events is not None and args.events < 1:
-        parser.error("--events must be a positive count")
+    if args.events is not None and args.events < 2:
+        parser.error("--events must be at least 2, the fewest that form an interval")
     if args.duration is not None and args.duration <= 0.0:
         parser.error("--duration must be positive")
     if (args.events is None) == (args.duration is None):
@@ -101,8 +101,8 @@ def _cmd_simulate(args, parser) -> int:
             seed=args.seed, dt=args.dt, n_events=args.events, duration=args.duration
         )
         train = simulate_discrete(params, cfg)
-        if not train.n_events:
-            raise RuntimeError("the simulation produced no events; nothing written")
+        if train.n_events < 2:
+            raise RuntimeError(f"simulated {train.n_events} events, fewer than 2; nothing written")
 
     bio.save_timestamps(train, args.out)
     span = train.duration_seconds

@@ -1,4 +1,4 @@
-"""Projected gradient ascent for the penalized interval likelihood.
+"""Projected quasi-Newton ascent for the penalized interval likelihood.
 
 The kernel coefficients are constrained by nonnegativity of the event
 rate on a finite grid of times: 1 + sum_k gamma_k exp(-alpha_k t_i) >= 0
@@ -6,13 +6,15 @@ for every grid point t_i.  Each constraint is a halfspace in the packed
 parameter vector, so a violated iterate is repaired by orthogonal
 projection onto the most violated hyperplane (repeated if needed).
 
-Step-size control is a plain backtracking scheme on the objective: halve
-on decrease, grow 1.1x on acceptance, clamped to [1e-8, 1].  The upper
-end, 1, is the full curvature-mapped (quasi-Newton) step.  The raw
-gradient is scaled by 1/N so the step size means the same thing across
-data sizes.  A projected step is allowed to lower the objective (it
-restores feasibility); the stall detector ends the run if no progress
-accumulates.
+Each step is the full curvature-mapped (quasi-Newton) step within the
+face of the walls (grid constraints at zero rate) the iterate sits on:
+a wall the gradient pushes against holds the step, one it pulls away
+from is released, and what the walls leave of the gradient is what the
+stop test reads.  The line search starts at that full step and halves
+on decrease.  The raw gradient is scaled by 1/N so the curvature map
+means the same thing across data sizes.  A projected step is allowed
+to lower the objective (it restores feasibility); the stall detector
+ends the run if no progress accumulates.
 
 The kernel basis terms overlap heavily, which leaves the likelihood
 surface with curvatures spread over eight orders of magnitude; a bare
@@ -31,7 +33,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .likelihood import ItiSet, ObjectiveValue, _vector_objective, effective_reg_weight
-from .model import ModelParams, VariantSpec, params_to_vector, vector_to_params, _variant_spec
+from .model import ModelParams, VariantSpec, _decay_matrix, _variant_spec
+from .model import params_to_vector, vector_to_params
 from .selection import bic
 
 __all__ = [
@@ -44,12 +47,10 @@ __all__ = [
 ]
 
 _ETA_MIN = 1e-8
-_ETA_MAX = 1.0
-_ETA_GROW = 1.1
 _STALL_WINDOW = 50
 _STALL_REL = 1e-9
-# slack below which a grid constraint counts as active when deciding
-# which gradient directions are blocked
+# slack below which a grid constraint counts as active, so that the step
+# is taken within its face
 _ACTIVE_SLACK = 1e-9
 # eigenvalues of the negated curvature are floored at this fraction of
 # the stiffest one, so near-flat directions cannot blow a step up
@@ -60,7 +61,6 @@ _CURV_FLOOR = 1e-8
 _DIR_CAP = 10.0
 
 _CONFIG_KEYS = (
-    "step_size",
     "max_iters",
     "grad_tol",
     "grid_min_ms",
@@ -91,7 +91,6 @@ class FitConfig:
     entirely (it is projected to feasibility first if needed).
     """
 
-    step_size: float = 1e-3
     max_iters: int = 5000
     grad_tolerance: float = 1e-6
     constraint_grid: np.ndarray = field(default_factory=default_constraint_grid)
@@ -108,9 +107,8 @@ class FitConfig:
         grid = grid.copy()
         grid.setflags(write=False)
         object.__setattr__(self, "constraint_grid", grid)
-        for name in ("step_size", "grad_tolerance"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be positive and finite")
+        if not 0.0 < self.grad_tolerance < math.inf:
+            raise ValueError("grad_tolerance must be positive and finite")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
 
@@ -135,8 +133,6 @@ class FitConfig:
                 raw[key] = value.strip()
         kwargs: dict = {}
         try:
-            if "step_size" in raw:
-                kwargs["step_size"] = float(raw["step_size"])
             if "max_iters" in raw:
                 kwargs["max_iters"] = int(raw["max_iters"])
             if "grad_tol" in raw:
@@ -187,7 +183,7 @@ def _grid_basis(spec: VariantSpec, grid: np.ndarray) -> np.ndarray:
     the integrated rate at the shortest observed interval against zero,
     where every further step leaves the likelihood domain.
     """
-    return np.exp(-np.concatenate(([0.0], grid))[:, None] * np.asarray(spec.alpha))
+    return _decay_matrix(spec.alpha, np.concatenate(([0.0], grid)))
 
 
 def feasible(kernel, grid: np.ndarray) -> tuple[bool, int | None]:
@@ -196,8 +192,7 @@ def feasible(kernel, grid: np.ndarray) -> tuple[bool, int | None]:
     Returns (True, None) or (False, index of the most violated point).
     """
     grid = np.asarray(grid, dtype=float)
-    basis = np.exp(-grid[:, None] * np.asarray(kernel.alpha))
-    return _basis_feasible(basis, np.asarray(kernel.gamma))
+    return _basis_feasible(_decay_matrix(kernel.alpha, grid), np.asarray(kernel.gamma))
 
 
 def _basis_feasible(basis: np.ndarray, gamma: np.ndarray) -> tuple[bool, int | None]:
@@ -233,7 +228,7 @@ def project(theta_prime: np.ndarray, violated_index: int, variant: str, grid: np
     spec = _variant_spec(variant)
     if spec.n_kernel_terms == 0:
         return theta_prime
-    w = np.exp(-float(grid[violated_index]) * np.asarray(spec.alpha))
+    w = _decay_matrix(spec.alpha, np.asarray(grid, dtype=float)[[violated_index]])[0]
     return _project_row(theta_prime, w, spec.gamma_offset)
 
 
@@ -271,26 +266,32 @@ def _initial_vector(variant: str, data: ItiSet, cfg: FitConfig) -> np.ndarray:
     return out
 
 
-def _free_gradient(grad: np.ndarray, theta: np.ndarray, basis: np.ndarray, off: int) -> np.ndarray:
-    """Gradient with outward components of active constraints removed.
+def _face_step(
+    ascent: np.ndarray, grad: np.ndarray, theta: np.ndarray, basis: np.ndarray, off: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The quasi-Newton step within the face of the active walls.
 
-    At a boundary optimum the raw gradient keeps pushing into the wall;
-    convergence is judged on what is left after removing the blocked
-    directions.
+    Maximizes g.d - d.H^-1.d / 2 subject to A d >= 0, with H the ascent
+    map and A the rows of the walls the iterate sits on.  Holding every
+    wall gives multipliers mu = -(A H A')^-1 A H g; the wall with the most
+    negative one is pulled away from, not pushed against, so it is
+    released and the rest solved again.  Returns (free, direction), with
+    free = g + A' mu, the gradient the walls leave (zero at a boundary
+    optimum), and direction = H free, which keeps A d = 0 on the walls
+    held.
     """
-    if basis.shape[1] == 0:
-        return grad
-    rate = 1.0 + basis @ theta[off:]
-    active = np.flatnonzero(rate <= _ACTIVE_SLACK)
-    if active.size == 0:
-        return grad
-    out = grad.copy()
-    for i in active:
-        w = basis[i]
-        push = float(w @ out[off:])
-        if push < 0.0:
-            out[off:] -= (push / float(w @ w)) * w
-    return out
+    rows = basis[1.0 + basis @ theta[off:] <= _ACTIVE_SLACK]
+    while rows.shape[0]:
+        a = np.zeros((rows.shape[0], theta.size))
+        a[:, off:] = rows
+        ha = ascent @ a.T
+        mu = -np.linalg.lstsq(a @ ha, ha.T @ grad, rcond=None)[0]
+        worst = int(np.argmin(mu))
+        if mu[worst] >= 0.0:
+            free = grad + a.T @ mu
+            return free, ascent @ free
+        rows = np.delete(rows, worst, axis=0)
+    return grad, ascent @ grad
 
 
 def _curvature_matrix(
@@ -391,8 +392,6 @@ def fit(variant: str, data: ItiSet, cfg: FitConfig | None = None) -> FitResult:
         raise ValueError("initial parameters are outside the model domain")
 
     trace = [value]
-    start_eta = float(np.clip(cfg.step_size, _ETA_MIN, _ETA_MAX))
-    eta = start_eta
     converged = False
     reason = "max iterations"
     max_proj = spec.n_kernel_terms + 1
@@ -402,7 +401,7 @@ def fit(variant: str, data: ItiSet, cfg: FitConfig | None = None) -> FitResult:
 
     for it in range(cfg.max_iters):
         scaled = grad / n
-        free = _free_gradient(scaled, theta, basis, off)
+        free, direction = _face_step(ascent, scaled, theta, basis, off)
         if np.max(np.abs(free)) < cfg.grad_tolerance:
             converged = True
             reason = "gradient tolerance"
@@ -421,23 +420,18 @@ def fit(variant: str, data: ItiSet, cfg: FitConfig | None = None) -> FitResult:
                 curv = _curvature_matrix(theta, variant, data, reg, n, curv)
                 ascent = _ascent_map(curv)
                 refresh_at = max(10, it * 2)
-            # The solve breaks tangency to active walls, so remove
-            # outward components again; with the iterate on a wall a
-            # step that pushes through it projects onto a fixed,
-            # possibly descending line.
-            direction = _free_gradient(ascent @ free, theta, basis, off)
+                _, direction = _face_step(ascent, scaled, theta, basis, off)
             peak = float(np.max(np.abs(direction), initial=0.0))
             if peak > _DIR_CAP:
                 direction *= _DIR_CAP / peak
-            accepted, theta, value, new_grad, eta, used = _backtrack(
-                theta, value, direction, eta, variant, data, reg, basis, off, max_proj
+            accepted, theta, value, new_grad, used = _backtrack(
+                theta, value, direction, variant, data, reg, basis, off, max_proj
             )
             if accepted or refresh:
                 break
             # The map in hand may describe a region the iterate left
             # several steps ago; rebuild it once before giving up.
             refresh = True
-            eta = start_eta
         if not accepted:
             reason = "line search failed"
             break
@@ -467,7 +461,6 @@ def _backtrack(
     theta: np.ndarray,
     value: ObjectiveValue,
     direction: np.ndarray,
-    eta: float,
     variant: str,
     data: ItiSet,
     reg: float,
@@ -475,18 +468,20 @@ def _backtrack(
     off: int,
     max_proj: int,
 ):
-    """Halve the step until a feasible candidate improves the objective.
+    """Halve the step from the full one until a feasible candidate
+    improves the objective.
 
-    Returns (accepted, theta, value, grad, eta, n_projections); a
-    rejected search hands back the incoming point with grad None.
+    Returns (accepted, theta, value, grad, n_projections); a rejected
+    search hands back the incoming point with grad None.
     """
+    eta = 1.0
     while True:
         repaired = _repair(theta + eta * direction, basis, off, max_proj)
         if repaired is not None:
             cand, used = repaired
             cand_value, cand_grad = _vector_objective(cand, variant, data, reg)
             if cand_value is not None and cand_value.objective >= value.objective:
-                return True, cand, cand_value, cand_grad, min(eta * _ETA_GROW, _ETA_MAX), used
+                return True, cand, cand_value, cand_grad, used
         if eta <= _ETA_MIN:
-            return False, theta, value, None, eta, 0
+            return False, theta, value, None, 0
         eta = max(eta / 2.0, _ETA_MIN)

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelParams, VARIANTS, _variant_spec
+from .model import ModelParams, VARIANTS, _decay_matrix, _variant_spec
 from .special import PrecisionLossError, _log_hyp1f1_neg
 
 __all__ = [
@@ -105,9 +105,8 @@ class ItiSet:
         got = cache.get(alpha)
         if got is None:
             tau, _ = self._unique()
-            al = np.asarray(alpha)
-            decay = np.exp(-tau[:, None] * al)
-            got = (decay, (1.0 - decay) / al)
+            decay = _decay_matrix(alpha, tau)
+            got = (decay, (1.0 - decay) / np.asarray(alpha))
             cache[alpha] = got
         return got
 

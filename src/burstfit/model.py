@@ -287,13 +287,14 @@ def _restore(values: np.ndarray, shape) -> float | np.ndarray:
     return values.reshape(shape)
 
 
-def _decay_matrix(kernel: RefractoryKernel, t: np.ndarray) -> np.ndarray:
-    """exp(-alpha_k tau): one row per time in t, one column per kernel term.
+def _decay_matrix(alpha: tuple[float, ...], t: np.ndarray) -> np.ndarray:
+    """exp(-alpha_k tau): one row per time in t, one column per decay rate.
 
     r and R both come from this matrix; a caller that needs both at the
-    same times (the inverter of R) builds it once.
+    same times (the inverter of R) builds it once.  The likelihood's and
+    the constraint grid's kernel bases are this matrix too.
     """
-    decay = -t[:, None] * np.asarray(kernel.alpha)
+    decay = -t[:, None] * np.asarray(alpha)
     return np.exp(decay, out=decay)
 
 
@@ -322,7 +323,7 @@ def refractory_eval(kernel: RefractoryKernel, tau):
     t, shape = _as_times(tau, minimum=0.0)
     if not kernel.n:
         return _restore(np.ones_like(t), shape)
-    return _restore(_rate_from_decay(kernel, _decay_matrix(kernel, t)), shape)
+    return _restore(_rate_from_decay(kernel, _decay_matrix(kernel.alpha, t)), shape)
 
 
 def refractory_integral(kernel: RefractoryKernel, tau):
@@ -330,7 +331,7 @@ def refractory_integral(kernel: RefractoryKernel, tau):
     t, shape = _as_times(tau, minimum=0.0)
     if not kernel.n:
         return _restore(t.copy(), shape)
-    return _restore(_integral_from_decay(kernel, t, _decay_matrix(kernel, t)), shape)
+    return _restore(_integral_from_decay(kernel, t, _decay_matrix(kernel.alpha, t)), shape)
 
 
 def iti_density_conditional(params: ModelParams, x: float, tau):

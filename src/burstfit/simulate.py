@@ -309,7 +309,7 @@ def invert_R(kernel: RefractoryKernel, target):
         # one decay matrix per round gives R here and r below; it is
         # dropped before the next round builds its own
         at = tau[active]
-        decay = _decay_matrix(kernel, at)
+        decay = _decay_matrix(kernel.alpha, at)
         resid = _integral_from_decay(kernel, at, decay) - t[active]
         keep = np.abs(resid) > tol[active]
         done = ~keep

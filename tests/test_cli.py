@@ -84,9 +84,10 @@ def test_simulate_discrete_duration(tmp_path):
 
 def test_simulate_usage_errors(tmp_path):
     out = str(tmp_path / "x.txt")
-    with pytest.raises(SystemExit) as exc:
-        main(["simulate", "--events", "0", "--out", out])
-    assert exc.value.code == 2
+    for events in ("0", "1"):  # one event forms no interval
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--events", events, "--out", out])
+        assert exc.value.code == 2
     with pytest.raises(SystemExit) as exc:
         main(["simulate", "--events", "10", "--duration", "5", "--out", out])
     assert exc.value.code == 2
@@ -102,13 +103,15 @@ def test_simulate_usage_errors(tmp_path):
 
 
 def test_simulate_without_events_fails_cleanly(tmp_path, capsys):
-    """A horizon too short for one event is a runtime error: no file is
-    written that load_timestamps would reject."""
-    out = tmp_path / "empty.txt"
-    rc = main(["simulate", "--mode", "discrete", "--duration", "0.001", "--out", str(out)])
-    assert rc == 1
-    assert "no events" in capsys.readouterr().err
-    assert not out.exists()
+    """A horizon too short for two events is a runtime error: no file is
+    written that load_timestamps or compute_itis would reject."""
+    out = tmp_path / "short.txt"
+    for flags, made in ((["--duration", "0.001"], 0),
+                        (["--rho", "5", "--duration", "2", "--seed", "1"], 1)):
+        rc = main(["simulate", "--mode", "discrete", *flags, "--out", str(out)])
+        assert rc == 1
+        assert f"simulated {made} events, fewer than 2" in capsys.readouterr().err
+        assert not out.exists()
 
 
 # ----------------------------------------------------------------------

@@ -10,6 +10,7 @@ from burstfit.cli import main
 from burstfit.fit import (
     FitConfig,
     FitResult,
+    _face_step,
     default_constraint_grid,
     feasible,
     fit,
@@ -51,30 +52,20 @@ def test_default_constraint_grid():
         default_constraint_grid(t_min=2.0, t_max=1.0)
 
 
-def test_fit_config_validation(tmp_path):
-    with pytest.raises(ValueError):
-        FitConfig(step_size=0.0)
+def test_fit_config_validation():
     with pytest.raises(ValueError):
         FitConfig(max_iters=0)
     with pytest.raises(ValueError):
         FitConfig(grad_tolerance=-1e-6)
-    # a NaN step would make the backtracking search halve it forever, and
     # a NaN tolerance would switch the gradient stop off
     for bad in (float("nan"), float("inf"), -float("inf")):
         with pytest.raises(ValueError):
-            FitConfig(step_size=bad)
-        with pytest.raises(ValueError):
             FitConfig(grad_tolerance=bad)
-    nan_step = tmp_path / "nan.cfg"
-    nan_step.write_text("step_size = nan\n")
-    with pytest.raises(ValueError, match="step_size"):
-        FitConfig.from_file(nan_step)
     with pytest.raises(ValueError):
         FitConfig(constraint_grid=np.array([1.0, 0.5, 2.0]))
     with pytest.raises(ValueError):
         FitConfig(constraint_grid=np.geomspace(1e-3, 5.0, 4))
     cfg = FitConfig()
-    assert cfg.step_size == 1e-3
     assert cfg.max_iters == 5000
     assert cfg.grad_tolerance == 1e-6
 
@@ -89,7 +80,6 @@ def test_fit_config_from_file(tmp_path):
     path = tmp_path / "fit.cfg"
     path.write_text(
         "# ascent settings\n"
-        "step_size = 0.01\n"
         "max_iters = 250\n"
         "grad_tol = 1e-5\n"
         "grid_min_ms = 2\n"
@@ -98,7 +88,6 @@ def test_fit_config_from_file(tmp_path):
         "seed = 9\n"
     )
     cfg = FitConfig.from_file(path)
-    assert cfg.step_size == 0.01
     assert cfg.max_iters == 250
     assert cfg.grad_tolerance == 1e-5
     assert cfg.seed == 9
@@ -112,15 +101,16 @@ def test_fit_config_from_file_partial_keeps_defaults(tmp_path):
     path.write_text("max_iters=77\n")
     cfg = FitConfig.from_file(path)
     assert cfg.max_iters == 77
-    assert cfg.step_size == 1e-3
     assert cfg.constraint_grid.shape == (100,)
 
 
 def test_fit_config_from_file_errors(tmp_path):
     bad_key = tmp_path / "a.cfg"
-    bad_key.write_text("step=0.1\n")
-    with pytest.raises(ValueError, match="unknown key"):
-        FitConfig.from_file(bad_key)
+    # step_size was a key until every line search started at the full step
+    for text in ("step=0.1\n", "step_size = 0.01\n"):
+        bad_key.write_text(text)
+        with pytest.raises(ValueError, match="unknown key"):
+            FitConfig.from_file(bad_key)
     bad_value = tmp_path / "b.cfg"
     bad_value.write_text("max_iters=soon\n")
     with pytest.raises(ValueError, match="bad numeric value"):
@@ -181,6 +171,34 @@ def test_project_leaves_satisfied_vectors_alone():
     # kernel-free variants have nothing to project
     m1 = np.array([0.8, 1.1])
     np.testing.assert_array_equal(project(m1, 0, "M1", grid), m1)
+
+
+def test_face_step_holds_pushed_walls_and_releases_pulled_ones():
+    """Two kernel slots after two free ones; the first basis row is active
+    at gamma = (-1, 0), the second is not."""
+    rng = np.random.default_rng(3)
+    q = rng.normal(size=(4, 4))
+    ascent = q @ q.T + 0.5 * np.eye(4)
+    basis = np.array([[1.0, 1.0], [0.5, 0.2]])
+    off = 2
+    a = np.zeros(4)
+    a[off:] = basis[0]
+    g = rng.normal(size=4)
+
+    free, direction = _face_step(ascent, g, np.array([0.3, -0.2, 0.0, 0.0]), basis, off)
+    np.testing.assert_array_equal(free, g)
+    np.testing.assert_allclose(direction, ascent @ g)
+
+    theta = np.array([0.3, -0.2, -1.0, 0.0])
+    push = g if a @ ascent @ g < 0.0 else -g
+    free, direction = _face_step(ascent, push, theta, basis, off)
+    assert a @ direction >= -1e-12
+    assert push @ direction > 0.0
+    np.testing.assert_allclose(direction, ascent @ free)
+
+    free, direction = _face_step(ascent, -push, theta, basis, off)
+    np.testing.assert_allclose(free, -push)
+    np.testing.assert_allclose(direction, ascent @ -push)
 
 
 def test_projection_is_idempotent():
@@ -270,7 +288,7 @@ def test_fit_takes_the_full_curvature_mapped_step():
     """The ascent direction is mapped through the inverse curvature, so a
     step of 1 is the quasi-Newton step.  Capping the step at 0.1 made this
     Poisson M1 fit take 276 iterations to the same optimum; with the cap at
-    1 it takes 101."""
+    1 it took 101, and starting every search at the full step takes 42."""
     rng = np.random.default_rng(0)
     iv = np.maximum(np.round(rng.exponential(0.2, 20_000) * 1000.0), 1.0) / 1000.0
     res = fit("M1", ItiSet(iv))
@@ -293,6 +311,52 @@ def test_fit_kernel_child_reaches_its_parent_cold(tmp_path):
     m3 = fit("M3", data)
     m4 = fit("M4", data)
     assert m4.objective >= m3.objective - 0.5
+
+
+@pytest.mark.parametrize("seed", [108, 111])
+def test_fit_kernel_child_reaches_its_parent_cold_off_the_wall(tmp_path, seed):
+    """On these seeds cold M4 crosses the lag-zero wall.  With the outward
+    gradient merely removed, the curvature-mapped step off the wall could
+    point downhill: M4 ended "line search failed" at b < 0.05, 94.6 (seed
+    108) and 38.9 (seed 111) nats below M3."""
+    path = tmp_path / "events.txt"
+    assert main(["simulate", "--variant", "M3", "--a", "0.7", "--rho", "8",
+                 "--gamma", "0,0,-0.3,-0.4,-0.26,0,0,0", "--events", "2000",
+                 "--seed", str(seed), "--out", str(path)]) == 0
+    data = compute_itis(load_timestamps(path))
+    m3 = fit("M3", data)
+    m4 = fit("M4", data)
+    assert m4.objective >= m3.objective - 0.5
+
+
+def test_fit_heavy_tail_m2_reaches_m1_cold(tmp_path):
+    """Kernel-free heavy-tail data (bench dataset 46001) on which cold M2
+    once ran away to a = 27, b = 14 and ended 16862 nats below M1."""
+    path = tmp_path / "events.txt"
+    assert main(["simulate", "--variant", "M2", "--a", "0.6", "--b", "2.0", "--rho", "2.0",
+                 "--mode", "continuous", "--events", "6000", "--seed", "46001",
+                 "--out", str(path)]) == 0
+    data = compute_itis(load_timestamps(path))
+    m1 = fit("M1", data)
+    m2 = fit("M2", data)
+    assert m2.objective >= m1.objective
+    assert 0.5 <= m2.params_star.a <= 0.7
+    assert 1.0 <= m2.params_star.b <= 5.0
+
+
+def test_fit_wall_optimum_is_reached_from_cold_and_from_truth():
+    """A strong refractory dip puts the M3 optimum on the lag-zero wall.
+    Cold and truth-started fits both stop on the gradient test there, at
+    the same objective; the two used to end "line search failed", 0.004
+    nats apart."""
+    truth = ModelParams(
+        a=0.8, b=1.0, c=math.log(4.0), kernel=RefractoryKernel.log_spaced([-1.0] + [0.0] * 7)
+    )
+    data = ItiSet(simulate_continuous(truth, 1500, seed=76))
+    cold = fit("M3", data)
+    warm = fit("M3", data, FitConfig(init_params=truth))
+    assert cold.reason == warm.reason == "gradient tolerance"
+    assert cold.objective == pytest.approx(warm.objective, abs=0.01)
 
 
 def test_fit_single_interval_terminates():
