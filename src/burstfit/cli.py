@@ -28,7 +28,7 @@ from .model import (
     refractory_eval,
 )
 from .selection import compare
-from .simulate import EventTrain, SimConfig, simulate_continuous, simulate_discrete
+from .simulate import SimConfig, _train_from_intervals, simulate_continuous, simulate_discrete
 
 
 def _parse_gamma(text: str) -> tuple[float, ...]:
@@ -90,12 +90,7 @@ def _cmd_simulate(args, parser) -> int:
         if args.events is None:
             parser.error("continuous mode generates by --events, not --duration")
         intervals = simulate_continuous(params, n_events=args.events, seed=args.seed)
-        stamps = np.rint(np.cumsum(intervals) * 1000.0).astype(np.int64)
-        # millisecond rounding can collide sub-ms neighbors; nudging each
-        # collision up by 1 ms keeps the requested event count in the file
-        steps = np.arange(stamps.size, dtype=np.int64)
-        stamps = np.maximum.accumulate(stamps - steps) + steps
-        train = EventTrain(stamps)
+        train = _train_from_intervals(intervals)
     else:
         cfg = SimConfig(
             seed=args.seed, dt=args.dt, n_events=args.events, duration=args.duration

@@ -8,21 +8,26 @@ Two routes produce event data:
   any other bin redraws y uniformly.  The implementation skips empty bins
   by geometric jumps with thinning, which leaves the sampled law exactly
   that of the bin-by-bin chain while running in time linear in the event
-  count.  Its three random streams are endless iterators of Python
-  floats, refilled a numpy block at a time, so a draw is one ``next``.
+  count.  It draws a block of events at a time from three independent
+  numpy streams (priorities x, competing priorities y, and the uniforms
+  of the first bin, the jumps and the thinning), so no Python code runs
+  per event except for the rare first-bin fires.
 
 * ``simulate_continuous`` draws intervals directly by time rescaling: with
   x ~ Beta(a, b) and eps a unit exponential, the interval solves
   rho x R(tau) = eps.
 
-``invert_R`` is the bracketed root finder backing the second route; each
-Newton round builds one kernel decay matrix and takes R and r from it.
+``invert_R`` is the bracketed root finder backing the second route.  It
+starts Newton from a tabulated inverse of R, which is exact once the
+kernel has decayed, and each round builds one kernel decay matrix and
+takes R and r from it.
+
+Timestamps are int64 milliseconds; a simulation whose events would lie
+beyond 2**62 ms is refused rather than wrapped.
 """
 
 from __future__ import annotations
 
-import functools
-import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -53,6 +58,25 @@ _BIN_PROB_LIMIT = 0.1
 
 # Beyond this envelope the kernel is indistinguishable from 1 in float64.
 _KERNEL_TAIL_EPS = 1e-15
+
+# Events the chain sampler draws per block.
+_CHAIN_BLOCK = 1 << 14
+
+# Timestamps are int64 milliseconds: a simulated train may span at most
+# this many, and the chain at most _MAX_BINS bins including warm-up, so
+# every position, sum and conversion stays inside int64.
+_SPAN_LIMIT_MS = 2.0**62
+_MAX_BINS = 2**62
+_SPAN_ERROR = (
+    "the simulated train would span more than 2**62 ms (about 1.5e8 years), "
+    "the int64 millisecond span limit; the priority shape a or the rate rho "
+    "is too small"
+)
+
+# invert_R's starting table: points of R on a log grid out to
+# _INVERSE_SPAN / min alpha, where exp(-alpha tau) < 5e-18.
+_INVERSE_GRID = 1024
+_INVERSE_SPAN = 40.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,11 +139,6 @@ class SimConfig:
             raise ValueError("duration must be positive")
 
 
-def _stream(fill, block: int):
-    """Endless iterator of draws as Python floats, fill(block) at a time."""
-    return itertools.chain.from_iterable(iter(lambda: fill(block).tolist(), None))
-
-
 def _kernel_support_bins(kernel: RefractoryKernel, dt: float) -> int:
     """Bins after which |r - 1| is below float64 resolution."""
     total = sum(abs(g) for g in kernel.gamma)
@@ -139,18 +158,53 @@ def _check_feasible(kernel: RefractoryKernel) -> None:
         raise ValueError("kernel is negative somewhere; params infeasible")
 
 
+def _thinned_jumps(x, envelope, r_table, r_max, beyond, rng):
+    """Bins from an event to the next for events that skip the first bin.
+
+    Each round draws a geometric jump under the envelope rho r_max x dt
+    for every event still rejected, then a uniform to thin it by
+    r(k dt)/r_max (``r_table``: r at bins 1..support, then 1).  Jumps are
+    clamped at ``beyond``, past any bin the caller keeps, so none can
+    wrap when cast to int64.
+    """
+    log_q = np.log1p(-envelope * x)
+    k = np.ones(x.size)
+    todo = np.arange(x.size)
+    while todo.size:
+        u = rng.random(todo.size)
+        # x == 0 gives an infinite (or 0/0) jump: never fires
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            step = np.floor(np.log1p(-u) / log_q[todo])
+        k[todo] = kt = np.fmin(k[todo] + step + 1.0, beyond)
+        if r_table is None:
+            break
+        live = kt < beyond
+        todo, kt = todo[live], kt[live]
+        r_k = r_table[np.minimum(kt.astype(np.int64), r_table.size) - 1]
+        todo = todo[rng.random(todo.size) * r_max > r_k]
+    return k
+
+
 def _run_chain(params: ModelParams, cfg: SimConfig) -> np.ndarray:
     """Bin indices (int64, relative to the end of warm-up) of chain events.
 
-    The loop reproduces the bin chain exactly.  The bin right after an
-    event keeps the competing priority that was in play at the event, so
-    it fires with probability rho r(dt) dt only if x still beats it.  From
-    the second bin on, the competing priority is freshly uniform every
-    bin, so conditioned on x the bins are independent Bernoullis with
-    probability rho r(k dt) x dt; those are sampled by geometric jumps
-    under the envelope rho r_max x dt and thinned by r(k dt)/r_max.  A
-    fixed number of random draws is consumed per event (extra draws are
-    discarded), which keeps runs with different dt but equal seed coupled.
+    The chain is exact.  The bin right after an event keeps the competing
+    priority y in play at the event, so it fires with probability
+    rho r(dt) dt only if the new priority x beats that y.  From the second
+    bin on y is fresh every bin, so given x the bins are independent
+    Bernoullis with probability rho r(k dt) x dt (``_thinned_jumps``), and
+    an event there leaves y uniform below x.
+
+    Events are drawn _CHAIN_BLOCK at a time.  Per block the x stream gives
+    each event's priority, the y stream one uniform per event (for the y
+    a later-bin event leaves), and the t stream one first-bin uniform per
+    event, then each thinning round's draws in event order.  The y
+    stream's first draw is the starting y.  Only events whose first-bin
+    uniform is below rho r(dt) dt can fire in that bin; those few are
+    settled in event order, as each needs the y its predecessor left.
+    With a fixed block size a run is a prefix of any longer run with the
+    same seed and dt; runs with another dt share each event's x but not
+    its jumps.
     """
     rho = params.rho
     kernel = params.kernel
@@ -169,62 +223,67 @@ def _run_chain(params: ModelParams, cfg: SimConfig) -> np.ndarray:
         if r_grid.min() < 0.0:
             raise ValueError("kernel is negative on the bin grid; infeasible")
         r_max = max(float(r_grid.max()), 1.0)
-        r_list = r_grid.tolist()
+        r_table = np.append(r_grid, 1.0)
+        p_first = rho * float(r_grid[0]) * dt
     else:
         r_max = 1.0
-        r_list = []
+        r_table = None
+        p_first = rho * dt
 
-    stream_x, stream_y, stream_t = np.random.SeedSequence(cfg.seed).spawn(3)
-    beta = np.random.default_rng(stream_x).beta
-    next_x = _stream(functools.partial(beta, params.a, params.b), 1 << 13).__next__
-    next_y = _stream(np.random.default_rng(stream_y).random, 1 << 14).__next__
-    next_t = _stream(np.random.default_rng(stream_t).random, 1 << 14).__next__
-
+    # bins count from the start of warm-up; events past `cap` are never
+    # kept, and a jump is clamped at `beyond` > cap before any int64 cast
     warm_bins = math.ceil(10.0 / rho / dt)
+    limit = min(_MAX_BINS, warm_bins + math.floor(_SPAN_LIMIT_MS / (dt * 1000.0)))
+    if warm_bins >= limit:
+        raise ValueError(_SPAN_ERROR)
+    end = limit
     if cfg.duration is not None:
-        horizon_bin = math.floor(cfg.duration / dt + 1e-9)
-        want = None
-    else:
-        horizon_bin = None
-        want = cfg.n_events
+        end = warm_bins + math.floor(cfg.duration / dt + 1e-9)
+    cap = min(end, limit)
+    beyond = 2.0 * _MAX_BINS
 
-    p_first = rho * (r_list[0] if support else 1.0) * dt
-    events: list[int] = []
-    prev = -warm_bins
-    x = next_x()
-    y = next_y()
+    rng_x, rng_y, rng_t = (
+        np.random.default_rng(s) for s in np.random.SeedSequence(cfg.seed).spawn(3)
+    )
+    envelope = rho * r_max * dt
+    want = cfg.n_events
+    y = rng_y.random()
+    pos = 0
+    found: list[np.ndarray] = []
+    n_found = 0
     while True:
-        u_first = next_t()
-        u_jump = next_t()
-        u_y = next_y()
-        if x > y and u_first < p_first:
-            k = 1
-        else:
-            pbar = rho * r_max * x * dt
-            k = 1
-            while True:
-                k += int(math.log(1.0 - u_jump) / math.log1p(-pbar)) + 1
-                if horizon_bin is not None and prev + k > horizon_bin:
-                    k = None
-                    break
-                if not support:
-                    break
-                rk = r_list[k - 1] if k <= support else 1.0
-                if next_t() * r_max <= rk:
-                    break
-                u_jump = next_t()
-            if k is None:
-                break
-            y = x * u_y
-        prev += k
-        if horizon_bin is not None and prev > horizon_bin:
+        x = rng_x.beta(params.a, params.b, _CHAIN_BLOCK)
+        u_first = rng_t.random(_CHAIN_BLOCK)
+        y_after = x * rng_y.random(_CHAIN_BLOCK)
+        first = np.zeros(_CHAIN_BLOCK, dtype=bool)
+        for i in np.flatnonzero(u_first < p_first).tolist():
+            y_before = y_after[i - 1] if i else y
+            if x[i] > y_before:
+                first[i] = True
+                y_after[i] = y_before
+        y = y_after[-1]
+        k = np.ones(_CHAIN_BLOCK)
+        later = ~first
+        k[later] = _thinned_jumps(x[later], envelope, r_table, r_max, beyond, rng_t)
+
+        # float positions find the cut; only jumps before it are cast, and
+        # their exact sums stay well inside int64
+        n = int(np.searchsorted(pos + np.cumsum(k), cap * (1.0 + 1e-9), side="right"))
+        ends = pos + np.cumsum(k[:n].astype(np.int64))
+        n = int(np.searchsorted(ends, cap, side="right"))
+        ends = ends[:n]
+        kept = ends[ends >= warm_bins] - warm_bins
+        if want is not None and n_found + kept.size >= want:
+            found.append(kept[: want - n_found])
             break
-        if prev >= 0:
-            events.append(prev)
-            if want is not None and len(events) == want:
-                break
-        x = next_x()
-    return np.asarray(events, dtype=np.int64)
+        found.append(kept)
+        n_found += kept.size
+        if n < _CHAIN_BLOCK:
+            if cfg.duration is None or cap < end:
+                raise ValueError(_SPAN_ERROR)
+            break
+        pos = int(ends[-1])
+    return np.concatenate(found)
 
 
 def simulate_discrete(params: ModelParams, cfg: SimConfig) -> EventTrain:
@@ -256,10 +315,26 @@ def discrete_intervals(params: ModelParams, cfg: SimConfig) -> np.ndarray:
     return np.diff(bins) * cfg.dt
 
 
+def _train_from_intervals(intervals: np.ndarray) -> EventTrain:
+    """Millisecond train whose first event ends the first interval.
+
+    Rounding can collide sub-millisecond neighbours; each collision is
+    nudged up by 1 ms, so the train keeps one event per interval.
+    """
+    with np.errstate(over="ignore"):
+        ends = np.cumsum(intervals) * 1000.0
+    if not ends[-1] < _SPAN_LIMIT_MS:
+        raise ValueError(_SPAN_ERROR)
+    stamps = np.rint(ends).astype(np.int64)
+    steps = np.arange(stamps.size, dtype=np.int64)
+    return EventTrain(np.maximum.accumulate(stamps - steps) + steps)
+
+
 def simulate_continuous(params: ModelParams, n_events: int, seed) -> np.ndarray:
     """Draw n_events i.i.d. intervals (seconds) by time rescaling.
 
-    Equal seeds give bit-identical output.
+    Equal seeds give bit-identical output.  An interval past the float
+    range (a tiny shape a with a tiny rate) raises the span-limit error.
     """
     if n_events < 1:
         raise ValueError("n_events must be >= 1")
@@ -268,7 +343,10 @@ def simulate_continuous(params: ModelParams, n_events: int, seed) -> np.ndarray:
     x = rng.beta(params.a, params.b, size=n_events)
     # a Beta draw can underflow to exactly 0 for small shapes
     x = np.maximum(x, 1e-290)
-    target = rng.standard_exponential(n_events) / (params.rho * x)
+    with np.errstate(over="ignore", divide="ignore"):
+        target = rng.standard_exponential(n_events) / (params.rho * x)
+    if not np.all(np.isfinite(target)):
+        raise ValueError(_SPAN_ERROR)
     if params.kernel.n == 0:
         return target
     return invert_R(params.kernel, target)
@@ -277,9 +355,14 @@ def simulate_continuous(params: ModelParams, n_events: int, seed) -> np.ndarray:
 def invert_R(kernel: RefractoryKernel, target):
     """Solve R(tau) = target for tau, elementwise.
 
-    Safeguarded Newton (derivative r) inside a bracket derived from the
-    bound |R(tau) - tau| <= sum_k |gamma_k| / alpha_k, bisecting whenever
-    a Newton step leaves the bracket.  Accepts tau once |R(tau) - target|
+    Newton starts from R inverted by linear interpolation on a fixed table
+    (tau = 0, then _INVERSE_GRID log-spaced points from 1e-6 to
+    _INVERSE_SPAN / min alpha).  Beyond the table the kernel has decayed,
+    so R(tau) = tau + sum_k gamma_k / alpha_k and the start is the root.
+    The safeguarded Newton (derivative r) stays inside a bracket derived
+    from the bound |R(tau) - tau| <= sum_k |gamma_k| / alpha_k, bisecting
+    whenever a step leaves the bracket, and each round builds one kernel
+    decay matrix for both R and r.  Accepts tau once |R(tau) - target|
     <= 1e-10 max(1, target).  If the solution sits on a plateau where r
     is zero, the left edge of the plateau is returned and a warning is
     issued.
@@ -299,7 +382,14 @@ def invert_R(kernel: RefractoryKernel, target):
 
     lo = np.clip(t - slack_up, 0.0, None)
     hi = t + slack_down
-    tau = np.clip(t, lo, hi)
+    grid = np.concatenate(
+        ([0.0], np.geomspace(1e-6, _INVERSE_SPAN / min(kernel.alpha), _INVERSE_GRID))
+    )
+    table = refractory_integral(kernel, grid)
+    start = np.where(
+        t <= table[-1], np.interp(t, table, grid), t - (slack_up - slack_down)
+    )
+    tau = np.clip(start, lo, hi)
     tol = 1e-10 * np.maximum(1.0, t)
 
     # r == 0 at the accepted tau: the root sits on a plateau of R

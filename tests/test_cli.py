@@ -114,6 +114,25 @@ def test_simulate_without_events_fails_cleanly(tmp_path, capsys):
         assert not out.exists()
 
 
+@pytest.mark.parametrize("mode", ["continuous", "discrete"])
+@pytest.mark.parametrize("a, rho", [("0.05", "2"), ("0.005", "2"), ("0.005", "1e-30")])
+def test_simulate_tiny_shape_fails_cleanly(tmp_path, capsys, mode, a, rho):
+    """Priorities this small (Beta draws near or at 0) draw intervals
+    longer than int64 milliseconds can hold, and with a tiny rate too
+    longer than a float: both samplers refuse with the span limit, with no
+    numpy warning and no file (RuntimeWarnings are errors under the
+    suite's settings)."""
+    out = tmp_path / "tiny.txt"
+    rc = main([
+        "simulate", "--variant", "M2", "--a", a, "--b", "1", "--rho", rho,
+        "--mode", mode, "--events", "2000", "--seed", "3", "--out", str(out),
+    ])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "int64 millisecond span limit" in err and "Warning" not in err
+    assert not out.exists()
+
+
 # ----------------------------------------------------------------------
 # fit / compare
 # ----------------------------------------------------------------------

@@ -185,15 +185,15 @@ def test_discrete_determinism():
 
 
 def test_discrete_draw_order_is_frozen():
-    """The chain's draw order, pinned as literals: the first timestamps of
-    one M3 seed, and the last of a run long enough to refill every buffered
-    stream several times."""
+    """The chain's draw layout, pinned as literals: the first timestamps of
+    one M3 seed, and the last of a run that spans more than one block of
+    events."""
     p = ModelParams(a=0.7, b=1.0, c=math.log(8.0), kernel=RefractoryKernel.log_spaced(_TEST_GAMMA))
     train = simulate_discrete(p, SimConfig(seed=121, n_events=20_000))
     np.testing.assert_array_equal(
-        train.timestamps_ms[:8], [1586, 1731, 2174, 2298, 2474, 2823, 3875, 4793]
+        train.timestamps_ms[:8], [840, 956, 985, 1499, 1578, 2188, 2370, 2964]
     )
-    assert train.timestamps_ms[-1] == 1290941235
+    assert train.timestamps_ms[-1] == 1662842810
 
 
 def test_discrete_intervals_are_grid_multiples():
@@ -247,6 +247,27 @@ def test_discrete_law_matches_naive_reference_no_kernel():
     assert ks < _ks_crit_two_sample(3000, 3000), ks
 
 
+def test_discrete_law_matches_naive_reference_at_bin_limit():
+    """At rho dt = 0.1, the bin-probability limit, about 9% of intervals
+    are a single bin: with x ~ Beta(10, 20) held near 1/3, the next x
+    nearly always beats the competing priority an event leaves behind
+    (uniform below its own x), while a fresh uniform y would be beaten
+    only a third of the time.  The intervals, and the intervals that
+    follow a one-bin interval (the first-bin rule keeps y), both match
+    the per-bin loop."""
+    dt = 2e-3
+    p = ModelParams(a=10.0, b=20.0, c=math.log(50.0))
+    naive = _naive_chain_intervals(p, dt, 30_000, seed=20)
+    fast = discrete_intervals(p, SimConfig(seed=21, dt=dt, n_events=30_000))
+    one_naive, one_fast = np.isclose(naive, dt), np.isclose(fast, dt)
+    assert 0.08 < one_naive.mean() < 0.1 and 0.08 < one_fast.mean() < 0.1
+    ks = _ks_two_sample(naive, fast)
+    assert ks < _ks_crit_two_sample(naive.size, fast.size), ks
+    after_naive, after_fast = naive[1:][one_naive[:-1]], fast[1:][one_fast[:-1]]
+    ks = _ks_two_sample(after_naive, after_fast)
+    assert ks < _ks_crit_two_sample(after_naive.size, after_fast.size), ks
+
+
 def test_discrete_long_run_matches_analytic_distribution():
     """A million-second run lands within KS 0.01 of the marginal density."""
     p = ModelParams(a=1.0, b=1.0, c=0.0)
@@ -279,10 +300,10 @@ def test_continuous_draws_are_frozen():
     p = ModelParams(a=0.7, b=1.0, c=math.log(8.0), kernel=RefractoryKernel.log_spaced(_TEST_GAMMA))
     iv = simulate_continuous(p, 20_000, seed=121)
     assert iv[:8].tolist() == [
-        0.0752868653097785, 0.018847035215076646, 0.3533043772764651, 0.2899807968965014,
-        0.07783251465312341, 0.3057727875346461, 1.1351928871409618, 0.6706462446359588,
+        0.07528686531864996, 0.018847035216647306, 0.3533043772817052, 0.2899807968970102,
+        0.07783251465946206, 0.3057727875370297, 1.135192887140965, 0.6706462446358745,
     ]
-    assert iv[-1] == 0.43275175865722415
+    assert iv[-1] == 0.43275175866036236
 
 
 def test_continuous_rejects_infeasible_kernel():
@@ -360,3 +381,37 @@ def test_invert_R_rejects_bad_targets():
     for bad in (0.0, -1.0, float("nan"), float("inf")):
         with pytest.raises(ValueError):
             invert_R(kernel, bad)
+
+
+def test_invert_R_work_and_accuracy(monkeypatch):
+    """Each Newton round builds one decay matrix.  Targets past the
+    table, where the kernel has decayed, start at their root and are
+    accepted in the first round; targets across the table take two."""
+    import burstfit.simulate as simulate
+
+    kernel = RefractoryKernel.log_spaced(_TEST_GAMMA)
+    decay_matrix = simulate._decay_matrix
+    rounds = []
+
+    def counted(alpha, t):
+        rounds.append(t.size)
+        return decay_matrix(alpha, t)
+
+    monkeypatch.setattr(simulate, "_decay_matrix", counted)
+    for targets, most in ((np.geomspace(50.0, 1e9, 2000), 2), (np.geomspace(1e-8, 40.0, 2000), 3)):
+        rounds.clear()
+        taus = invert_R(kernel, targets)
+        assert 1 <= len(rounds) <= most, rounds
+        resid = np.abs(refractory_integral(kernel, taus) - targets)
+        assert np.all(resid <= 1e-10 * np.maximum(1.0, targets))
+
+
+def test_discrete_run_is_a_prefix_of_longer_runs():
+    """Blocks have a fixed size, so a shorter run with the same seed, by
+    count or by duration, is the start of a longer one."""
+    p = ModelParams(a=0.7, b=1.0, c=math.log(8.0), kernel=RefractoryKernel.log_spaced(_TEST_GAMMA))
+    long_run = simulate_discrete(p, SimConfig(seed=5, n_events=40_000)).timestamps_ms
+    short = simulate_discrete(p, SimConfig(seed=5, n_events=100)).timestamps_ms
+    np.testing.assert_array_equal(short, long_run[:100])
+    timed = simulate_discrete(p, SimConfig(seed=5, duration=long_run[30_000] / 1000.0))
+    np.testing.assert_array_equal(timed.timestamps_ms, long_run[:30_001])
