@@ -11,8 +11,10 @@ F = 1F1(a+1, a+b+1; -w) and w = rho R(tau).  The gradient needs the
 derivatives of log F in a, b and w; the last is minus the ratio
 <x^2 E>/<x E>, which also drives the rate and kernel gradients.  All three
 come out of the same series pass that computes log F (see
-special._log_hyp1f1_neg), each as a positive-weighted sum, so asking for
-the gradient never changes the value.
+special._log_hyp1f1_neg), each as a positive-weighted sum.  Every caller,
+value-only ones included, runs that one pass under its one accuracy check,
+so log_likelihood and objective raise exactly where gradient does and
+agree bit for bit with the value the fitter sees.
 
 Everything hypergeometric is carried in log space, so month-long gaps
 (w ~ 1e7 and beyond) lose no precision to underflow.  Interval values are
@@ -133,8 +135,7 @@ def _evaluate(
     alpha: tuple[float, ...],
     data: ItiSet,
     reg_weight: float,
-    want_grad: bool,
-) -> tuple[ObjectiveValue, tuple | None]:
+) -> tuple[ObjectiveValue, tuple]:
     """Objective, and its gradient as (d/da, d/db, d/dc, d/dgamma).
 
     The gradient always carries the b entry; VariantSpec.pack drops it
@@ -161,10 +162,7 @@ def _evaluate(
     if w.min() <= 0.0:
         raise InfeasibleParamsError("integrated rate R(tau) <= 0 at an interval")
 
-    if want_grad:
-        log_f1, d_a, d_b, ratio = _log_hyp1f1_neg(a + 1.0, a + b + 1.0, w, grad=True)
-    else:
-        log_f1 = _log_hyp1f1_neg(a + 1.0, a + b + 1.0, w)
+    log_f1, d_a, d_b, ratio = _log_hyp1f1_neg(a + 1.0, a + b + 1.0, w)
     loglik = (
         n_data * c
         + log_r_sum
@@ -173,8 +171,6 @@ def _evaluate(
     )
     penalty = reg_weight * float(gamma @ gamma)
     value = ObjectiveValue(loglik, penalty, loglik - penalty)
-    if not want_grad:
-        return value, None
 
     g_a = float(cnt @ d_a) + n_data * (1.0 / a - 1.0 / (a + b))
     g_b = float(cnt @ d_b) - n_data / (a + b)
@@ -196,7 +192,7 @@ def _params_pieces(params: ModelParams):
 def log_likelihood(params: ModelParams, data: ItiSet) -> float:
     """Exact log-likelihood of the interval set under params."""
     a, b, c, gamma, alpha = _params_pieces(params)
-    value, _ = _evaluate(a, b, c, gamma, alpha, data, 0.0, False)
+    value, _ = _evaluate(a, b, c, gamma, alpha, data, 0.0)
     return value.log_likelihood
 
 
@@ -211,7 +207,7 @@ def objective(
     """
     a, b, c, gamma, alpha = _params_pieces(params)
     weight = effective_reg_weight(params.variant, reg_weight)
-    value, _ = _evaluate(a, b, c, gamma, alpha, data, weight, False)
+    value, _ = _evaluate(a, b, c, gamma, alpha, data, weight)
     return value
 
 
@@ -223,7 +219,7 @@ def gradient(
     spec = _variant_spec(params.variant)
     a, b, c, gamma, alpha = _params_pieces(params)
     weight = effective_reg_weight(params.variant, reg_weight)
-    _, grad = _evaluate(a, b, c, gamma, alpha, data, weight, True)
+    _, grad = _evaluate(a, b, c, gamma, alpha, data, weight)
     return spec.pack(*grad)
 
 
@@ -246,7 +242,7 @@ def _vector_objective(
     if not (a > 0.0 and b > 0.0 and math.isfinite(a + b + c)):
         return None, None
     try:
-        value, grad = _evaluate(a, b, c, gamma, spec.alpha, data, reg_weight, True)
+        value, grad = _evaluate(a, b, c, gamma, spec.alpha, data, reg_weight)
     except (InfeasibleParamsError, PrecisionLossError, OverflowError):
         return None, None
     grad = spec.pack(*grad)

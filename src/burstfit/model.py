@@ -359,7 +359,7 @@ def iti_density(params: ModelParams, tau):
         raise ValueError("kernel is negative in range; params infeasible")
     a, b = params.a, params.b
     w = params.rho * refractory_integral(params.kernel, t)
-    log_f1 = _log_hyp1f1_neg(a + 1.0, a + b + 1.0, w)
+    log_f1 = _log_hyp1f1_neg(a + 1.0, a + b + 1.0, w)[0]
     dens = params.rho * r * (a / (a + b)) * np.exp(log_f1)
     return _restore(dens, shape)
 

@@ -363,9 +363,9 @@ def invert_R(kernel: RefractoryKernel, target):
     from the bound |R(tau) - tau| <= sum_k |gamma_k| / alpha_k, bisecting
     whenever a step leaves the bracket, and each round builds one kernel
     decay matrix for both R and r.  Accepts tau once |R(tau) - target|
-    <= 1e-10 max(1, target).  If the solution sits on a plateau where r
-    is zero, the left edge of the plateau is returned and a warning is
-    issued.
+    <= 1e-10 max(1, target).  A feasible kernel has r >= 0, and r is a
+    nonzero analytic function of tau, so R is strictly increasing: it has
+    no plateau and the root is unique.
     """
     shape = np.shape(target)
     t = np.asarray(target, dtype=float).ravel()
@@ -392,8 +392,6 @@ def invert_R(kernel: RefractoryKernel, target):
     tau = np.clip(start, lo, hi)
     tol = 1e-10 * np.maximum(1.0, t)
 
-    # r == 0 at the accepted tau: the root sits on a plateau of R
-    flat = np.zeros(t.size, dtype=bool)
     active = np.arange(t.size)
     for _ in range(200):
         # one decay matrix per round gives R here and r below; it is
@@ -402,8 +400,6 @@ def invert_R(kernel: RefractoryKernel, target):
         decay = _decay_matrix(kernel.alpha, at)
         resid = _integral_from_decay(kernel, at, decay) - t[active]
         keep = np.abs(resid) > tol[active]
-        done = ~keep
-        flat[active[done]] = _rate_from_decay(kernel, decay[done]) == 0.0
         if not keep.any():
             break
         active = active[keep]
@@ -424,20 +420,4 @@ def invert_R(kernel: RefractoryKernel, target):
         tau[active] = cand
     else:
         raise ArithmeticError("invert_R failed to converge in 200 iterations")
-
-    if flat.any():
-        warnings.warn(
-            "R(tau) plateaus at the requested level; returning the left "
-            "edge of the plateau",
-            stacklevel=2,
-        )
-        for i in np.nonzero(flat)[0]:
-            left, right = lo[i], tau[i]
-            for _ in range(80):
-                mid = 0.5 * (left + right)
-                if refractory_integral(kernel, mid) >= t[i]:
-                    right = mid
-                else:
-                    left = mid
-            tau[i] = right
     return float(tau[0]) if shape == () else tau.reshape(shape)

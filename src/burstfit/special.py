@@ -2,9 +2,11 @@
 
 The interval density and its likelihood reduce to confluent hypergeometric
 evaluations.  This module owns those numerics: log-gamma, digamma,
-log-beta, and a 1F1 evaluator with regime switching whose series pass,
-one sweep over sorted w that retires rows as they converge, also
-returns the derivatives of log 1F1 that the likelihood gradient needs.
+log-beta, and a 1F1 evaluator with regime switching.  Every log 1F1
+value comes from one series pass, a sweep over sorted w that retires rows
+as they converge, which also returns the derivatives of log 1F1 that the
+likelihood gradient needs; a value is returned only if its derivatives
+settled too.
 """
 
 from __future__ import annotations
@@ -93,9 +95,7 @@ _SERIES_STOP = 1e-17
 _TERM_BLOCK = 64
 
 
-def _transformed_series(
-    a: float, b: float, w: np.ndarray, grad: bool
-) -> tuple[np.ndarray, ...]:
+def _transformed_series(a: float, b: float, w: np.ndarray) -> np.ndarray:
     """log 1F1(a, b; -w) = log T - w, T = 1F1(b-a, b; w), for 0 <= w < ~300.
 
     The series needs roughly w + O(sqrt(w)) terms and t_k / T_k grows
@@ -104,156 +104,155 @@ def _transformed_series(
     the fewer than _TERM_BLOCK terms a row takes past its convergence are
     each below half an ulp of its total, so no value depends on w's order.
 
-    With grad, the terms t_k = (b-a)_k / (b)_k * w^k / k! are also folded
-    into three sums whose weights depend only on k and share one sign:
-    -H_k with H_k = sum_{j<k} 1/(b+j) gives the shift derivative,
-    sum_{j<k} a/((b-a+j)(b+j)) the b derivative at fixed a, and a/(b+k)
-    the ratio a/b * 1F1(a+1, b+1; -w) / 1F1(a, b; -w).  See _log_hyp1f1_neg.
+    The terms t_k = (b-a)_k / (b)_k * w^k / k! are also folded into three
+    sums whose weights depend only on k and share one sign: -H_k with
+    H_k = sum_{j<k} 1/(b+j) gives the shift derivative, sum_{j<k}
+    a/((b-a+j)(b+j)) the b derivative at fixed a, and a/(b+k) the ratio
+    a/b * 1F1(a+1, b+1; -w) / 1F1(a, b; -w).  See _log_hyp1f1_neg.
     """
     # Row 0 is the value, rows 1-3 the derivative sums; `live` is the unretired tail.
-    res = live = np.zeros((4 if grad else 1, w.size))
+    res = live = np.zeros((4, w.size))
     ap = b - a
     term = np.ones_like(w)
     total = np.ones_like(w)
-    if grad:
-        j = np.arange(_MAX_SERIES_TERMS + 1.0)
-        inv_b = 1.0 / (b + j)
-        weights = np.zeros((3, j.size))
-        weights[0, 1:] = -np.cumsum(inv_b[:-1])
-        weights[1, 1:] = np.cumsum((a * inv_b / (ap + j))[:-1])
-        weights[2] = a * inv_b
-        buf = np.empty((_TERM_BLOCK, w.size))
-        buf[0] = term
+    j = np.arange(_MAX_SERIES_TERMS + 1.0)
+    inv_b = 1.0 / (b + j)
+    weights = np.zeros((3, j.size))
+    weights[0, 1:] = -np.cumsum(inv_b[:-1])
+    weights[1, 1:] = np.cumsum((a * inv_b / (ap + j))[:-1])
+    weights[2] = a * inv_b
+    buf = np.empty((_TERM_BLOCK, w.size))
+    buf[0] = term
     for k in range(_MAX_SERIES_TERMS):
         term = term * w * ((ap + k) / ((b + k) * (k + 1.0)))
         total += term
         row = (k + 1) % _TERM_BLOCK
-        if grad:
-            buf[row] = term
+        buf[row] = term
         done = term[-1] <= _SERIES_STOP * total[-1] and np.all(
             term <= _SERIES_STOP * total
         )
         if not (done or row == _TERM_BLOCK - 1):
             continue
-        if grad:
-            live[1:] += weights[:, k + 1 - row : k + 2] @ buf[: row + 1]
+        live[1:] += weights[:, k + 1 - row : k + 2] @ buf[: row + 1]
         n = w.size if done else int(np.argmin(term <= _SERIES_STOP * total))
         live[0, :n] = np.log(total[:n]) - w[:n]
         live[1:, :n] /= total[:n]
         if done:
             break
-        w, term, total, live = w[n:], term[n:], total[n:], live[:, n:]
-        if grad:
-            buf = buf[:, n:]
+        w, term, total = w[n:], term[n:], total[n:]
+        live, buf = live[:, n:], buf[:, n:]
     else:
         raise PrecisionLossError("transformed 1F1 series did not converge")
-    return tuple(res)
+    return res
 
 
-def _asym_1f1_neg(
-    a: float, b: float, w: np.ndarray, grad: bool
-) -> tuple[np.ndarray, ...]:
-    """Asymptotic form of 1F1(a, b; -w) for large w.
+def _asym_1f1_neg(a: float, b: float, w: np.ndarray) -> np.ndarray:
+    """Asymptotic form of 1F1(a, b; -w) and its log derivatives for large w.
 
     1F1(a,b;-w) = Gamma(b)/Gamma(b-a) * w^-a * S with S = sum_s u_s,
     u_s = (a)_s (a-b+1)_s / (s! w^s), truncated per row at the smallest
-    term (optimal truncation) or once the terms stop mattering.  Raises
-    PrecisionLossError if the smallest term is still too large relative
-    to the sum.
+    term (optimal truncation) or once the terms stop mattering.
 
-    With grad, the derivatives of log S are taken term by term: the shift
-    derivative weights u_s by A_s = sum_{j<s} 1/(a+j), the w derivative
-    by -s/w, and the b derivative sums v_s = d u_s / db, carried by its
-    own recurrence because at integer b the u_s terminate while the v_s
-    do not.  These sums are truncated on max(|u_s|, |v_s|), independently
-    of the value, so the value does not depend on grad.
+    The derivatives of log S are taken term by term: the shift derivative
+    weights u_s by A_s = sum_{j<s} 1/(a+j), the w derivative by -s/w, and
+    the b derivative sums v_s = d u_s / db, carried by its own recurrence
+    because at integer b the u_s terminate while the v_s do not.  These
+    sums are truncated on max(|u_s|, |v_s|), independently of the value.
+    Raises PrecisionLossError if either truncation's last kept term is
+    still too large relative to S: where a - b + 1 is a non-positive
+    integer the u_s stop early and only the v_s show that the expansion
+    has not settled.
     """
     c = a - b + 1.0
     term = np.ones_like(w)
     total = np.ones_like(w)
     last = term
     active = np.ones(w.shape, dtype=bool)
-    if grad:
-        dterm = np.zeros_like(w)
-        mag = term
-        mag_last = term
-        sums = np.zeros((3,) + w.shape)
-        d_active = active.copy()
-        shift_weight = 0.0
+    dterm = np.zeros_like(w)
+    mag = term
+    mag_last = term
+    sums = np.zeros((3,) + w.shape)
+    d_active = active.copy()
+    shift_weight = 0.0
     for s in range(80):
         nxt = term * ((a + s) * (c + s) / ((s + 1.0) * w))
         active &= np.abs(nxt) < np.abs(term)
         total = np.where(active, total + nxt, total)
         last = np.where(active, nxt, last)
         active &= np.abs(last) > _SERIES_STOP * np.abs(total)
-        if grad:
-            dterm = (dterm * (c + s) - term) * ((a + s) / ((s + 1.0) * w))
-            shift_weight += 1.0 / (a + s)
-            mag_nxt = np.maximum(np.abs(nxt), np.abs(dterm))
-            d_active &= mag_nxt < mag
-            sums += np.where(
-                d_active, np.array([shift_weight * nxt, dterm, (s + 1.0) * nxt]), 0.0
-            )
-            mag_last = np.where(d_active, mag_nxt, mag_last)
-            d_active &= mag_last > _SERIES_STOP * np.abs(total)
-            mag = mag_nxt
+        dterm = (dterm * (c + s) - term) * ((a + s) / ((s + 1.0) * w))
+        shift_weight += 1.0 / (a + s)
+        mag_nxt = np.maximum(np.abs(nxt), np.abs(dterm))
+        d_active &= mag_nxt < mag
+        sums += np.where(
+            d_active, np.array([shift_weight * nxt, dterm, (s + 1.0) * nxt]), 0.0
+        )
+        mag_last = np.where(d_active, mag_nxt, mag_last)
+        d_active &= mag_last > _SERIES_STOP * np.abs(total)
+        mag = mag_nxt
         term = nxt
-        if not (active.any() or (grad and d_active.any())):
+        if not (active.any() or d_active.any()):
             break
-    resid = np.abs(last) / np.abs(total)
-    if grad:
-        resid = np.maximum(resid, mag_last / np.abs(total))
+    resid = np.maximum(np.abs(last), mag_last) / np.abs(total)
     if np.any(resid > 1e-9) or np.any(total <= 0.0):
         raise PrecisionLossError(
             f"asymptotic 1F1 failed for a={a}, b={b}, min w={w.min():g}"
         )
     log_w = np.log(w)
-    log_val = np.log(total) + log_gamma(b) - log_gamma(b - a) - a * log_w
-    if not grad:
-        return (log_val,)
     psi_b = digamma(b)
-    return (
-        log_val,
-        psi_b - log_w + sums[0] / total,
-        psi_b - digamma(b - a) + sums[1] / total,
-        (a + sums[2] / total) / w,
+    return np.array(
+        [
+            np.log(total) + log_gamma(b) - log_gamma(b - a) - a * log_w,
+            psi_b - log_w + sums[0] / total,
+            psi_b - digamma(b - a) + sums[1] / total,
+            (a + sums[2] / total) / w,
+        ]
     )
 
 
-def _log_hyp1f1_neg(a: float, b: float, w: np.ndarray, grad: bool = False):
-    """log 1F1(a, b; -w) elementwise for a 1-D w >= 0, b > a > 0.
+def _log_hyp1f1_neg(a: float, b: float, w: np.ndarray) -> np.ndarray:
+    """log 1F1(a, b; -w) and its log derivatives elementwise, as (4, n) rows.
 
-    w is sorted once and cut at _ASYM_SWITCH, so each regime gets one
-    ascending slice; a row's value never depends on its neighbours.
+    w is 1-D with w >= 0, and b > a > 0.  w is sorted once and cut at
+    _ASYM_SWITCH, so each regime gets one ascending slice; a row's value
+    never depends on its neighbours.
 
-    With grad, returns (log F, d_shift, d_b, ratio) instead, from the same
-    series pass: d_shift = (d/da + d/db) log F, d_b = d/db log F at fixed a,
-    and ratio = -d/dw log F = a/b * 1F1(a+1, b+1; -w) / 1F1(a, b; -w).  For
+    The rows are (log F, d_shift, d_b, ratio), all from one series pass:
+    d_shift = (d/da + d/db) log F, d_b = d/db log F at fixed a, and
+    ratio = -d/dw log F = a/b * 1F1(a+1, b+1; -w) / 1F1(a, b; -w).  For
     F = 1F1(p+1, p+q+1; -w) these are the derivatives in p and q, and
     ratio = <x E>/<E> under Beta(p+1, q) with E = exp(-w x).  In the series
     regime each is a positive-weighted sum of the value's terms, and in the
     asymptotic regime a digamma/log w part plus a term-wise derivative of
     the asymptotic sum, so none is formed as a cancelling difference of
-    generic partials (DLMF 13.2, 13.7).  The value does not depend on grad.
+    generic partials (DLMF 13.2, 13.7).  One accuracy check covers all four
+    rows: a row whose derivatives did not settle raises, value included.
     """
     w = np.asarray(w, dtype=float)
     order = np.argsort(w, kind="stable")
     ws = w[order]
     cut = int(np.searchsorted(ws, _ASYM_SWITCH))
-    parts = np.empty((4 if grad else 1, w.size))
+    parts = np.empty((4, w.size))
     for regime, lo, hi in (_transformed_series, 0, cut), (_asym_1f1_neg, cut, w.size):
         if hi > lo:
-            parts[:, order[lo:hi]] = regime(a, b, ws[lo:hi], grad)
-    return tuple(parts) if grad else parts[0]
+            parts[:, order[lo:hi]] = regime(a, b, ws[lo:hi])
+    return parts
 
 
 def kummer_1f1(a: float, b: float, z: float | np.ndarray) -> float | np.ndarray:
     """Confluent hypergeometric 1F1(a, b; z) for b > a > 0 and z <= 0.
 
     Elementwise in z: a scalar z gives a float, an array an array of the
-    same shape.  Relative error is ~1e-13.  Only the negative axis, where
-    the interval density lives, is implemented; any z > 0 raises
-    ValueError.
+    same shape.  Only the negative axis, where the interval density lives,
+    is implemented; any z > 0 raises ValueError.
+
+    Against 40-digit mpmath, the 28 frozen values of the tests are within
+    6e-15 relative and the 84 frozen derivative-table values within 3e-14.
+    Large shapes fare worse in the asymptotic regime: on a 1152-point grid
+    (a in geomspace(1.5, 1000, 16), b - a in {0.1, 0.37, 0.5, 1, 2, 5, 20,
+    100}, -z from 300.5 to 1e4) 831 values are returned, 23 of them off by
+    more than 5e-13, the worst by 1.2e-9 (a = 272.4, b - a = 0.37,
+    z = -400).  Where neither regime settles, PrecisionLossError is raised.
     """
     a = _require_finite("a", a)
     b = _require_finite("b", b)
@@ -264,5 +263,5 @@ def kummer_1f1(a: float, b: float, z: float | np.ndarray) -> float | np.ndarray:
         raise ValueError("kummer_1f1 requires finite z")
     if np.any(z > 0.0):
         raise ValueError(f"kummer_1f1 requires z <= 0, got z up to {z.max()}")
-    out = np.exp(_log_hyp1f1_neg(a, b, -z.ravel())).reshape(z.shape)
+    out = np.exp(_log_hyp1f1_neg(a, b, -z.ravel())[0]).reshape(z.shape)
     return float(out) if out.ndim == 0 else out

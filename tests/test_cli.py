@@ -21,7 +21,7 @@ from burstfit.io import (
     log_binned_histogram,
     serialize_fit,
 )
-from burstfit.likelihood import ObjectiveValue
+from burstfit.likelihood import ItiSet, ObjectiveValue
 from burstfit.model import ModelParams, refractory_eval
 
 
@@ -380,6 +380,19 @@ def test_eval_density_grid_bounds_must_be_finite(tmp_path, spec):
               "--out", str(tmp_path / "d.txt")])
     assert exc.value.code == 2
     assert not (tmp_path / "d.txt").exists()
+
+
+def test_eval_density_refuses_unsettled_shape(tmp_path, capsys):
+    """At a = 999, b = 1 the density at 300.5 s needs a 1F1 value no regime
+    settles: the command fails and writes no table, where it used to
+    write a density of 5.75e+89."""
+    truth = tmp_path / "truth.json"
+    _truth_artifact(truth, ModelParams(a=999.0, b=1.0, c=0.0), ItiSet(np.array([0.5, 300.5])))
+    out = tmp_path / "d.txt"
+    rc = main(["eval-density", "--fit", str(truth), "--tau-grid", "0.5:300.5:2", "--out", str(out)])
+    assert rc == 1
+    assert "1F1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_import_leaves_process_pool_unloaded():

@@ -28,6 +28,7 @@ from burstfit.model import (
     vector_to_params,
 )
 from burstfit.simulate import simulate_continuous
+from burstfit.special import PrecisionLossError
 
 _likelihood_internals = importlib.import_module("burstfit.likelihood")
 
@@ -247,17 +248,36 @@ def test_vector_objective_rejects_non_finite_objective():
 
 @pytest.mark.parametrize("variant", ["M1", "M2", "M3", "M4", "M5"])
 def test_objective_value_does_not_depend_on_want_grad(variant):
-    """Objective traces are bit-identical whether or not a gradient is asked for."""
+    """The public value routes, which discard the gradient, return the
+    fitter's value bit for bit: objective() and log_likelihood() equal what
+    _vector_objective computes alongside its gradient."""
     params = _sample_params(variant)
     iv = simulate_continuous(params, 400, seed=60)
     iv = np.concatenate([np.maximum(np.rint(iv * 1000.0), 1.0) / 1000.0, [150.0, 2e4, 3e6]])
     data = ItiSet(iv)
-    gamma = np.asarray(params.kernel.gamma, dtype=float)
-    args = (params.a, params.b, params.c, gamma, params.kernel.alpha, data, 0.01)
-    value_only, none = _likelihood_internals._evaluate(*args, False)
-    value, grad = _likelihood_internals._evaluate(*args, True)
-    assert none is None and grad is not None
-    assert value == value_only
+    weight = effective_reg_weight(variant, 0.01)
+    value, grad = _likelihood_internals._vector_objective(
+        params_to_vector(params), variant, data, weight
+    )
+    assert grad is not None
+    assert objective(params, data, 0.01) == value
+    assert log_likelihood(params, data) == value.log_likelihood
+
+
+def test_value_routes_refuse_where_the_gradient_does():
+    """At a = 999, b = 1 a 300.5 s interval needs 1F1(1000, 1001; -300.5),
+    whose asymptotic expansion has not settled.  Every public route raises,
+    and the fitter's gate rejects the probe; the value route alone used to
+    return a log-likelihood of +206.2."""
+    params = ModelParams(a=999.0, b=1.0, c=0.0)
+    data = ItiSet(np.array([0.5, 300.5]))
+    for route in (objective, log_likelihood, gradient):
+        with pytest.raises(PrecisionLossError):
+            route(params, data)
+    value, grad = _likelihood_internals._vector_objective(
+        params_to_vector(params), "M1", data, 0.0
+    )
+    assert value is None and grad is None
 
 
 @pytest.mark.parametrize("fixed,free", [("M1", "M2"), ("M3", "M4")])

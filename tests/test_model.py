@@ -27,6 +27,7 @@ from burstfit.model import (
     refractory_integral,
     vector_to_params,
 )
+from burstfit.special import PrecisionLossError
 
 # geometric step between decay rates: 20^(1/7) for 8 terms spanning
 # 50 ms..1 s, 30^(1/11) for 12 terms spanning 50 ms..1.5 s
@@ -317,6 +318,14 @@ def test_marginal_density_rejects_infeasible_kernel():
     p = ModelParams(a=1.0, b=1.0, c=0.0, kernel=RefractoryKernel.log_spaced([-2.0]))
     with pytest.raises(ValueError, match="infeasible"):
         iti_density(p, np.geomspace(1e-3, 1.0, 50))
+
+
+def test_marginal_density_refuses_unsettled_large_shape():
+    """At a = 999, b = 1 and tau = 300.5 the density needs 1F1(1000, 1001;
+    -300.5), where the asymptotic expansion has not settled; it raises
+    rather than return a value 1e+220 too large."""
+    with pytest.raises(PrecisionLossError):
+        iti_density(ModelParams(a=999.0, b=1.0, c=0.0), 300.5)
 
 
 def test_marginal_equals_priority_average_of_conditional():

@@ -7,6 +7,7 @@ against the analytic interval distribution.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -404,6 +405,17 @@ def test_invert_R_work_and_accuracy(monkeypatch):
         assert 1 <= len(rounds) <= most, rounds
         resid = np.abs(refractory_integral(kernel, taus) - targets)
         assert np.all(resid <= 1e-10 * np.maximum(1.0, targets))
+
+
+def test_invert_R_accepts_a_root_where_r_is_zero():
+    """With gamma_1 = -1 the rate r(0) is exactly zero, and a 1e-25 target
+    is met within tolerance at a tau where r rounds to zero.  R is still
+    strictly increasing, so that tau is the root: no plateau warning."""
+    kernel = RefractoryKernel.log_spaced([-1.0] + [0.0] * 7)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tau = invert_R(kernel, 1e-25)
+    assert abs(refractory_integral(kernel, tau) - 1e-25) <= 1e-10
 
 
 def test_discrete_run_is_a_prefix_of_longer_runs():
