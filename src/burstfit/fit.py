@@ -1,10 +1,20 @@
 """Projected quasi-Newton ascent for the penalized interval likelihood.
 
+The search runs in log-shape coordinates: the packed parameter vector
+with a (and b where free) replaced by log a (and log b).  Both shapes
+are positive scale-like parameters, and b is weakly identified; on a log
+scale a probe cannot leave a, b > 0, and a ridge in b is climbed in
+steps proportional to b.  The rate is already searched as c = log rho,
+and starts at the rate of the median interval: with a < 1 the interval
+law has no finite mean, so a mean-rate start sits far out on the
+month-long gaps.
+
 The kernel coefficients are constrained by nonnegativity of the event
 rate on a finite grid of times: 1 + sum_k gamma_k exp(-alpha_k t_i) >= 0
-for every grid point t_i.  Each constraint is a halfspace in the packed
-parameter vector, so a violated iterate is repaired by orthogonal
-projection onto the most violated hyperplane (repeated if needed).
+for every grid point t_i.  Each constraint is a halfspace in the kernel
+slots, which the search coordinates share with the packed vector, so a
+violated iterate is repaired by orthogonal projection onto the most
+violated hyperplane (repeated if needed).
 
 Each step is the full curvature-mapped (quasi-Newton) step within the
 face of the walls (grid constraints at zero rate) the iterate sits on:
@@ -20,9 +30,9 @@ The kernel basis terms overlap heavily, which leaves the likelihood
 surface with curvatures spread over eight orders of magnitude; a bare
 gradient step would need millions of iterations to cross the resulting
 valley.  The gradient is therefore mapped through the inverse of the
-local curvature (finite differences of the gradient, eigenvalue
-floored, refreshed on a geometric schedule), which is what makes large
-fits converge in seconds.
+local curvature (one-sided finite differences of the gradient, one
+probe per coordinate, eigenvalue floored, refreshed on a geometric
+schedule), which is what makes large fits converge in seconds.
 """
 
 from __future__ import annotations
@@ -85,10 +95,14 @@ def default_constraint_grid(
 class FitConfig:
     """Knobs of the ascent loop.
 
-    seed, when set, applies a small deterministic jitter to the starting
-    point; it exists so multistart studies can be scripted without any
-    hidden randomness.  init_params overrides the starting point
-    entirely (it is projected to feasibility first if needed).
+    grad_tolerance bounds the largest entry of the 1/N-scaled gradient in
+    the search coordinates (log a, [log b], c, gamma), left after the
+    active walls: the shape entries read a d/da and b d/db.  seed, when
+    set, adds a deterministic uniform jitter of at most 0.1 to log a,
+    log b and c of the default start (never to the kernel, nor to
+    init_params); it exists so multistart studies can be scripted
+    without any hidden randomness.  init_params overrides the starting
+    point entirely (it is projected to feasibility first if needed).
     """
 
     max_iters: int = 5000
@@ -251,19 +265,62 @@ def _repair(theta: np.ndarray, basis: np.ndarray, off: int, cap: int) -> tuple[n
 
 
 def _initial_vector(variant: str, data: ItiSet, cfg: FitConfig) -> np.ndarray:
+    """The starting point in search coordinates (see _search_objective).
+
+    Without init_params: a = 0.8, b = 1.2, a flat kernel, and the rate
+    of the median interval, c = -log(median).  The median holds still
+    when a heavy tail (a < 1, no finite mean) adds month-long gaps; the
+    mean rate n / span would not.  seed jitters log a, log b and c.
+    """
     spec = _variant_spec(variant)
+    n_shape = spec.gamma_offset - 1
     if cfg.init_params is not None:
         if cfg.init_params.variant != variant:
             raise ValueError(
                 f"init_params is for variant {cfg.init_params.variant!r}, fitting {variant!r}"
             )
-        return params_to_vector(cfg.init_params)
-    span = float(np.sum(data.intervals))
-    out = spec.pack(0.8, 1.2, math.log(data.n / span), np.zeros(spec.n_kernel_terms))
+        out = params_to_vector(cfg.init_params)
+        out[:n_shape] = np.log(out[:n_shape])
+        return out
+    # weighted median over the sorted unique intervals: the mean of the
+    # order statistics (n - 1) // 2 and n // 2, counted from zero
+    tau, cnt = data._unique()
+    lo, hi = np.searchsorted(np.cumsum(cnt), ((data.n - 1) // 2, data.n // 2), side="right")
+    c0 = -math.log(0.5 * (tau[lo] + tau[hi]))
+    out = spec.pack(math.log(0.8), math.log(1.2), c0, np.zeros(spec.n_kernel_terms))
     if cfg.seed is not None:
         rng = np.random.default_rng(cfg.seed)
         out[: spec.gamma_offset] += rng.uniform(-0.1, 0.1, size=spec.gamma_offset)
     return out
+
+
+def _packed(u: np.ndarray, variant: str) -> np.ndarray:
+    """The packed vector of a search point: exp of its log-shape slots."""
+    n_shape = _variant_spec(variant).gamma_offset - 1
+    theta = u.copy()
+    with np.errstate(over="ignore"):
+        theta[:n_shape] = np.exp(u[:n_shape])
+    return theta
+
+
+def _search_objective(
+    u: np.ndarray, variant: str, data: ItiSet, reg: float
+) -> tuple[ObjectiveValue | None, np.ndarray | None]:
+    """_vector_objective at a search point, with its gradient in search
+    coordinates.
+
+    The search point u is the packed vector with a (and b where free)
+    replaced by log a (and log b).  By the chain rule the gradient's
+    shape entries are a d/da and b d/db; the rate c and the kernel gamma
+    are searched as packed.  An overflowing exp(u) gives an infinite
+    shape, which _vector_objective rejects.
+    """
+    theta = _packed(u, variant)
+    value, grad = _vector_objective(theta, variant, data, reg)
+    if grad is not None:
+        n_shape = _variant_spec(variant).gamma_offset - 1
+        grad[:n_shape] *= theta[:n_shape]
+    return value, grad
 
 
 def _face_step(
@@ -295,38 +352,40 @@ def _face_step(
 
 
 def _curvature_matrix(
-    theta: np.ndarray,
+    u: np.ndarray,
+    grad: np.ndarray,
     variant: str,
     data: ItiSet,
     reg: float,
-    n: int,
     previous: np.ndarray | None,
 ) -> np.ndarray:
-    """Second differences of the per-datum objective, one column per probe.
+    """Forward differences of the per-datum gradient, one column per probe.
 
-    A column costs the same pair of gradient evaluations a diagonal
-    probe would, so the full curvature comes at no extra price; it is
-    symmetrized to absorb finite-difference noise.  Probes that leave
-    the model domain reuse the previous column (unit diagonal at the
-    first refresh).
+    Column i is (g(u + h e_i) - g(u)) / h in search coordinates, with
+    g(u) the gradient already in hand, so a refresh costs one gradient
+    evaluation per coordinate.  The full matrix comes at the price of a
+    diagonal, and it is symmetrized to absorb finite-difference noise.
+    A forward probe raises the shapes, the rate and the kernel, so it
+    leaves the model domain only where exp overflows or no 1F1 regime
+    settles; such a probe reuses the previous column (unit diagonal at
+    the first refresh).
     """
-    dim = theta.size
+    dim = u.size
+    n = data.n
     cols = np.empty((dim, dim))
     for i in range(dim):
-        h = 1e-4 * max(1.0, abs(theta[i]))
-        up, dn = theta.copy(), theta.copy()
-        up[i] += h
-        dn[i] -= h
-        _, gp = _vector_objective(up, variant, data, reg)
-        _, gm = _vector_objective(dn, variant, data, reg)
-        if gp is None or gm is None:
+        h = 1e-4 * max(1.0, abs(u[i]))
+        probe = u.copy()
+        probe[i] += h
+        _, gp = _search_objective(probe, variant, data, reg)
+        if gp is None:
             if previous is not None:
                 cols[:, i] = previous[:, i] * n
             else:
                 cols[:, i] = 0.0
                 cols[i, i] = -float(n)
         else:
-            cols[:, i] = (gp - gm) / (2.0 * h)
+            cols[:, i] = (gp - grad) / h
     return (cols + cols.T) / (2.0 * n)
 
 
@@ -382,12 +441,14 @@ def fit(variant: str, data: ItiSet, cfg: FitConfig | None = None) -> FitResult:
     reg = effective_reg_weight(variant, cfg.reg_weight)
     n = data.n
 
-    # a cap this high is a safety net, not an expected path
+    # the search point u shares its kernel slots with the packed vector,
+    # so repairs and faces act on it directly.  A cap this high is a
+    # safety net, not an expected path.
     repaired = _repair(_initial_vector(variant, data, cfg), basis, off, 1000)
     if repaired is None:
         raise ArithmeticError("constraint repair did not terminate")
-    theta, n_proj = repaired
-    value, grad = _vector_objective(theta, variant, data, reg)
+    u, n_proj = repaired
+    value, grad = _search_objective(u, variant, data, reg)
     if value is None:
         raise ValueError("initial parameters are outside the model domain")
 
@@ -396,12 +457,12 @@ def fit(variant: str, data: ItiSet, cfg: FitConfig | None = None) -> FitResult:
     reason = "max iterations"
     max_proj = spec.n_kernel_terms + 1
     curv: np.ndarray | None = None
-    ascent = np.eye(theta.size)
+    ascent = np.eye(u.size)
     refresh_at = 0
 
     for it in range(cfg.max_iters):
         scaled = grad / n
-        free, direction = _face_step(ascent, scaled, theta, basis, off)
+        free, direction = _face_step(ascent, scaled, u, basis, off)
         if np.max(np.abs(free)) < cfg.grad_tolerance:
             converged = True
             reason = "gradient tolerance"
@@ -413,19 +474,19 @@ def fit(variant: str, data: ItiSet, cfg: FitConfig | None = None) -> FitResult:
                 reason = "objective stall"
                 break
 
-        prev_theta = theta
+        prev_u = u
         refresh = it >= refresh_at
         while True:
             if refresh:
-                curv = _curvature_matrix(theta, variant, data, reg, n, curv)
+                curv = _curvature_matrix(u, grad, variant, data, reg, curv)
                 ascent = _ascent_map(curv)
                 refresh_at = max(10, it * 2)
-                _, direction = _face_step(ascent, scaled, theta, basis, off)
+                _, direction = _face_step(ascent, scaled, u, basis, off)
             peak = float(np.max(np.abs(direction), initial=0.0))
             if peak > _DIR_CAP:
                 direction *= _DIR_CAP / peak
-            accepted, theta, value, new_grad, used = _backtrack(
-                theta, value, direction, variant, data, reg, basis, off, max_proj
+            accepted, u, value, new_grad, used = _backtrack(
+                u, value, direction, variant, data, reg, basis, off, max_proj
             )
             if accepted or refresh:
                 break
@@ -441,10 +502,10 @@ def fit(variant: str, data: ItiSet, cfg: FitConfig | None = None) -> FitResult:
         # between the much more expensive probe rebuilds; steps that
         # fail its positivity condition (projected, or crossing a convex
         # patch) are skipped.
-        ascent = _secant_update(ascent, theta - prev_theta, scaled - grad / n)
+        ascent = _secant_update(ascent, u - prev_u, scaled - grad / n)
         trace.append(value)
 
-    params_star = vector_to_params(theta, variant)
+    params_star = vector_to_params(_packed(u, variant), variant)
     return FitResult(
         params_star=params_star,
         objective_trace=tuple(trace),
@@ -458,7 +519,7 @@ def fit(variant: str, data: ItiSet, cfg: FitConfig | None = None) -> FitResult:
 
 
 def _backtrack(
-    theta: np.ndarray,
+    u: np.ndarray,
     value: ObjectiveValue,
     direction: np.ndarray,
     variant: str,
@@ -471,17 +532,18 @@ def _backtrack(
     """Halve the step from the full one until a feasible candidate
     improves the objective.
 
-    Returns (accepted, theta, value, grad, n_projections); a rejected
-    search hands back the incoming point with grad None.
+    Works in search coordinates (see _search_objective).  Returns
+    (accepted, u, value, grad, n_projections); a rejected search hands
+    back the incoming point with grad None.
     """
     eta = 1.0
     while True:
-        repaired = _repair(theta + eta * direction, basis, off, max_proj)
+        repaired = _repair(u + eta * direction, basis, off, max_proj)
         if repaired is not None:
             cand, used = repaired
-            cand_value, cand_grad = _vector_objective(cand, variant, data, reg)
+            cand_value, cand_grad = _search_objective(cand, variant, data, reg)
             if cand_value is not None and cand_value.objective >= value.objective:
                 return True, cand, cand_value, cand_grad, used
         if eta <= _ETA_MIN:
-            return False, theta, value, None, 0
+            return False, u, value, None, 0
         eta = max(eta / 2.0, _ETA_MIN)

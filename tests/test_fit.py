@@ -2,6 +2,7 @@
 feasibility machinery, convergence behaviour and the fit contract."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -10,7 +11,10 @@ from burstfit.cli import main
 from burstfit.fit import (
     FitConfig,
     FitResult,
+    _curvature_matrix,
     _face_step,
+    _initial_vector,
+    _search_objective,
     default_constraint_grid,
     feasible,
     fit,
@@ -30,6 +34,26 @@ from burstfit.simulate import simulate_continuous
 def _m1_data(n: int, seed: int, rho: float = 3.0, a: float = 0.7) -> ItiSet:
     params = ModelParams(a=a, b=1.0, c=math.log(rho))
     return ItiSet(simulate_continuous(params, n, seed=seed))
+
+
+def _heavy_m2_data() -> ItiSet:
+    """Kernel-free heavy-tail data: a = 0.6, b = 2, rho = 2, 6000 events."""
+    truth = ModelParams(a=0.6, b=2.0, c=math.log(2.0))
+    return ItiSet(simulate_continuous(truth, 6000, seed=46001))
+
+
+def _count_passes(monkeypatch) -> list:
+    """Record the variant of every likelihood pass the fitter makes."""
+    fit_module = sys.modules[fit.__module__]
+    calls = []
+    inner = fit_module._vector_objective
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(fit_module, "_vector_objective", counting)
+    return calls
 
 
 # ----------------------------------------------------------------------
@@ -273,15 +297,34 @@ def test_fit_max_iters_reason():
     assert len(res.objective_trace) <= 4
 
 
-def test_fit_failed_line_search_is_not_convergence():
-    """Poisson intervals fitted cold with M2 drive b towards zero until no
-    step improves, even after a fresh curvature map: a failed search,
-    which must not be reported as convergence."""
-    rng = np.random.default_rng(0)
-    iv = np.maximum(np.round(rng.exponential(0.2, 20_000) * 1000.0), 1.0) / 1000.0
-    res = fit("M2", ItiSet(iv))
+def test_fit_failed_line_search_is_not_convergence(tmp_path):
+    """Cold M4 on this M3 kernel data walks up the b ridge (b about 186,
+    where the model tends to a Lomax mixture of exponentials) until the
+    1F1 pass refuses the probes around it and no step improves, even
+    after a fresh curvature map: a failed search, which must not be reported as
+    convergence.  (The Poisson M2 case that used to end this way now
+    reaches M1, see test_fit_poisson_m2_reaches_m1_cold.)"""
+    path = tmp_path / "events.txt"
+    assert main(["simulate", "--variant", "M3", "--a", "0.7", "--rho", "8",
+                 "--gamma", "0,0,-0.3,-0.4,-0.26,0,0,0", "--events", "2000",
+                 "--seed", "110", "--out", str(path)]) == 0
+    res = fit("M4", compute_itis(load_timestamps(path)))
     assert res.reason == "line search failed"
     assert not res.converged
+
+
+def test_fit_poisson_m2_reaches_m1_cold():
+    """Poisson intervals fitted cold with M2 used to drive b towards zero
+    and end "line search failed", 858 nats below M1, which M2 contains.
+    Searched in log a and log b from the median-rate start, M2 climbs the
+    b ridge instead (Poisson is its a, b -> infinity limit) to M1's
+    value."""
+    rng = np.random.default_rng(0)
+    iv = np.maximum(np.round(rng.exponential(0.2, 20_000) * 1000.0), 1.0) / 1000.0
+    data = ItiSet(iv)
+    m1 = fit("M1", data)
+    m2 = fit("M2", data)
+    assert m2.objective >= m1.objective - 1e-6
 
 
 def test_fit_takes_the_full_curvature_mapped_step():
@@ -363,6 +406,87 @@ def test_fit_single_interval_terminates():
     res = fit("M1", ItiSet(np.array([0.8])))
     assert res.converged
     assert res.reason in ("gradient tolerance", "objective stall")
+
+
+def test_start_rate_holds_still_under_a_month_long_gap():
+    """The start rate is that of the median interval, so one appended
+    30-day gap moves it by one order statistic; the mean rate n / span it
+    replaces moved by 0.26 here."""
+    data = _m1_data(6000, seed=79, rho=2.0, a=0.6)
+    gapped = ItiSet(np.append(data.intervals, 30 * 86400.0))
+    c0 = _initial_vector("M1", data, FitConfig())[1]
+    c1 = _initial_vector("M1", gapped, FitConfig())[1]
+    assert c0 == pytest.approx(-math.log(np.median(data.intervals)), rel=1e-12)
+    assert c1 == pytest.approx(-math.log(np.median(gapped.intervals)), rel=1e-12)
+    assert abs(c1 - c0) < 1e-3
+
+
+@pytest.mark.parametrize("variant", ["M1", "M2"])
+def test_fit_started_at_its_optimum_stays_there(variant):
+    """Mapping the start into log-shape coordinates and back loses nothing
+    the gradient test can see: a fit started at its own optimum stops at
+    once with the same objective."""
+    data = _heavy_m2_data()
+    cold = fit(variant, data)
+    warm = fit(variant, data, FitConfig(init_params=cold.params_star))
+    assert warm.converged
+    assert len(warm.objective_trace) - 1 <= 2
+    assert warm.objective == pytest.approx(cold.objective, abs=1e-9)
+
+
+def test_seed_jitter_is_deterministic_in_search_coordinates():
+    """seed jitters log a, log b and c by at most 0.1 each, the same way on
+    every call, and never the kernel; init_params is taken as given."""
+    data = _m1_data(1500, seed=72)
+    base = _initial_vector("M4", data, FitConfig())
+    first = _initial_vector("M4", data, FitConfig(seed=4))
+    np.testing.assert_array_equal(first, _initial_vector("M4", data, FitConfig(seed=4)))
+    assert not np.array_equal(first, _initial_vector("M4", data, FitConfig(seed=5)))
+    assert np.all(np.abs(first[:3] - base[:3]) <= 0.1)
+    assert np.all(first[:3] != base[:3])
+    np.testing.assert_array_equal(first[3:], 0.0)
+    np.testing.assert_allclose(base[:2], np.log([0.8, 1.2]), rtol=1e-15)
+    start = ModelParams(a=0.9, b=1.3, c=0.2)
+    given = _initial_vector("M2", data, FitConfig(seed=4, init_params=start))
+    np.testing.assert_allclose(given, [math.log(0.9), math.log(1.3), 0.2], rtol=1e-15)
+
+
+def test_curvature_refresh_probes_each_coordinate_once(monkeypatch):
+    """A refresh takes forward differences from the gradient in hand: one
+    evaluation per coordinate, not two, and a matrix that still agrees
+    with central differences in the search coordinates."""
+    data = _heavy_m2_data()
+    u = _initial_vector("M2", data, FitConfig(init_params=fit("M2", data).params_star))
+    _, grad = _search_objective(u, "M2", data, 0.0)
+    calls = _count_passes(monkeypatch)
+    curv = _curvature_matrix(u, grad, "M2", data, 0.0, None)
+    assert len(calls) == u.size
+    central = np.empty((u.size, u.size))
+    for i in range(u.size):
+        h = 1e-4 * max(1.0, abs(u[i]))
+        up, dn = u.copy(), u.copy()
+        up[i] += h
+        dn[i] -= h
+        gp = _search_objective(up, "M2", data, 0.0)[1]
+        gm = _search_objective(dn, "M2", data, 0.0)[1]
+        central[:, i] = (gp - gm) / (2.0 * h)
+    central = (central + central.T) / (2.0 * data.n)
+    np.testing.assert_allclose(curv, central, rtol=0, atol=1e-3 * np.abs(central).max())
+
+
+def test_fit_work_stays_bounded_on_heavy_tail_data(monkeypatch):
+    """Likelihood passes of a cold M1 plus M2 fit on kernel-free heavy-tail
+    data (a = 0.6, b = 2, rho = 2, 6000 events, seed 46001).  Searching a and
+    b on a linear scale from the mean-rate start, with central-difference
+    curvature probes, took 14 + 78 = 92 passes; the log-shape search from
+    the median-rate start with forward probes takes 7 + 13."""
+    data = _heavy_m2_data()
+    calls = _count_passes(monkeypatch)
+    m1 = fit("M1", data)
+    m2 = fit("M2", data)
+    assert m1.converged and m2.converged
+    assert m2.objective >= m1.objective
+    assert len(calls) <= 40
 
 
 def test_fit_init_params_override_and_mismatch():
