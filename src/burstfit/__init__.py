@@ -8,7 +8,7 @@ accelerated samplers, the penalized likelihood with analytic gradients,
 constrained fitting, and BIC-based variant comparison.
 """
 
-from .fit import FitConfig, FitResult, default_constraint_grid, feasible, fit, project
+from .fit import FitConfig, FitResult, default_constraint_grid, feasible, fit
 from .likelihood import (
     InfeasibleParamsError,
     ItiSet,
@@ -31,13 +31,9 @@ from .io import (
 )
 from .model import (
     ModelParams,
-    PriorityTransform,
     RefractoryKernel,
     VARIANTS,
-    apply_priority_transform,
-    free_param_names,
     iti_density,
-    iti_density_conditional,
     iti_tail_asymptote,
     params_to_vector,
     refractory_eval,
@@ -75,11 +71,9 @@ __all__ = [
     "ModelParams",
     "ObjectiveValue",
     "PrecisionLossError",
-    "PriorityTransform",
     "RefractoryKernel",
     "SimConfig",
     "VARIANTS",
-    "apply_priority_transform",
     "bic",
     "compare",
     "compute_itis",
@@ -91,11 +85,9 @@ __all__ = [
     "feasible",
     "fit",
     "fit_log_slope",
-    "free_param_names",
     "gradient",
     "invert_R",
     "iti_density",
-    "iti_density_conditional",
     "iti_tail_asymptote",
     "kummer_1f1",
     "load_timestamps",
@@ -105,7 +97,6 @@ __all__ = [
     "log_likelihood",
     "objective",
     "params_to_vector",
-    "project",
     "refractory_eval",
     "refractory_integral",
     "save_timestamps",

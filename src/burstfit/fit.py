@@ -52,7 +52,6 @@ __all__ = [
     "FitResult",
     "default_constraint_grid",
     "feasible",
-    "project",
     "fit",
 ]
 
@@ -184,10 +183,6 @@ class FitResult:
     def objective(self) -> float:
         return self.objective_trace[-1].objective
 
-    @property
-    def log_likelihood(self) -> float:
-        return self.objective_trace[-1].log_likelihood
-
 
 def _grid_basis(spec: VariantSpec, grid: np.ndarray) -> np.ndarray:
     """exp(-alpha_k t_i) for the variant's kernel, shape (1 + grid, n).
@@ -229,21 +224,6 @@ def _project_row(theta: np.ndarray, w: np.ndarray, off: int) -> np.ndarray:
     out = theta.copy()
     out[off:] = gamma - (excess / float(w @ w)) * w
     return out
-
-
-def project(theta_prime: np.ndarray, violated_index: int, variant: str, grid: np.ndarray) -> np.ndarray:
-    """Project a packed vector onto one rate-nonnegativity hyperplane.
-
-    The hyperplane normal carries exp(-alpha_k t_i) in the kernel slots
-    and zeros elsewhere, so only the kernel coefficients move.  A vector
-    already satisfying the constraint is returned unchanged.
-    """
-    theta_prime = np.asarray(theta_prime, dtype=float)
-    spec = _variant_spec(variant)
-    if spec.n_kernel_terms == 0:
-        return theta_prime
-    w = _decay_matrix(spec.alpha, np.asarray(grid, dtype=float)[[violated_index]])[0]
-    return _project_row(theta_prime, w, spec.gamma_offset)
 
 
 def _repair(theta: np.ndarray, basis: np.ndarray, off: int, cap: int) -> tuple[np.ndarray, int] | None:

@@ -60,10 +60,6 @@ class LogBinnedHistogram:
         """Geometric bin midpoints."""
         return np.sqrt(self.edges[:-1] * self.edges[1:])
 
-    @property
-    def widths(self) -> np.ndarray:
-        return np.diff(self.edges)
-
 
 def _is_header(raw: bytes) -> bool:
     return raw.decode("utf-8", errors="replace").strip().replace(" ", "") == "unit=ms"

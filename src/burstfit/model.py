@@ -23,16 +23,12 @@ from .special import _log_hyp1f1_neg, log_beta, log_gamma
 __all__ = [
     "RefractoryKernel",
     "ModelParams",
-    "PriorityTransform",
     "VariantSpec",
     "VARIANTS",
     "refractory_eval",
     "refractory_integral",
     "iti_density",
-    "iti_density_conditional",
     "iti_tail_asymptote",
-    "apply_priority_transform",
-    "free_param_names",
     "params_to_vector",
     "vector_to_params",
 ]
@@ -72,13 +68,6 @@ class RefractoryKernel:
     @property
     def n(self) -> int:
         return len(self.gamma)
-
-    @property
-    def spacing_ratio(self) -> float:
-        """Ratio between consecutive decay timescales (1.0 when n < 2)."""
-        if self.n < 2:
-            return 1.0
-        return (self.alpha[0] / self.alpha[-1]) ** (1.0 / (self.n - 1))
 
     @classmethod
     def none(cls) -> "RefractoryKernel":
@@ -147,10 +136,6 @@ class VariantSpec:
     @property
     def n_params(self) -> int:
         return self.gamma_offset + self.n_kernel_terms
-
-    def names(self) -> tuple[str, ...]:
-        head = ("a", "b", "c") if self.free_b else ("a", "c")
-        return head + tuple(f"gamma{k + 1}" for k in range(self.n_kernel_terms))
 
     def pack(self, a: float, b: float, c: float, gamma) -> np.ndarray:
         """Packed vector of the coordinates; b is dropped where fixed."""
@@ -240,36 +225,6 @@ class ModelParams:
         return math.exp(self.c)
 
 
-@dataclass(frozen=True)
-class PriorityTransform:
-    """Strictly increasing power map x -> x**exponent on [0, 1]."""
-
-    exponent: float
-
-    def __post_init__(self) -> None:
-        k = float(self.exponent)
-        if not (math.isfinite(k) and k > 0.0):
-            raise ValueError(f"exponent must be positive and finite, got {k}")
-        object.__setattr__(self, "exponent", k)
-
-    def __call__(self, x):
-        return np.power(x, self.exponent)
-
-
-def apply_priority_transform(
-    transform: PriorityTransform, a: float, a_other: float
-) -> tuple[float, float]:
-    """Map a pair of power-density shapes under the transform.
-
-    For priorities with densities proportional to x**(a-1) and
-    y**(a_other-1), substituting x -> x**k gives an equivalent model with
-    shapes (k*a, k*a_other); interval statistics depend only on the ratio
-    a / a_other, which this map preserves.
-    """
-    k = transform.exponent
-    return (k * a, k * a_other)
-
-
 def _as_times(tau, minimum: float):
     """Flatten tau to a validated float vector, remembering the input shape."""
     shape = np.shape(tau)
@@ -334,18 +289,6 @@ def refractory_integral(kernel: RefractoryKernel, tau):
     return _restore(_integral_from_decay(kernel, t, _decay_matrix(kernel.alpha, t)), shape)
 
 
-def iti_density_conditional(params: ModelParams, x: float, tau):
-    """Interval density at fixed priority x: rho x r(tau) exp(-rho x R(tau))."""
-    x = float(x)
-    if not 0.0 < x <= 1.0:
-        raise ValueError(f"priority x must lie in (0, 1], got {x}")
-    t, shape = _as_times(tau, minimum=0.0)
-    rate = params.rho * x
-    r = refractory_eval(params.kernel, t)
-    big_r = refractory_integral(params.kernel, t)
-    return _restore(rate * r * np.exp(-rate * big_r), shape)
-
-
 def iti_density(params: ModelParams, tau):
     """Marginal interval density p(tau) in 1/s, elementwise.
 
@@ -386,11 +329,6 @@ def _variant_spec(variant: str) -> VariantSpec:
             f"{sorted(VARIANTS)}"
         )
     return spec
-
-
-def free_param_names(variant: str) -> tuple[str, ...]:
-    """Names of the fitted coordinates in packing order: a, [b], c, gammas."""
-    return _variant_spec(variant).names()
 
 
 def params_to_vector(params: ModelParams) -> np.ndarray:

@@ -40,6 +40,7 @@ from .model import (
     _decay_matrix,
     _integral_from_decay,
     _rate_from_decay,
+    _restore,
     refractory_eval,
     refractory_integral,
 )
@@ -372,8 +373,7 @@ def invert_R(kernel: RefractoryKernel, target):
     if not np.all(np.isfinite(t)) or (t.size and t.min() <= 0.0):
         raise ValueError("target must be positive and finite")
     if kernel.n == 0:
-        out = t.copy()
-        return float(out[0]) if shape == () else out.reshape(shape)
+        return _restore(t.copy(), shape)
 
     g = np.asarray(kernel.gamma)
     al = np.asarray(kernel.alpha)
@@ -420,4 +420,4 @@ def invert_R(kernel: RefractoryKernel, target):
         tau[active] = cand
     else:
         raise ArithmeticError("invert_R failed to converge in 200 iterations")
-    return float(tau[0]) if shape == () else tau.reshape(shape)
+    return _restore(tau, shape)

@@ -13,16 +13,18 @@ from burstfit.fit import (
     FitResult,
     _curvature_matrix,
     _face_step,
+    _grid_basis,
     _initial_vector,
+    _repair,
     _search_objective,
     default_constraint_grid,
     feasible,
     fit,
-    project,
 )
 from burstfit.io import compute_itis, load_timestamps
 from burstfit.likelihood import ItiSet, objective
 from burstfit.model import (
+    VARIANTS,
     ModelParams,
     RefractoryKernel,
     params_to_vector,
@@ -169,32 +171,42 @@ def test_feasible_on_default_grid():
     assert idx == 0
 
 
+def _repaired(vec, variant):
+    """The fitter's repair of a packed vector on the default grid's basis."""
+    spec = VARIANTS[variant]
+    basis = _grid_basis(spec, default_constraint_grid())
+    return _repair(vec, basis, spec.gamma_offset, spec.n_kernel_terms + 1)
+
+
 def test_project_restores_single_constraint():
     grid = default_constraint_grid()
     vec = np.zeros(10)  # M3 packing: a, c, gamma1..gamma8
     vec[0], vec[1] = 0.8, 1.1
     vec[2] = -2.0
-    projected = project(vec, 0, "M3", grid)
-    # the touched hyperplane is satisfied with equality
+    projected, used = _repaired(vec, "M3")
+    assert used == 1
+    # the touched hyperplane, the lag-zero row, is satisfied with equality
     kernel = vector_to_params(projected, "M3").kernel
-    rate_at_t0 = 1.0 + sum(
-        g * math.exp(-al * grid[0]) for g, al in zip(kernel.gamma, kernel.alpha)
-    )
-    assert rate_at_t0 == pytest.approx(0.0, abs=1e-12)
+    rate_at_zero = 1.0 + sum(kernel.gamma)
+    assert rate_at_zero == pytest.approx(0.0, abs=1e-12)
     # non-kernel coordinates unchanged, movement along the normal only
     assert projected[0] == vec[0] and projected[1] == vec[1]
-    ok, _ = feasible(kernel, grid[:1])
+    np.testing.assert_allclose(np.diff(projected[3:]), 0.0, atol=0)
+    ok, _ = feasible(kernel, grid)
     assert ok
 
 
 def test_project_leaves_satisfied_vectors_alone():
-    grid = default_constraint_grid()
     vec = np.zeros(10)
     vec[0], vec[1], vec[2] = 0.8, 1.1, -0.5
-    np.testing.assert_array_equal(project(vec, 0, "M3", grid), vec)
+    repaired, used = _repaired(vec, "M3")
+    assert used == 0
+    np.testing.assert_array_equal(repaired, vec)
     # kernel-free variants have nothing to project
     m1 = np.array([0.8, 1.1])
-    np.testing.assert_array_equal(project(m1, 0, "M1", grid), m1)
+    repaired, used = _repaired(m1, "M1")
+    assert used == 0
+    np.testing.assert_array_equal(repaired, m1)
 
 
 def test_face_step_holds_pushed_walls_and_releases_pulled_ones():
@@ -226,11 +238,10 @@ def test_face_step_holds_pushed_walls_and_releases_pulled_ones():
 
 
 def test_projection_is_idempotent():
-    grid = default_constraint_grid()
     vec = np.zeros(10)
     vec[0], vec[1], vec[2] = 0.8, 1.1, -3.0
-    once = project(vec, 0, "M3", grid)
-    twice = project(once, 0, "M3", grid)
+    once, _ = _repaired(vec, "M3")
+    twice, _ = _repaired(once, "M3")
     np.testing.assert_allclose(once, twice, rtol=0, atol=1e-15)
 
 

@@ -258,7 +258,7 @@ def test_histogram_mass_and_normalization():
     data = ItiSet(rng.lognormal(mean=-1.0, sigma=1.2, size=5000))
     hist = log_binned_histogram(data)
     assert int(hist.counts.sum()) == hist.n_total == 5000
-    assert float(np.sum(hist.densities * hist.widths)) == pytest.approx(1.0, abs=1e-12)
+    assert float(np.sum(hist.densities * np.diff(hist.edges))) == pytest.approx(1.0, abs=1e-12)
     assert np.all(np.diff(hist.edges) > 0)
 
 
@@ -268,7 +268,7 @@ def test_histogram_emits_empty_bins():
     hist = log_binned_histogram(data)
     assert np.any(hist.counts == 0)
     assert np.all(hist.densities[hist.counts == 0] == 0.0)
-    assert float(np.sum(hist.densities * hist.widths)) == pytest.approx(1.0, abs=1e-12)
+    assert float(np.sum(hist.densities * np.diff(hist.edges))) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_histogram_single_value_fallback():
@@ -277,7 +277,7 @@ def test_histogram_single_value_fallback():
     assert hist.counts.shape == (1,)
     assert hist.counts[0] == 17
     assert hist.edges[0] < 0.25 < hist.edges[1]
-    assert float(np.sum(hist.densities * hist.widths)) == pytest.approx(1.0, abs=1e-12)
+    assert float(np.sum(hist.densities * np.diff(hist.edges))) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_histogram_explicit_range_and_validation():

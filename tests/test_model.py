@@ -15,12 +15,8 @@ from beta_oracle import beta_expectation
 from burstfit.model import (
     VARIANTS,
     ModelParams,
-    PriorityTransform,
     RefractoryKernel,
-    apply_priority_transform,
-    free_param_names,
     iti_density,
-    iti_density_conditional,
     iti_tail_asymptote,
     params_to_vector,
     refractory_eval,
@@ -45,7 +41,6 @@ def test_empty_kernel():
     assert k.n == 0
     assert refractory_eval(k, 0.3) == 1.0
     assert refractory_integral(k, 2.5) == 2.5
-    assert k.spacing_ratio == 1.0
 
 
 def test_log_spaced_eight_terms():
@@ -53,7 +48,6 @@ def test_log_spaced_eight_terms():
     assert k.n == 8
     assert k.alpha[0] == pytest.approx(20.0, rel=1e-14)
     assert k.alpha[-1] == pytest.approx(1.0, rel=1e-13)
-    assert k.spacing_ratio == pytest.approx(SPACING_8, rel=1e-13)
     ratios = np.asarray(k.alpha[:-1]) / np.asarray(k.alpha[1:])
     np.testing.assert_allclose(ratios, SPACING_8, rtol=1e-12)
     assert all(a1 > a2 for a1, a2 in zip(k.alpha, k.alpha[1:]))
@@ -64,7 +58,8 @@ def test_log_spaced_twelve_terms():
     assert k.n == 12
     assert k.alpha[0] == pytest.approx(20.0, rel=1e-14)
     assert k.alpha[-1] == pytest.approx(1.0 / 1.5, rel=1e-13)
-    assert k.spacing_ratio == pytest.approx(SPACING_12, rel=1e-13)
+    ratios = np.asarray(k.alpha[:-1]) / np.asarray(k.alpha[1:])
+    np.testing.assert_allclose(ratios, SPACING_12, rtol=1e-12)
 
 
 def test_log_spaced_other_sizes_need_explicit_span():
@@ -229,7 +224,6 @@ def test_variant_codec_agrees_with_table():
         vec = np.full(spec.n_params, 0.5)
         assert vector_to_params(vec, name).kernel.alpha == spec.alpha
         assert spec.alpha == RefractoryKernel.log_spaced(np.zeros(spec.n_kernel_terms)).alpha
-        assert len(free_param_names(name)) == spec.n_params
 
 
 def test_vector_packing_errors():
@@ -241,15 +235,6 @@ def test_vector_packing_errors():
         params_to_vector(custom)
 
 
-def test_free_param_names():
-    assert free_param_names("M1") == ("a", "c")
-    assert free_param_names("M2") == ("a", "b", "c")
-    names = free_param_names("M5")
-    assert names[:3] == ("a", "b", "c")
-    assert names[3] == "gamma1" and names[-1] == "gamma12"
-    assert len(names) == 15
-
-
 # ----------------------------------------------------------------------
 # densities
 # ----------------------------------------------------------------------
@@ -259,20 +244,25 @@ def _unit_exp_params():
     return ModelParams(a=1.0, b=1.0, c=0.0)
 
 
+def _conditional_density(params, x, tau):
+    """Interval density at fixed priority x: rho x r(tau) exp(-rho x R(tau)).
+
+    A test oracle built from the public kernel functions; the closed-form
+    marginal must equal its average over the Beta priority.
+    """
+    rate = params.rho * np.asarray(x, dtype=float)
+    r = refractory_eval(params.kernel, tau)
+    big_r = refractory_integral(params.kernel, tau)
+    return rate * r * np.exp(-rate * big_r)
+
+
 def test_conditional_density_closed_form():
     p = _unit_exp_params()
-    assert iti_density_conditional(p, 1.0, 0.0) == pytest.approx(1.0, rel=1e-15)
-    assert iti_density_conditional(p, 1.0, 1.0) == pytest.approx(math.exp(-1.0), rel=1e-14)
+    assert _conditional_density(p, 1.0, 0.0) == pytest.approx(1.0, rel=1e-15)
+    assert _conditional_density(p, 1.0, 1.0) == pytest.approx(math.exp(-1.0), rel=1e-14)
     # only the product rho x matters without a kernel
     p2 = ModelParams(a=1.0, b=1.0, c=math.log(2.0))
-    assert iti_density_conditional(p2, 0.5, 1.0) == pytest.approx(math.exp(-1.0), rel=1e-14)
-
-
-def test_conditional_density_rejects_bad_priority():
-    p = _unit_exp_params()
-    for x in (0.0, -0.5, 1.5):
-        with pytest.raises(ValueError):
-            iti_density_conditional(p, x, 1.0)
+    assert _conditional_density(p2, 0.5, 1.0) == pytest.approx(math.exp(-1.0), rel=1e-14)
 
 
 def test_marginal_density_at_origin():
@@ -338,11 +328,7 @@ def test_marginal_equals_priority_average_of_conditional():
             for tau in np.geomspace(1e-3, 1e5, 17):
                 direct = iti_density(p, float(tau))
                 averaged = beta_expectation(
-                    lambda x_arr: np.array(
-                        [iti_density_conditional(p, float(x), float(tau)) for x in x_arr]
-                    ),
-                    a,
-                    b,
+                    lambda x_arr: _conditional_density(p, x_arr, float(tau)), a, b
                 )
                 assert direct == pytest.approx(averaged, rel=1e-6), (kernel.n, a, b, rho, tau)
 
@@ -389,31 +375,3 @@ def test_tail_convergence_onset_and_monotone_approach():
 def test_tail_asymptote_rejects_nonpositive_tau():
     with pytest.raises(ValueError):
         iti_tail_asymptote(_unit_exp_params(), 0.0)
-
-
-# ----------------------------------------------------------------------
-# priority transform
-# ----------------------------------------------------------------------
-
-
-def test_transform_validation_and_call():
-    t = PriorityTransform(2.0)
-    assert t(0.0) == 0.0
-    assert t(1.0) == 1.0
-    assert t(0.5) == 0.25
-    x = np.linspace(0.0, 1.0, 50)
-    assert np.all(np.diff(t(x)) > 0.0)
-    for bad in (0.0, -1.0, float("nan")):
-        with pytest.raises(ValueError):
-            PriorityTransform(bad)
-
-
-def test_apply_priority_transform_examples():
-    assert apply_priority_transform(PriorityTransform(1.0), 0.61, 1.0) == (0.61, 1.0)
-    got = apply_priority_transform(PriorityTransform(2.0), 0.61, 1.0)
-    assert got[0] == pytest.approx(1.22, rel=1e-15)
-    assert got[1] == pytest.approx(2.0, rel=1e-15)
-    got = apply_priority_transform(PriorityTransform(0.5), 2.0, 4.0)
-    assert got == (1.0, 2.0)
-    # the shape ratio is what the transform preserves
-    assert got[0] / got[1] == pytest.approx(2.0 / 4.0, rel=1e-15)
