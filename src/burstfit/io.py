@@ -3,9 +3,9 @@
 Timestamps travel as newline-delimited integer milliseconds with an
 optional ``unit=ms`` header line.  They are parsed in one bulk pass over
 the split bytes, with a line-by-line fallback that names a bad line, and
-written a block of values at a time.  Fit results travel as versioned JSON;
-floats go through Python's shortest round-trip repr, so serialization is
-lossless bit for bit.
+streamed to the file a block of lines at a time, never as one whole-file
+string.  Fit results travel as versioned JSON; floats go through Python's
+shortest round-trip repr, so serialization is lossless bit for bit.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import logging
 import math
 import os
 import tempfile
+from collections.abc import Iterable
 from dataclasses import dataclass
 from io import BytesIO
 from pathlib import Path
@@ -122,19 +123,28 @@ def load_timestamps(source) -> EventTrain:
     return EventTrain(ts)
 
 
-# Values formatted per tolist() call: a whole-train list of Python ints
-# would cost more memory than the file text itself.
-_FORMAT_BLOCK = 1 << 14
+# Values formatted and written per chunk: while formatted, their Python
+# ints and strings take about 110 bytes a value, several times the bytes
+# of a line, so a chunk stays small and the train is never formatted whole.
+_FORMAT_BLOCK = 1 << 12
 
 
 def save_timestamps(train: EventTrain, path) -> None:
-    """Write a train in the same format load_timestamps reads."""
+    """Write a train in the same format load_timestamps reads.
+
+    The text is streamed a block of lines at a time, so no whole-file
+    string is ever built.
+    """
     ts = train.timestamps_ms
-    body = "\n".join(
-        "\n".join(map(str, ts[i : i + _FORMAT_BLOCK].tolist()))
-        for i in range(0, ts.size, _FORMAT_BLOCK)
-    )
-    write_atomic(path, "unit=ms\n" + body + "\n")
+
+    def chunks():
+        yield "unit=ms\n"
+        if not ts.size:
+            yield "\n"
+        for i in range(0, ts.size, _FORMAT_BLOCK):
+            yield "\n".join(map(str, ts[i : i + _FORMAT_BLOCK].tolist())) + "\n"
+
+    write_atomic(path, chunks())
 
 
 def compute_itis(train: EventTrain) -> ItiSet:
@@ -189,13 +199,18 @@ def fit_log_slope(
     return float(slope)
 
 
-def write_atomic(path, content: str) -> None:
-    """Write via a temp file and rename, so readers never see partials."""
+def write_atomic(path, content: str | Iterable[str]) -> None:
+    """Write via a temp file and rename, so readers never see partials.
+
+    content is one string, or an iterable of strings written in order;
+    an iterable is consumed as it is written, so a generator streams a
+    large file without holding its whole text.
+    """
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(content)
+            fh.writelines([content] if isinstance(content, str) else content)
         os.replace(tmp, path)
     except BaseException:
         try:

@@ -20,7 +20,10 @@ Two routes produce event data:
 ``invert_R`` is the bracketed root finder backing the second route.  It
 starts Newton from a tabulated inverse of R, which is exact once the
 kernel has decayed, and each round builds one kernel decay matrix and
-takes R and r from it.
+takes R and r from it.  Newton runs one block of _BLOCK targets at a
+time, so its working memory is O(_BLOCK x K) for K kernel terms plus
+O(n) vectors for n targets, and a block's roots do not depend on the
+other blocks.
 
 Timestamps are int64 milliseconds; a simulation whose events would lie
 beyond 2**62 ms is refused rather than wrapped.
@@ -60,8 +63,9 @@ _BIN_PROB_LIMIT = 0.1
 # Beyond this envelope the kernel is indistinguishable from 1 in float64.
 _KERNEL_TAIL_EPS = 1e-15
 
-# Events the chain sampler draws per block.
-_CHAIN_BLOCK = 1 << 14
+# Events the chain sampler draws, and targets invert_R's Newton solves,
+# per block: with 8 kernel terms a block's decay matrix is 1 MiB.
+_BLOCK = 1 << 14
 
 # Timestamps are int64 milliseconds: a simulated train may span at most
 # this many, and the chain at most _MAX_BINS bins including warm-up, so
@@ -196,7 +200,7 @@ def _run_chain(params: ModelParams, cfg: SimConfig) -> np.ndarray:
     Bernoullis with probability rho r(k dt) x dt (``_thinned_jumps``), and
     an event there leaves y uniform below x.
 
-    Events are drawn _CHAIN_BLOCK at a time.  Per block the x stream gives
+    Events are drawn _BLOCK at a time.  Per block the x stream gives
     each event's priority, the y stream one uniform per event (for the y
     a later-bin event leaves), and the t stream one first-bin uniform per
     event, then each thinning round's draws in event order.  The y
@@ -253,17 +257,17 @@ def _run_chain(params: ModelParams, cfg: SimConfig) -> np.ndarray:
     found: list[np.ndarray] = []
     n_found = 0
     while True:
-        x = rng_x.beta(params.a, params.b, _CHAIN_BLOCK)
-        u_first = rng_t.random(_CHAIN_BLOCK)
-        y_after = x * rng_y.random(_CHAIN_BLOCK)
-        first = np.zeros(_CHAIN_BLOCK, dtype=bool)
+        x = rng_x.beta(params.a, params.b, _BLOCK)
+        u_first = rng_t.random(_BLOCK)
+        y_after = x * rng_y.random(_BLOCK)
+        first = np.zeros(_BLOCK, dtype=bool)
         for i in np.flatnonzero(u_first < p_first).tolist():
             y_before = y_after[i - 1] if i else y
             if x[i] > y_before:
                 first[i] = True
                 y_after[i] = y_before
         y = y_after[-1]
-        k = np.ones(_CHAIN_BLOCK)
+        k = np.ones(_BLOCK)
         later = ~first
         k[later] = _thinned_jumps(x[later], envelope, r_table, r_max, beyond, rng_t)
 
@@ -279,7 +283,7 @@ def _run_chain(params: ModelParams, cfg: SimConfig) -> np.ndarray:
             break
         found.append(kept)
         n_found += kept.size
-        if n < _CHAIN_BLOCK:
+        if n < _BLOCK:
             if cfg.duration is None or cap < end:
                 raise ValueError(_SPAN_ERROR)
             break
@@ -367,6 +371,12 @@ def invert_R(kernel: RefractoryKernel, target):
     <= 1e-10 max(1, target).  A feasible kernel has r >= 0, and r is a
     nonzero analytic function of tau, so R is strictly increasing: it has
     no plateau and the root is unique.
+
+    The table and the bracket's slack are built once per call; Newton then
+    runs on one block of _BLOCK targets at a time, so a round's decay
+    matrix is at most _BLOCK x K and the working memory is O(_BLOCK x K)
+    plus O(n) vectors.  Each block gets its own 200 rounds, so a target
+    still raises ArithmeticError only if it needs more than 200.
     """
     shape = np.shape(target)
     t = np.asarray(target, dtype=float).ravel()
@@ -379,16 +389,24 @@ def invert_R(kernel: RefractoryKernel, target):
     al = np.asarray(kernel.alpha)
     slack_up = float(np.sum(np.clip(g, 0.0, None) / al))
     slack_down = float(-np.sum(np.clip(g, None, 0.0) / al))
-
-    lo = np.clip(t - slack_up, 0.0, None)
-    hi = t + slack_down
     grid = np.concatenate(
         ([0.0], np.geomspace(1e-6, _INVERSE_SPAN / min(kernel.alpha), _INVERSE_GRID))
     )
     table = refractory_integral(kernel, grid)
-    start = np.where(
-        t <= table[-1], np.interp(t, table, grid), t - (slack_up - slack_down)
-    )
+    tau = np.empty_like(t)
+    for i in range(0, t.size, _BLOCK):
+        tb = t[i : i + _BLOCK]
+        start = np.where(
+            tb <= table[-1], np.interp(tb, table, grid), tb - (slack_up - slack_down)
+        )
+        tau[i : i + _BLOCK] = _newton(kernel, tb, start, slack_up, slack_down)
+    return _restore(tau, shape)
+
+
+def _newton(kernel, t, start, slack_up, slack_down):
+    """invert_R's safeguarded Newton on one block of targets."""
+    lo = np.clip(t - slack_up, 0.0, None)
+    hi = t + slack_down
     tau = np.clip(start, lo, hi)
     tol = 1e-10 * np.maximum(1.0, t)
 
@@ -401,7 +419,7 @@ def invert_R(kernel: RefractoryKernel, target):
         resid = _integral_from_decay(kernel, at, decay) - t[active]
         keep = np.abs(resid) > tol[active]
         if not keep.any():
-            break
+            return tau
         active = active[keep]
         at = at[keep]
         resid = resid[keep]
@@ -418,6 +436,4 @@ def invert_R(kernel: RefractoryKernel, target):
         bad = ~np.isfinite(cand) | (cand <= lo[active]) | (cand >= hi[active])
         cand[bad] = 0.5 * (lo[active][bad] + hi[active][bad])
         tau[active] = cand
-    else:
-        raise ArithmeticError("invert_R failed to converge in 200 iterations")
-    return _restore(tau, shape)
+    raise ArithmeticError("invert_R failed to converge in 200 iterations")

@@ -3,6 +3,7 @@
 import json
 import logging
 import math
+import tracemalloc
 from io import BytesIO
 
 import numpy as np
@@ -212,6 +213,22 @@ def test_emission_across_format_blocks(tmp_path):
     want = "unit=ms\n" + "\n".join(map(str, ts.tolist())) + "\n"
     assert path.read_bytes() == want.encode()
     np.testing.assert_array_equal(load_timestamps(path).timestamps_ms, ts)
+
+
+def test_emission_memory_stays_below_the_file(tmp_path):
+    """save_timestamps streams a block of lines at a time: on a train of
+    16 format blocks its traced peak stays below the size of the file it
+    writes, which one whole-file string would already reach."""
+    rng = np.random.default_rng(19)
+    train = EventTrain(np.cumsum(rng.integers(1, 10**9, 16 * bio._FORMAT_BLOCK)))
+    path = tmp_path / "out.txt"
+    tracemalloc.start()
+    try:
+        save_timestamps(train, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < path.stat().st_size, (peak, path.stat().st_size)
 
 
 # ----------------------------------------------------------------------

@@ -7,11 +7,13 @@ against the analytic interval distribution.
 """
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+from burstfit import simulate
 from burstfit.model import (
     ModelParams,
     RefractoryKernel,
@@ -388,8 +390,6 @@ def test_invert_R_work_and_accuracy(monkeypatch):
     """Each Newton round builds one decay matrix.  Targets past the
     table, where the kernel has decayed, start at their root and are
     accepted in the first round; targets across the table take two."""
-    import burstfit.simulate as simulate
-
     kernel = RefractoryKernel.log_spaced(_TEST_GAMMA)
     decay_matrix = simulate._decay_matrix
     rounds = []
@@ -405,6 +405,35 @@ def test_invert_R_work_and_accuracy(monkeypatch):
         assert 1 <= len(rounds) <= most, rounds
         resid = np.abs(refractory_integral(kernel, taus) - targets)
         assert np.all(resid <= 1e-10 * np.maximum(1.0, targets))
+
+
+def test_invert_R_blocks_are_independent_and_memory_is_bounded():
+    """Newton runs a block of targets at a time: over two blocks and a
+    part block, each block's roots are bit for bit those of its slice
+    alone, and over 16 blocks the traced peak stays below half of one
+    decay matrix over all targets, which the whole-array solve builds
+    several of at once."""
+    kernel = RefractoryKernel.log_spaced(_TEST_GAMMA)
+    block = simulate._BLOCK
+    rng = np.random.default_rng(18)
+
+    def targets(n):
+        x = np.maximum(rng.beta(0.7, 1.0, n), 1e-290)
+        return rng.standard_exponential(n) / (8.0 * x)
+
+    t = targets(2 * block + 7)
+    taus = invert_R(kernel, t)
+    for i in range(0, t.size, block):
+        np.testing.assert_array_equal(taus[i : i + block], invert_R(kernel, t[i : i + block]))
+
+    t = targets(16 * block)
+    tracemalloc.start()
+    try:
+        invert_R(kernel, t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * t.size * kernel.n * 8, peak
 
 
 def test_invert_R_accepts_a_root_where_r_is_zero():
