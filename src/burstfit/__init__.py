@@ -13,7 +13,6 @@ from .likelihood import (
     InfeasibleParamsError,
     ItiSet,
     ObjectiveValue,
-    effective_reg_weight,
     gradient,
     log_likelihood,
     objective,
@@ -81,7 +80,6 @@ __all__ = [
     "deserialize_fit",
     "digamma",
     "discrete_intervals",
-    "effective_reg_weight",
     "feasible",
     "fit",
     "fit_log_slope",

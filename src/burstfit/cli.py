@@ -139,7 +139,8 @@ def _cmd_compare(args, parser) -> int:
         if res.variant in results:
             parser.error(f"variant {res.variant} appears twice")
         results[res.variant] = res
-    todo = [v for v in args.variants or () if v not in results]
+    # a variant named twice is fitted once
+    todo = [v for v in dict.fromkeys(args.variants or ()) if v not in results]
     if todo:
         # parsed once; the pool pickles both into each task
         fit_one = functools.partial(fit, data=_load_itis(args.infile), cfg=_load_config(args.config))

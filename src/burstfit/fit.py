@@ -10,11 +10,12 @@ law has no finite mean, so a mean-rate start sits far out on the
 month-long gaps.
 
 The kernel coefficients are constrained by nonnegativity of the event
-rate on a finite grid of times: 1 + sum_k gamma_k exp(-alpha_k t_i) >= 0
-for every grid point t_i.  Each constraint is a halfspace in the kernel
-slots, which the search coordinates share with the packed vector, so a
-violated iterate is repaired by orthogonal projection onto the most
-violated hyperplane (repeated if needed).
+rate on a fixed grid of times (default_constraint_grid, 1 ms to 5 s):
+1 + sum_k gamma_k exp(-alpha_k t_i) >= 0 for every grid point t_i.  Each
+constraint is a halfspace in the kernel slots, which the search
+coordinates share with the packed vector, so a violated iterate is
+repaired by orthogonal projection onto the most violated hyperplane
+(repeated if needed).
 
 Each step is the full curvature-mapped (quasi-Newton) step within the
 face of the walls (grid constraints at zero rate) the iterate sits on:
@@ -38,11 +39,11 @@ schedule), which is what makes large fits converge in seconds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .likelihood import ItiSet, ObjectiveValue, _vector_objective, effective_reg_weight
+from .likelihood import ItiSet, ObjectiveValue, _vector_objective
 from .model import ModelParams, VariantSpec, _decay_matrix, _variant_spec
 from .model import params_to_vector, vector_to_params
 from .selection import bic
@@ -69,33 +70,26 @@ _CURV_FLOOR = 1e-8
 # this a curvature solve is extrapolating far outside its own region
 _DIR_CAP = 10.0
 
-_CONFIG_KEYS = (
-    "max_iters",
-    "grad_tol",
-    "grid_min_ms",
-    "grid_max_ms",
-    "grid_points",
-    "seed",
-)
+_CONFIG_KEYS = ("max_iters", "grad_tol", "seed")
 
 
-def default_constraint_grid(
-    n_points: int = 100, t_min: float = 1e-3, t_max: float = 5.0
-) -> np.ndarray:
-    """Log-spaced rate-nonnegativity checkpoints, 1 ms to 5 s."""
-    if n_points < 10:
-        raise ValueError("constraint grid needs at least 10 points")
-    if not 0.0 < t_min < t_max:
-        raise ValueError("grid range must be positive and increasing")
-    return np.geomspace(t_min, t_max, n_points)
+def default_constraint_grid() -> np.ndarray:
+    """The fitter's rate-nonnegativity checkpoints: 100 log-spaced times,
+    1 ms to 5 s."""
+    return np.geomspace(1e-3, 5.0, 100)
 
 
 @dataclass(frozen=True)
 class FitConfig:
     """Knobs of the ascent loop.
 
-    grad_tolerance bounds the largest entry of the 1/N-scaled gradient in
-    the search coordinates (log a, [log b], c, gamma), left after the
+    The objective is not among them: the penalty weight is the variant
+    table's and the constraint grid is default_constraint_grid(), so
+    every fit of a variant maximizes the same function, and BICs of
+    fits made under different configs stay comparable.
+
+    grad_tolerance bounds the largest entry of the 1/N-scaled gradient
+    in the search coordinates (log a, [log b], c, gamma), left after the
     active walls: the shape entries read a d/da and b d/db.  seed, when
     set, adds a deterministic uniform jitter of at most 0.1 to log a,
     log b and c of the default start (never to the kernel, nor to
@@ -106,20 +100,10 @@ class FitConfig:
 
     max_iters: int = 5000
     grad_tolerance: float = 1e-6
-    constraint_grid: np.ndarray = field(default_factory=default_constraint_grid)
-    reg_weight: float | None = None
     seed: int | None = None
     init_params: ModelParams | None = None
 
     def __post_init__(self) -> None:
-        grid = np.asarray(self.constraint_grid, dtype=float)
-        if grid.ndim != 1 or grid.size < 10:
-            raise ValueError("constraint grid needs at least 10 points")
-        if grid[0] <= 0.0 or np.any(np.diff(grid) <= 0.0):
-            raise ValueError("constraint grid must be positive increasing")
-        grid = grid.copy()
-        grid.setflags(write=False)
-        object.__setattr__(self, "constraint_grid", grid)
         if not 0.0 < self.grad_tolerance < math.inf:
             raise ValueError("grad_tolerance must be positive and finite")
         if self.max_iters < 1:
@@ -152,13 +136,8 @@ class FitConfig:
                 kwargs["grad_tolerance"] = float(raw["grad_tol"])
             if "seed" in raw:
                 kwargs["seed"] = int(raw["seed"])
-            t_min = float(raw.get("grid_min_ms", 1.0)) / 1000.0
-            t_max = float(raw.get("grid_max_ms", 5000.0)) / 1000.0
-            n_grid = int(raw.get("grid_points", 100))
         except ValueError as exc:
             raise ValueError(f"{path}: bad numeric value ({exc})") from None
-        if {"grid_min_ms", "grid_max_ms", "grid_points"} & raw.keys():
-            kwargs["constraint_grid"] = default_constraint_grid(n_grid, t_min, t_max)
         return cls(**kwargs)
 
 
@@ -184,15 +163,16 @@ class FitResult:
         return self.objective_trace[-1].objective
 
 
-def _grid_basis(spec: VariantSpec, grid: np.ndarray) -> np.ndarray:
-    """exp(-alpha_k t_i) for the variant's kernel, shape (1 + grid, n).
+def _grid_basis(spec: VariantSpec) -> np.ndarray:
+    """exp(-alpha_k t_i) for the variant's kernel on the default grid,
+    shape (1 + grid, n).
 
     Row 0 is the lag-zero constraint (all ones): without it the rate
     below the first grid time is unbounded below, and iterates can pin
     the integrated rate at the shortest observed interval against zero,
     where every further step leaves the likelihood domain.
     """
-    return _decay_matrix(spec.alpha, np.concatenate(([0.0], grid)))
+    return _decay_matrix(spec.alpha, np.concatenate(([0.0], default_constraint_grid())))
 
 
 def feasible(kernel, grid: np.ndarray) -> tuple[bool, int | None]:
@@ -284,7 +264,7 @@ def _packed(u: np.ndarray, variant: str) -> np.ndarray:
 
 
 def _search_objective(
-    u: np.ndarray, variant: str, data: ItiSet, reg: float
+    u: np.ndarray, variant: str, data: ItiSet
 ) -> tuple[ObjectiveValue | None, np.ndarray | None]:
     """_vector_objective at a search point, with its gradient in search
     coordinates.
@@ -296,7 +276,7 @@ def _search_objective(
     shape, which _vector_objective rejects.
     """
     theta = _packed(u, variant)
-    value, grad = _vector_objective(theta, variant, data, reg)
+    value, grad = _vector_objective(theta, variant, data)
     if grad is not None:
         n_shape = _variant_spec(variant).gamma_offset - 1
         grad[:n_shape] *= theta[:n_shape]
@@ -336,7 +316,6 @@ def _curvature_matrix(
     grad: np.ndarray,
     variant: str,
     data: ItiSet,
-    reg: float,
     previous: np.ndarray | None,
 ) -> np.ndarray:
     """Forward differences of the per-datum gradient, one column per probe.
@@ -357,7 +336,7 @@ def _curvature_matrix(
         h = 1e-4 * max(1.0, abs(u[i]))
         probe = u.copy()
         probe[i] += h
-        _, gp = _search_objective(probe, variant, data, reg)
+        _, gp = _search_objective(probe, variant, data)
         if gp is None:
             if previous is not None:
                 cols[:, i] = previous[:, i] * n
@@ -415,10 +394,8 @@ def fit(variant: str, data: ItiSet, cfg: FitConfig | None = None) -> FitResult:
     if cfg is None:
         cfg = FitConfig()
     spec = _variant_spec(variant)
-    grid = cfg.constraint_grid
-    basis = _grid_basis(spec, grid)
+    basis = _grid_basis(spec)
     off = spec.gamma_offset
-    reg = effective_reg_weight(variant, cfg.reg_weight)
     n = data.n
 
     # the search point u shares its kernel slots with the packed vector,
@@ -428,7 +405,7 @@ def fit(variant: str, data: ItiSet, cfg: FitConfig | None = None) -> FitResult:
     if repaired is None:
         raise ArithmeticError("constraint repair did not terminate")
     u, n_proj = repaired
-    value, grad = _search_objective(u, variant, data, reg)
+    value, grad = _search_objective(u, variant, data)
     if value is None:
         raise ValueError("initial parameters are outside the model domain")
 
@@ -458,7 +435,7 @@ def fit(variant: str, data: ItiSet, cfg: FitConfig | None = None) -> FitResult:
         refresh = it >= refresh_at
         while True:
             if refresh:
-                curv = _curvature_matrix(u, grad, variant, data, reg, curv)
+                curv = _curvature_matrix(u, grad, variant, data, curv)
                 ascent = _ascent_map(curv)
                 refresh_at = max(10, it * 2)
                 _, direction = _face_step(ascent, scaled, u, basis, off)
@@ -466,7 +443,7 @@ def fit(variant: str, data: ItiSet, cfg: FitConfig | None = None) -> FitResult:
             if peak > _DIR_CAP:
                 direction *= _DIR_CAP / peak
             accepted, u, value, new_grad, used = _backtrack(
-                u, value, direction, variant, data, reg, basis, off, max_proj
+                u, value, direction, variant, data, basis, off, max_proj
             )
             if accepted or refresh:
                 break
@@ -504,7 +481,6 @@ def _backtrack(
     direction: np.ndarray,
     variant: str,
     data: ItiSet,
-    reg: float,
     basis: np.ndarray,
     off: int,
     max_proj: int,
@@ -521,7 +497,7 @@ def _backtrack(
         repaired = _repair(u + eta * direction, basis, off, max_proj)
         if repaired is not None:
             cand, used = repaired
-            cand_value, cand_grad = _search_objective(cand, variant, data, reg)
+            cand_value, cand_grad = _search_objective(cand, variant, data)
             if cand_value is not None and cand_value.objective >= value.objective:
                 return True, cand, cand_value, cand_grad, used
         if eta <= _ETA_MIN:

@@ -14,6 +14,7 @@ import json
 import logging
 import math
 import os
+import stat
 import tempfile
 from collections.abc import Iterable
 from dataclasses import dataclass
@@ -199,6 +200,17 @@ def fit_log_slope(
     return float(slope)
 
 
+def _open_mode(path: Path) -> int:
+    """The mode open(path, "w") leaves: the existing file's, else 0666
+    less the umask.  mkstemp alone would leave 0600."""
+    try:
+        return stat.S_IMODE(os.stat(path).st_mode)
+    except FileNotFoundError:
+        mask = os.umask(0)
+        os.umask(mask)
+        return 0o666 & ~mask
+
+
 def write_atomic(path, content: str | Iterable[str]) -> None:
     """Write via a temp file and rename, so readers never see partials.
 
@@ -210,6 +222,7 @@ def write_atomic(path, content: str | Iterable[str]) -> None:
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            os.chmod(tmp, _open_mode(path))
             fh.writelines([content] if isinstance(content, str) else content)
         os.replace(tmp, path)
     except BaseException:

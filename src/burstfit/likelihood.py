@@ -40,7 +40,6 @@ __all__ = [
     "log_likelihood",
     "objective",
     "gradient",
-    "effective_reg_weight",
 ]
 
 class InfeasibleParamsError(ValueError):
@@ -113,33 +112,20 @@ class ItiSet:
         return got
 
 
-def effective_reg_weight(variant: str, reg_weight: float | None = None) -> float:
-    """Resolve the penalty weight: variant default, overridable, but always
-    zero for kernel-free variants."""
-    spec = VARIANTS.get(variant)
-    weight = spec.reg_weight if spec is not None else 0.0
-    if reg_weight is not None:
-        weight = float(reg_weight)
-    if spec is not None and spec.n_kernel_terms == 0:
-        weight = 0.0
-    if not (math.isfinite(weight) and weight >= 0.0):
-        raise ValueError(f"reg_weight must be nonnegative, got {weight}")
-    return weight
-
-
 def _evaluate(
     a: float,
     b: float,
     c: float,
     gamma: np.ndarray,
     alpha: tuple[float, ...],
+    variant: str,
     data: ItiSet,
-    reg_weight: float,
 ) -> tuple[ObjectiveValue, tuple]:
     """Objective, and its gradient as (d/da, d/db, d/dc, d/dgamma).
 
-    The gradient always carries the b entry; VariantSpec.pack drops it
-    for variants that fix b.
+    The penalty weight is the variant table's; a kernel bank outside the
+    table ("custom") carries none.  The gradient always carries the b
+    entry; VariantSpec.pack drops it for variants that fix b.
     """
     tau, cnt = data._unique()
     n_data = float(data.n)
@@ -169,6 +155,8 @@ def _evaluate(
         + n_data * (math.log(a) - math.log(a + b))
         + float(cnt @ log_f1)
     )
+    spec = VARIANTS.get(variant)
+    reg_weight = spec.reg_weight if spec is not None else 0.0
     penalty = reg_weight * float(gamma @ gamma)
     value = ObjectiveValue(loglik, penalty, loglik - penalty)
 
@@ -184,50 +172,33 @@ def _evaluate(
     return value, (g_a, g_b, g_c, d_gamma)
 
 
-def _params_pieces(params: ModelParams):
+def _params_evaluate(params: ModelParams, data: ItiSet) -> tuple[ObjectiveValue, tuple]:
     gamma = np.asarray(params.kernel.gamma, dtype=float)
-    return params.a, params.b, params.c, gamma, params.kernel.alpha
+    return _evaluate(
+        params.a, params.b, params.c, gamma, params.kernel.alpha, params.variant, data
+    )
 
 
 def log_likelihood(params: ModelParams, data: ItiSet) -> float:
     """Exact log-likelihood of the interval set under params."""
-    a, b, c, gamma, alpha = _params_pieces(params)
-    value, _ = _evaluate(a, b, c, gamma, alpha, data, 0.0)
-    return value.log_likelihood
+    return _params_evaluate(params, data)[0].log_likelihood
 
 
-def objective(
-    params: ModelParams, data: ItiSet, reg_weight: float | None = None
-) -> ObjectiveValue:
-    """Penalized objective: log-likelihood minus reg_weight * sum gamma^2.
-
-    The weight defaults to the variant rule (0.01 with a kernel, 0
-    without) and is forced to zero for kernel-free variants even when
-    passed explicitly.
-    """
-    a, b, c, gamma, alpha = _params_pieces(params)
-    weight = effective_reg_weight(params.variant, reg_weight)
-    value, _ = _evaluate(a, b, c, gamma, alpha, data, weight)
-    return value
+def objective(params: ModelParams, data: ItiSet) -> ObjectiveValue:
+    """Penalized objective: log-likelihood minus the variant's penalty
+    weight (0.01 with a kernel, 0 without) times sum gamma^2."""
+    return _params_evaluate(params, data)[0]
 
 
-def gradient(
-    params: ModelParams, data: ItiSet, reg_weight: float | None = None
-) -> np.ndarray:
+def gradient(params: ModelParams, data: ItiSet) -> np.ndarray:
     """Analytic gradient of the penalized objective over the variant's free
     coordinates, ordered a, [b], c, gamma_1..gamma_n."""
     spec = _variant_spec(params.variant)
-    a, b, c, gamma, alpha = _params_pieces(params)
-    weight = effective_reg_weight(params.variant, reg_weight)
-    _, grad = _evaluate(a, b, c, gamma, alpha, data, weight)
-    return spec.pack(*grad)
+    return spec.pack(*_params_evaluate(params, data)[1])
 
 
 def _vector_objective(
-    vec: np.ndarray,
-    variant: str,
-    data: ItiSet,
-    reg_weight: float,
+    vec: np.ndarray, variant: str, data: ItiSet
 ) -> tuple[ObjectiveValue | None, np.ndarray | None]:
     """Objective and gradient on a packed vector; (None, None) out of domain.
 
@@ -242,7 +213,7 @@ def _vector_objective(
     if not (a > 0.0 and b > 0.0 and math.isfinite(a + b + c)):
         return None, None
     try:
-        value, grad = _evaluate(a, b, c, gamma, spec.alpha, data, reg_weight)
+        value, grad = _evaluate(a, b, c, gamma, spec.alpha, variant, data)
     except (InfeasibleParamsError, PrecisionLossError, OverflowError):
         return None, None
     grad = spec.pack(*grad)

@@ -94,11 +94,16 @@ class EventTrain:
         ts = np.asarray(self.timestamps_ms)
         if ts.ndim != 1:
             raise ValueError("timestamps must be a 1-d array")
+        # a float cast to int64 would truncate fractions and turn NaN or
+        # inf into -2**63; NaN fails both comparisons
+        if ts.dtype.kind == "f" and not np.all((ts == np.floor(ts)) & (np.abs(ts) < 2.0**63)):
+            raise ValueError("timestamps must be finite whole milliseconds")
         ts = ts.astype(np.int64, copy=True)
         if ts.size:
             if ts[0] < 0:
                 raise ValueError("timestamps must be nonnegative")
-            if np.any(np.diff(ts) <= 0):
+            # compared, not subtracted: a difference can wrap around int64
+            if np.any(ts[1:] <= ts[:-1]):
                 raise ValueError("timestamps must be strictly increasing")
         ts.setflags(write=False)
         object.__setattr__(self, "timestamps_ms", ts)

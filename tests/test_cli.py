@@ -291,6 +291,28 @@ def test_compare_pool_never_outnumbers_its_fits(tmp_path, monkeypatch):
     assert workers == [2]
 
 
+def test_compare_fits_a_repeated_variant_once(tmp_path, monkeypatch):
+    """--variants M1 M1 used to fit M1 twice, with --jobs in two pool
+    workers; it is fitted once, in process."""
+    import burstfit.cli as cli
+
+    sim = tmp_path / "sim.txt"
+    main(["simulate", "--a", "0.8", "--rho", "3", "--events", "400",
+          "--seed", "24", "--out", str(sim)])
+    fitted = []
+    inner = cli.fit
+
+    def counting(variant, **kwargs):
+        fitted.append(variant)
+        return inner(variant, **kwargs)
+
+    monkeypatch.setattr(cli, "fit", counting)
+    rc = main(["compare", "--variants", "M1", "M1", "--in", str(sim),
+               "--jobs", "2", "--out", str(tmp_path / "c.json")])
+    assert rc == 0
+    assert fitted == ["M1"]
+
+
 # ----------------------------------------------------------------------
 # hist / eval tables
 # ----------------------------------------------------------------------

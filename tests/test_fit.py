@@ -70,12 +70,9 @@ def test_default_constraint_grid():
     assert grid[-1] == pytest.approx(5.0)
     ratios = grid[1:] / grid[:-1]
     np.testing.assert_allclose(ratios, ratios[0], rtol=1e-10)
-    with pytest.raises(ValueError):
+    # the grid is part of the fitter, not a setting
+    with pytest.raises(TypeError):
         default_constraint_grid(n_points=5)
-    with pytest.raises(ValueError):
-        default_constraint_grid(t_min=0.0)
-    with pytest.raises(ValueError):
-        default_constraint_grid(t_min=2.0, t_max=1.0)
 
 
 def test_fit_config_validation():
@@ -87,19 +84,13 @@ def test_fit_config_validation():
     for bad in (float("nan"), float("inf"), -float("inf")):
         with pytest.raises(ValueError):
             FitConfig(grad_tolerance=bad)
-    with pytest.raises(ValueError):
-        FitConfig(constraint_grid=np.array([1.0, 0.5, 2.0]))
-    with pytest.raises(ValueError):
-        FitConfig(constraint_grid=np.geomspace(1e-3, 5.0, 4))
+    # the variant table fixes the objective: no penalty weight, no grid
+    for removed in ({"reg_weight": 1.0}, {"constraint_grid": default_constraint_grid()}):
+        with pytest.raises(TypeError):
+            FitConfig(**removed)
     cfg = FitConfig()
     assert cfg.max_iters == 5000
     assert cfg.grad_tolerance == 1e-6
-
-
-def test_fit_config_grid_is_immutable():
-    cfg = FitConfig()
-    with pytest.raises(ValueError):
-        cfg.constraint_grid[0] = 7.0
 
 
 def test_fit_config_from_file(tmp_path):
@@ -108,18 +99,12 @@ def test_fit_config_from_file(tmp_path):
         "# ascent settings\n"
         "max_iters = 250\n"
         "grad_tol = 1e-5\n"
-        "grid_min_ms = 2\n"
-        "grid_max_ms = 4000\n"
-        "grid_points = 60\n"
         "seed = 9\n"
     )
     cfg = FitConfig.from_file(path)
     assert cfg.max_iters == 250
     assert cfg.grad_tolerance == 1e-5
     assert cfg.seed == 9
-    assert cfg.constraint_grid.shape == (60,)
-    assert cfg.constraint_grid[0] == pytest.approx(0.002)
-    assert cfg.constraint_grid[-1] == pytest.approx(4.0)
 
 
 def test_fit_config_from_file_partial_keeps_defaults(tmp_path):
@@ -127,13 +112,22 @@ def test_fit_config_from_file_partial_keeps_defaults(tmp_path):
     path.write_text("max_iters=77\n")
     cfg = FitConfig.from_file(path)
     assert cfg.max_iters == 77
-    assert cfg.constraint_grid.shape == (100,)
+    assert cfg.grad_tolerance == 1e-6
+    assert cfg.seed is None
 
 
 def test_fit_config_from_file_errors(tmp_path):
     bad_key = tmp_path / "a.cfg"
-    # step_size was a key until every line search started at the full step
-    for text in ("step=0.1\n", "step_size = 0.01\n"):
+    # step_size was a key until every line search started at the full step,
+    # the grid keys and reg_weight until the variant table fixed the objective
+    for text in (
+        "step=0.1\n",
+        "step_size = 0.01\n",
+        "grid_min_ms = 2\n",
+        "grid_max_ms = 4000\n",
+        "grid_points = 60\n",
+        "reg_weight = 1.0\n",
+    ):
         bad_key.write_text(text)
         with pytest.raises(ValueError, match="unknown key"):
             FitConfig.from_file(bad_key)
@@ -174,7 +168,7 @@ def test_feasible_on_default_grid():
 def _repaired(vec, variant):
     """The fitter's repair of a packed vector on the default grid's basis."""
     spec = VARIANTS[variant]
-    basis = _grid_basis(spec, default_constraint_grid())
+    basis = _grid_basis(spec)
     return _repair(vec, basis, spec.gamma_offset, spec.n_kernel_terms + 1)
 
 
@@ -468,9 +462,9 @@ def test_curvature_refresh_probes_each_coordinate_once(monkeypatch):
     with central differences in the search coordinates."""
     data = _heavy_m2_data()
     u = _initial_vector("M2", data, FitConfig(init_params=fit("M2", data).params_star))
-    _, grad = _search_objective(u, "M2", data, 0.0)
+    _, grad = _search_objective(u, "M2", data)
     calls = _count_passes(monkeypatch)
-    curv = _curvature_matrix(u, grad, "M2", data, 0.0, None)
+    curv = _curvature_matrix(u, grad, "M2", data, None)
     assert len(calls) == u.size
     central = np.empty((u.size, u.size))
     for i in range(u.size):
@@ -478,8 +472,8 @@ def test_curvature_refresh_probes_each_coordinate_once(monkeypatch):
         up, dn = u.copy(), u.copy()
         up[i] += h
         dn[i] -= h
-        gp = _search_objective(up, "M2", data, 0.0)[1]
-        gm = _search_objective(dn, "M2", data, 0.0)[1]
+        gp = _search_objective(up, "M2", data)[1]
+        gm = _search_objective(dn, "M2", data)[1]
         central[:, i] = (gp - gm) / (2.0 * h)
     central = (central + central.T) / (2.0 * data.n)
     np.testing.assert_allclose(curv, central, rtol=0, atol=1e-3 * np.abs(central).max())
@@ -521,7 +515,7 @@ def test_fit_repairs_infeasible_initialization():
         a=0.8, b=1.0, c=math.log(4.0), kernel=RefractoryKernel.log_spaced(gamma)
     )
     res = fit("M3", data, FitConfig(init_params=bad_start, max_iters=80))
-    ok, _ = feasible(res.params_star.kernel, FitConfig().constraint_grid)
+    ok, _ = feasible(res.params_star.kernel, default_constraint_grid())
     assert ok
     assert res.n_projections >= 1
 
@@ -539,7 +533,7 @@ def test_fit_line_search_projects_onto_the_wall():
     start = ModelParams(
         a=0.8, b=1.0, c=math.log(4.0), kernel=RefractoryKernel.log_spaced(start_gamma)
     )
-    grid = FitConfig().constraint_grid
+    grid = default_constraint_grid()
     assert feasible(start.kernel, grid) == (True, None) and 1.0 + sum(start_gamma) > 0.0
     res = fit("M3", data, FitConfig(init_params=start, max_iters=10))
     assert res.n_projections >= 1
@@ -560,13 +554,3 @@ def test_fit_scale_covariance_without_kernel():
     assert res_scaled.params_star.a == pytest.approx(res_base.params_star.a, abs=1e-3)
     c_shift = res_scaled.params_star.c - res_base.params_star.c
     assert c_shift == pytest.approx(-math.log(2.0), abs=1e-3)
-
-
-def test_fit_reg_weight_pulls_kernel_down():
-    """A crushing penalty drives the fitted amplitudes to nearly zero."""
-    params = ModelParams(
-        a=0.8, b=1.0, c=math.log(4.0), kernel=RefractoryKernel.log_spaced([-0.6] + [0.0] * 7)
-    )
-    data = ItiSet(simulate_continuous(params, 4000, seed=78))
-    res = fit("M3", data, FitConfig(reg_weight=1e4, max_iters=600))
-    assert float(np.max(np.abs(res.params_star.kernel.gamma))) < 0.05

@@ -3,6 +3,8 @@
 import json
 import logging
 import math
+import os
+import stat
 import tracemalloc
 from io import BytesIO
 
@@ -345,6 +347,27 @@ def test_write_atomic(tmp_path):
     assert path.read_text() == "second\n"
     leftovers = [p for p in tmp_path.iterdir() if p.name != "artifact.json"]
     assert leftovers == []
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077], ids=["022", "077"])
+def test_write_atomic_gives_the_mode_open_would(tmp_path, umask):
+    """A new file gets 0666 less the umask, not mkstemp's 0600, and a
+    rewritten file keeps its mode, as open(path, "w") leaves them."""
+    old = os.umask(umask)
+    try:
+        plain = tmp_path / "plain.txt"
+        with open(plain, "w") as fh:
+            fh.write("x\n")
+        path = tmp_path / "sim.txt"
+        write_atomic(path, "x\n")
+        assert stat.S_IMODE(path.stat().st_mode) == stat.S_IMODE(plain.stat().st_mode)
+        assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~umask
+        path.chmod(0o640)
+        write_atomic(path, ["y", "\n"])
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE(path.stat().st_mode) == 0o640
+    assert path.read_text() == "y\n"
 
 
 # ----------------------------------------------------------------------

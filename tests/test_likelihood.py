@@ -15,7 +15,6 @@ from burstfit.likelihood import (
     InfeasibleParamsError,
     ItiSet,
     ObjectiveValue,
-    effective_reg_weight,
     gradient,
     log_likelihood,
     objective,
@@ -128,29 +127,6 @@ def test_objective_value_decomposition():
     assert val.log_likelihood == pytest.approx(log_likelihood(params, data), rel=1e-13)
 
 
-def test_penalty_weight_rules():
-    assert effective_reg_weight("M1") == 0.0
-    assert effective_reg_weight("M2") == 0.0
-    assert effective_reg_weight("M3") == 0.01
-    assert effective_reg_weight("M4") == 0.01
-    assert effective_reg_weight("M5") == 0.01
-    # kernel-free variants ignore an explicit weight, kernel variants honor it
-    assert effective_reg_weight("M2", 0.5) == 0.0
-    assert effective_reg_weight("M3", 0.5) == 0.5
-    assert effective_reg_weight("M3", 0.0) == 0.0
-    with pytest.raises(ValueError):
-        effective_reg_weight("M3", -0.1)
-
-
-def test_objective_reg_weight_override():
-    params = _sample_params("M3")
-    data = _sample_data(params, 150, seed=42)
-    heavy = objective(params, data, reg_weight=1.0)
-    default = objective(params, data)
-    assert heavy.log_likelihood == pytest.approx(default.log_likelihood, rel=1e-13)
-    assert heavy.penalty == pytest.approx(100.0 * default.penalty, rel=1e-12)
-
-
 def test_infeasible_kernel_raises():
     kernel = RefractoryKernel.log_spaced([-1.2])
     params = ModelParams(a=1.0, b=1.0, c=0.0, kernel=kernel)
@@ -210,11 +186,11 @@ def test_gradient_ordering_matches_packing():
 def test_vector_objective_flags_out_of_domain():
     data = ItiSet(np.array([0.1, 0.4]))
     value, grad = _likelihood_internals._vector_objective(
-        np.array([-0.2, 0.0]), "M1", data, 0.0
+        np.array([-0.2, 0.0]), "M1", data
     )
     assert value is None and grad is None
     value, grad = _likelihood_internals._vector_objective(
-        np.array([0.7, 0.0]), "M1", data, 0.0
+        np.array([0.7, 0.0]), "M1", data
     )
     assert value is not None and grad.shape == (2,)
 
@@ -223,7 +199,7 @@ def test_vector_objective_rejects_precision_loss():
     """At b = 200 the asymptotic 1F1 regime (w >= 300) cannot reach its
     accuracy; the probe must come back as out-of-domain, not raise."""
     value, grad = _likelihood_internals._vector_objective(
-        np.array([0.7, 200.0, 0.0]), "M2", ItiSet(np.array([0.5, 301.0])), 0.0
+        np.array([0.7, 200.0, 0.0]), "M2", ItiSet(np.array([0.5, 301.0]))
     )
     assert value is None and grad is None
 
@@ -231,7 +207,7 @@ def test_vector_objective_rejects_precision_loss():
 def test_vector_objective_rejects_rate_overflow():
     """exp(c) overflows a float at c >= 709.79; the probe is out of domain."""
     value, grad = _likelihood_internals._vector_objective(
-        np.array([0.7, 710.0]), "M1", ItiSet(np.array([0.1, 0.4, 2.0])), 0.0
+        np.array([0.7, 710.0]), "M1", ItiSet(np.array([0.1, 0.4, 2.0]))
     )
     assert value is None and grad is None
 
@@ -241,7 +217,7 @@ def test_vector_objective_rejects_non_finite_objective():
     -inf, so the probe is out of domain rather than a value to compare."""
     with np.errstate(over="ignore"):
         value, grad = _likelihood_internals._vector_objective(
-            np.array([0.7, 700.0]), "M1", ItiSet(np.array([0.1, 1e10])), 0.0
+            np.array([0.7, 700.0]), "M1", ItiSet(np.array([0.1, 1e10]))
         )
     assert value is None and grad is None
 
@@ -255,12 +231,11 @@ def test_objective_value_does_not_depend_on_want_grad(variant):
     iv = simulate_continuous(params, 400, seed=60)
     iv = np.concatenate([np.maximum(np.rint(iv * 1000.0), 1.0) / 1000.0, [150.0, 2e4, 3e6]])
     data = ItiSet(iv)
-    weight = effective_reg_weight(variant, 0.01)
     value, grad = _likelihood_internals._vector_objective(
-        params_to_vector(params), variant, data, weight
+        params_to_vector(params), variant, data
     )
     assert grad is not None
-    assert objective(params, data, 0.01) == value
+    assert objective(params, data) == value
     assert log_likelihood(params, data) == value.log_likelihood
 
 
@@ -275,7 +250,7 @@ def test_value_routes_refuse_where_the_gradient_does():
         with pytest.raises(PrecisionLossError):
             route(params, data)
     value, grad = _likelihood_internals._vector_objective(
-        params_to_vector(params), "M1", data, 0.0
+        params_to_vector(params), "M1", data
     )
     assert value is None and grad is None
 

@@ -44,6 +44,7 @@ def test_star_import_binds_every_public_name():
         ("burstfit.model", "iti_density_conditional"),
         ("burstfit.model", "free_param_names"),
         ("burstfit.fit", "project"),
+        ("burstfit.likelihood", "effective_reg_weight"),
     ],
 )
 def test_removed_helpers_stay_removed(module, name):

@@ -129,6 +129,19 @@ class TestEventTrain:
         with pytest.raises(ValueError):
             EventTrain(np.array([30, 20]))
 
+    def test_bad_input_is_refused_not_corrupted(self):
+        """Fractional milliseconds used to truncate ([0.4, 2.6] -> [0, 2]),
+        NaN became -2**63, and np.diff wrapped around int64 so that
+        [5, -2**63] passed as increasing."""
+        for bad in ([0.4, 2.6], [0.0, float("nan")], [1.0, float("inf")], [0.0, 2.0**63]):
+            with pytest.raises(ValueError, match="whole milliseconds"):
+                EventTrain(np.array(bad))
+        with pytest.raises(ValueError, match="strictly increasing"):
+            EventTrain(np.array([5, -(2**63)], dtype=np.int64))
+        # integral input of either kind parses as before
+        exact = EventTrain(np.array([0, 3, 2**62], dtype=np.int64)).timestamps_ms
+        np.testing.assert_array_equal(EventTrain([0.0, 3.0, 2.0**62]).timestamps_ms, exact)
+
     def test_timestamps_coerced_to_int64(self):
         t = EventTrain([1.0, 2.0, 7.0])
         assert t.timestamps_ms.dtype == np.int64
