@@ -5,6 +5,10 @@ all file outputs go through write-then-rename, so an interrupted run
 never leaves a partial artifact behind.
 
 Exit codes: 0 success, 1 runtime failure, 2 usage error.
+
+Each command imports the modules it runs inside its handler, so a
+command pays the import time of its own modules only: `hist` and
+`simulate` never load the fitter.
 """
 
 from __future__ import annotations
@@ -14,12 +18,11 @@ import functools
 import math
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import io as bio
-from .fit import FitConfig, fit
-from .likelihood import ItiSet
 from .model import (
     ModelParams,
     RefractoryKernel,
@@ -27,8 +30,10 @@ from .model import (
     iti_density,
     refractory_eval,
 )
-from .selection import compare
-from .simulate import SimConfig, _train_from_intervals, simulate_continuous, simulate_discrete
+
+if TYPE_CHECKING:
+    from .fit import FitConfig
+    from .likelihood import ItiSet
 
 
 def _parse_gamma(text: str) -> tuple[float, ...]:
@@ -85,6 +90,7 @@ def _cmd_simulate(args, parser) -> int:
     if args.rho <= 0.0:
         parser.error("--rho must be a positive rate")
     params = _build_params(args, parser)
+    from .simulate import SimConfig, _train_from_intervals, simulate_continuous, simulate_discrete
 
     if args.mode == "continuous":
         if args.events is None:
@@ -111,10 +117,14 @@ def _load_itis(path) -> ItiSet:
 
 
 def _load_config(path) -> FitConfig:
+    from .fit import FitConfig
+
     return FitConfig.from_file(path) if path else FitConfig()
 
 
 def _cmd_fit(args, parser) -> int:
+    from .fit import fit
+
     result = fit(args.variant, _load_itis(args.infile), _load_config(args.config))
     bio.write_atomic(args.out, bio.serialize_fit(result))
     p = result.params_star
@@ -133,6 +143,9 @@ def _cmd_compare(args, parser) -> int:
         parser.error("--variants needs --in to fit against")
     if args.jobs < 1:
         parser.error("--jobs must be at least 1")
+    from .fit import fit
+    from .selection import compare
+
     results = {}
     for path in args.fits or ():
         res = bio.deserialize_fit(Path(path).read_text())

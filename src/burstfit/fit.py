@@ -24,8 +24,8 @@ from is released, and what the walls leave of the gradient is what the
 stop test reads.  The line search starts at that full step and halves
 on decrease.  The raw gradient is scaled by 1/N so the curvature map
 means the same thing across data sizes.  A projected step is allowed
-to lower the objective (it restores feasibility); the stall detector
-ends the run if no progress accumulates.
+to lower the objective (it restores feasibility); only the gradient test
+ends a run as converged.
 
 The kernel basis terms overlap heavily, which leaves the likelihood
 surface with curvatures spread over eight orders of magnitude; a bare
@@ -57,8 +57,6 @@ __all__ = [
 ]
 
 _ETA_MIN = 1e-8
-_STALL_WINDOW = 50
-_STALL_REL = 1e-9
 # slack below which a grid constraint counts as active, so that the step
 # is taken within its face
 _ACTIVE_SLACK = 1e-9
@@ -386,10 +384,9 @@ def fit(variant: str, data: ItiSet, cfg: FitConfig | None = None) -> FitResult:
     """Maximize the penalized objective for one variant on one data set.
 
     Never raises for a fit that merely fails to converge; the result
-    carries a converged flag and a reason string.  "gradient tolerance"
-    and "objective stall" (no progress over the stall window) count as
-    converged; "line search failed" (no improving step even after a
-    fresh curvature map) and "max iterations" do not.
+    carries a converged flag and a reason string.  Only "gradient
+    tolerance" counts as converged; "line search failed" (no improving
+    step even after a fresh curvature map) and "max iterations" do not.
     """
     if cfg is None:
         cfg = FitConfig()
@@ -424,12 +421,6 @@ def fit(variant: str, data: ItiSet, cfg: FitConfig | None = None) -> FitResult:
             converged = True
             reason = "gradient tolerance"
             break
-        if len(trace) > _STALL_WINDOW:
-            then = trace[-1 - _STALL_WINDOW].objective
-            if trace[-1].objective - then < _STALL_REL * max(1.0, abs(then)):
-                converged = True
-                reason = "objective stall"
-                break
 
         prev_u = u
         refresh = it >= refresh_at

@@ -1,17 +1,22 @@
 """File formats: timestamp logs, log-binned histograms, fit artifacts.
 
 Timestamps travel as newline-delimited integer milliseconds with an
-optional ``unit=ms`` header line.  They are parsed in one bulk pass over
-the split bytes, with a line-by-line fallback that names a bad line, and
-streamed to the file a block of lines at a time, never as one whole-file
-string.  Fit results travel as versioned JSON; floats go through Python's
-shortest round-trip repr, so serialization is lossless bit for bit.
+optional ``unit=ms`` header line.  Both directions work a block of lines
+at a time on byte arrays: ingest turns each block of digit lines into
+int64 by digit arithmetic, with a line-by-line loop for any other text
+(it reads what ``int()`` reads, or names a bad line), and emission
+writes each block's digits from the int64 values, never one whole-file
+string.  Fit results travel as versioned JSON; floats go through
+Python's shortest round-trip repr, so serialization is lossless bit for
+bit.
+
+This module imports the model, fit and selection modules, and ``json``
+and ``logging``, only inside the functions that use them, so a command
+that reads or writes timestamps alone does not pay their import.
 """
 
 from __future__ import annotations
 
-import json
-import logging
 import math
 import os
 import stat
@@ -20,14 +25,15 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from io import BytesIO
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .fit import FitResult
-from .likelihood import ItiSet, ObjectiveValue
-from .model import ModelParams, RefractoryKernel
-from .selection import ComparisonMatrix
-from .simulate import EventTrain
+if TYPE_CHECKING:
+    from .fit import FitResult
+    from .likelihood import ItiSet
+    from .selection import ComparisonMatrix
+    from .simulate import EventTrain
 
 __all__ = [
     "LogBinnedHistogram",
@@ -41,8 +47,6 @@ __all__ = [
     "serialize_comparison",
     "write_atomic",
 ]
-
-log = logging.getLogger(__name__)
 
 _FIT_FORMAT = "burstfit-fit"
 _FIT_VERSION = 1
@@ -85,23 +89,78 @@ def _parse_lines(blob: bytes) -> list[int]:
     return values
 
 
+# Bytes parsed per block.  A block's digit arithmetic holds a few arrays
+# of its own bytes and of its own line count, so ingest memory beyond the
+# int64 result does not grow with the file.
+_PARSE_BLOCK = 1 << 20
+# Widest line the digit arithmetic reads: 18 digit bytes sum to at most
+# 57 * (10**18 - 1) / 9 < 2**63 under Horner's rule.  Wider lines take the
+# line loop, which keeps int()'s value, or its overflow, of any width.
+_MAX_DIGITS = 18
+# What w bytes of "0" add to the value of w digit bytes under Horner's rule
+_ZERO_BYTES = [48 * (10**w - 1) // 9 for w in range(_MAX_DIGITS + 1)]
+
+
+def _digit_lines(b: np.ndarray) -> np.ndarray | None:
+    """int64 values of a uint8 block of whole lines, or None.
+
+    The block must hold only ASCII digits and newlines, with at most
+    _MAX_DIGITS digits a line; empty lines give no value.  Lines are
+    grouped by width, and each group is folded one digit column at a time.
+    """
+    ends = np.flatnonzero(b == 10)
+    # every byte that is not a digit must be a newline
+    if np.count_nonzero(b - 48 > 9) != ends.size:
+        return None
+    if not ends.size or ends[-1] != b.size - 1:
+        ends = np.append(ends, b.size)  # the blob's last line has no newline
+    widths = np.diff(ends, prepend=-1) - 1
+    if widths.max() > _MAX_DIGITS:
+        return None
+    starts = ends - widths
+    del ends
+    values = np.empty(widths.size, np.int64)
+    counts = np.bincount(widths)
+    for w in np.flatnonzero(counts[1:]) + 1:
+        rows = np.flatnonzero(widths == w)
+        pos = starts[rows]
+        acc = b[pos].astype(np.int64)
+        for _ in range(w - 1):
+            pos += 1
+            acc *= 10
+            acc += b[pos]
+        acc -= _ZERO_BYTES[w]
+        values[rows] = acc
+    return values[widths > 0] if counts[0] else values
+
+
 def _parse(blob: bytes) -> np.ndarray:
     """All values of a timestamp blob, in file order.
 
-    ``int(bytes)`` accepts a subset of what ``int(str)`` accepts after
-    stripping, and gives the same value, so the bulk pass agrees with
-    the line loop wherever it succeeds.  The loop runs only when the bulk
-    pass fails: it then reads what ``int(bytes)`` rejects (Unicode
-    digits or whitespace, lines of spaces) or names the bad line.
+    The blob is read as a uint8 view, one block of about _PARSE_BLOCK
+    bytes of whole lines at a time, into an int64 array sized by its
+    newline count.  A block of digit lines gives int()'s value of each
+    line (_digit_lines).  The first block that holds any other byte hands
+    the whole blob to the line loop, the one general route: it reads what
+    int() accepts beyond bare digits (signs, spaces, "\\r", Unicode
+    digits) or names the bad line.
     """
-    lines = blob.split(b"\n")
-    if _is_header(lines[0]):
-        lines[0] = b""
-    try:
-        count = len(lines) - lines.count(b"")
-        return np.fromiter(map(int, filter(None, lines)), np.int64, count)
-    except (ValueError, OverflowError):
-        return np.asarray(_parse_lines(blob), dtype=np.int64)
+    first = blob.find(b"\n")
+    pos = first + 1 if _is_header(blob[:first] if first >= 0 else blob) else 0
+    view = np.frombuffer(blob, np.uint8)
+    out = np.empty(blob.count(b"\n") + 1, np.int64)
+    n = 0
+    while pos < len(blob):
+        # the block ends after the first newline at or past _PARSE_BLOCK
+        # bytes, or at the blob's end
+        end = blob.find(b"\n", pos + _PARSE_BLOCK - 1) + 1 or len(blob)
+        values = _digit_lines(view[pos:end])
+        if values is None:
+            return np.asarray(_parse_lines(blob), dtype=np.int64)
+        out[n : n + values.size] = values
+        n += values.size
+        pos = end
+    return out[:n]
 
 
 def load_timestamps(source) -> EventTrain:
@@ -113,28 +172,59 @@ def load_timestamps(source) -> EventTrain:
     duplicates collapsed (count logged); anything non-integer raises with
     its line number.
     """
+    from .simulate import EventTrain
+
     ts = _parse(source if isinstance(source, bytes) else Path(source).read_bytes())
     if not ts.size:
         raise ValueError("timestamp stream contains no events")
     ts.sort()
     dup = ts[1:] == ts[:-1]
     if dup.any():
-        log.info("collapsed %d duplicate timestamp(s)", np.count_nonzero(dup))
+        import logging
+
+        logging.getLogger(__name__).info(
+            "collapsed %d duplicate timestamp(s)", np.count_nonzero(dup)
+        )
         ts = np.delete(ts, np.flatnonzero(dup) + 1)
     return EventTrain(ts)
 
 
-# Values formatted and written per chunk: while formatted, their Python
-# ints and strings take about 110 bytes a value, several times the bytes
-# of a line, so a chunk stays small and the train is never formatted whole.
-_FORMAT_BLOCK = 1 << 12
+# Lines formatted per chunk.  A chunk's digit arithmetic holds a few int64
+# arrays of its line count and its text, so the train is never formatted
+# whole.
+_FORMAT_BLOCK = 1 << 14
+# 10, 100, ..., 10**18: a value below 10**w has at most w digits
+_POW10 = 10 ** np.arange(1, 19, dtype=np.int64)
+
+
+def _format_lines(ts: np.ndarray) -> str:
+    """Text of increasing nonnegative int64 values, one a line.
+
+    Values of equal width sit in one run, written as a (count, width + 1)
+    byte block: digit columns from the last, then a newline column.
+    """
+    cuts = np.concatenate(([0], np.searchsorted(ts, _POW10), [ts.size]))
+    widths = np.arange(1, cuts.size)
+    text = np.empty(int(np.diff(cuts) @ (widths + 1)), np.uint8)
+    at = 0
+    for w, lo, hi in zip(widths.tolist(), cuts[:-1].tolist(), cuts[1:].tolist()):
+        if lo == hi:
+            continue
+        block = text[at : at + (hi - lo) * (w + 1)].reshape(hi - lo, w + 1)
+        at += block.size
+        block[:, w] = 10
+        rest = ts[lo:hi]
+        for k in range(w - 1, -1, -1):
+            rest, digit = np.divmod(rest, 10)
+            np.add(digit, 48, out=block[:, k], casting="unsafe")
+    return text.tobytes().decode("ascii")
 
 
 def save_timestamps(train: EventTrain, path) -> None:
     """Write a train in the same format load_timestamps reads.
 
-    The text is streamed a block of lines at a time, so no whole-file
-    string is ever built.
+    The text is formatted and streamed a block of lines at a time, so no
+    whole-file string is ever built.
     """
     ts = train.timestamps_ms
 
@@ -143,7 +233,7 @@ def save_timestamps(train: EventTrain, path) -> None:
         if not ts.size:
             yield "\n"
         for i in range(0, ts.size, _FORMAT_BLOCK):
-            yield "\n".join(map(str, ts[i : i + _FORMAT_BLOCK].tolist())) + "\n"
+            yield _format_lines(ts[i : i + _FORMAT_BLOCK])
 
     write_atomic(path, chunks())
 
@@ -156,6 +246,8 @@ def compute_itis(train: EventTrain) -> ItiSet:
     """
     if train.n_events < 2:
         raise ValueError("need at least 2 events to form intervals")
+    from .likelihood import ItiSet
+
     return ItiSet(train.intervals_seconds())
 
 
@@ -235,6 +327,8 @@ def write_atomic(path, content: str | Iterable[str]) -> None:
 
 def serialize_fit(result: FitResult) -> str:
     """Versioned JSON for a FitResult; floats survive exactly."""
+    import json
+
     p = result.params_star
     doc = {
         "format": _FIT_FORMAT,
@@ -268,6 +362,12 @@ def _field(doc: dict, name: str):
 
 def deserialize_fit(text: str | bytes) -> FitResult:
     """Inverse of serialize_fit; rejects unknown versions loudly."""
+    import json
+
+    from .fit import FitResult
+    from .likelihood import ObjectiveValue
+    from .model import ModelParams, RefractoryKernel
+
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -310,6 +410,8 @@ def deserialize_fit(text: str | bytes) -> FitResult:
 
 def serialize_comparison(matrix: ComparisonMatrix) -> str:
     """Versioned JSON for a variant comparison."""
+    import json
+
     doc = {
         "format": "burstfit-comparison",
         "version": 1,

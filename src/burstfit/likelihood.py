@@ -24,7 +24,6 @@ this a large constant-factor win and it keeps the summation order fixed.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass
 
@@ -85,6 +84,8 @@ class ItiSet:
         """Short content hash, used to tie fit artifacts to their data."""
         got = self._cache.get("digest")
         if got is None:
+            import hashlib
+
             got = hashlib.sha256(
                 np.ascontiguousarray(self.intervals).tobytes()
             ).hexdigest()[:16]

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line entry points, run in process
 (the import-cost check alone starts a fresh interpreter)."""
 
+import importlib
 import json
 import math
 import os
@@ -294,19 +295,19 @@ def test_compare_pool_never_outnumbers_its_fits(tmp_path, monkeypatch):
 def test_compare_fits_a_repeated_variant_once(tmp_path, monkeypatch):
     """--variants M1 M1 used to fit M1 twice, with --jobs in two pool
     workers; it is fitted once, in process."""
-    import burstfit.cli as cli
+    fit_module = importlib.import_module("burstfit.fit")
 
     sim = tmp_path / "sim.txt"
     main(["simulate", "--a", "0.8", "--rho", "3", "--events", "400",
           "--seed", "24", "--out", str(sim)])
     fitted = []
-    inner = cli.fit
+    inner = fit_module.fit
 
     def counting(variant, **kwargs):
         fitted.append(variant)
         return inner(variant, **kwargs)
 
-    monkeypatch.setattr(cli, "fit", counting)
+    monkeypatch.setattr(fit_module, "fit", counting)
     rc = main(["compare", "--variants", "M1", "M1", "--in", str(sim),
                "--jobs", "2", "--out", str(tmp_path / "c.json")])
     assert rc == 0
@@ -425,6 +426,53 @@ def test_cli_import_leaves_process_pool_unloaded():
     code = "import sys, burstfit.cli; print('concurrent.futures.process' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+# What each command loads in a fresh interpreter: its burstfit modules
+# (short names), and whether json or logging is among them.
+_COMMAND_MODULES = {
+    "simulate": {"cli", "io", "model", "special", "simulate"},
+    "hist": {"cli", "io", "model", "special", "simulate", "likelihood"},
+    "fit": {"cli", "io", "model", "special", "simulate", "likelihood", "fit", "selection",
+            "json"},
+    "compare": {"cli", "io", "model", "special", "likelihood", "fit", "selection", "json"},
+    "eval-density": {"cli", "io", "model", "special", "likelihood", "fit", "selection", "json"},
+    "eval-kernel": {"cli", "io", "model", "special", "likelihood", "fit", "selection", "json"},
+}
+
+
+def test_each_command_loads_only_its_modules(tmp_path):
+    """A command imports the modules it runs and no others: simulate and
+    hist load neither the fitter nor the selection module, and only
+    commands that read or write a fit artifact load json.  No command
+    here collapses duplicates or starts a pool, so none loads logging."""
+    events = tmp_path / "events.txt"
+    fitted = tmp_path / "m1.json"
+    assert main(["simulate", "--events", "300", "--seed", "5", "--out", str(events)]) == 0
+    assert main(["fit", "--variant", "M1", "--in", str(events), "--out", str(fitted)]) == 0
+    commands = {
+        "simulate": ["--events", "300", "--seed", "5", "--mode", "discrete"],
+        "hist": ["--in", str(events)],
+        "fit": ["--variant", "M1", "--in", str(events)],
+        "compare": ["--fits", str(fitted)],
+        "eval-density": ["--fit", str(fitted), "--tau-grid", "0.01:10:5"],
+        "eval-kernel": ["--fit", str(fitted)],
+    }
+    assert set(commands) == set(_COMMAND_MODULES)
+    src = str(Path(burstfit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = (
+        "import sys; from burstfit.cli import main; "
+        "rc = main(sys.argv[1:]); "
+        "print(rc, *sorted(m.removeprefix('burstfit.') for m in sys.modules "
+        "if m.startswith('burstfit.') or m in ('json', 'logging')))"
+    )
+    for name, flags in commands.items():
+        argv = [name, *flags, "--out", str(tmp_path / f"{name}.out")]
+        out = subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                             capture_output=True, text=True, check=True)
+        rc, *loaded = out.stdout.splitlines()[-1].split()
+        assert (name, rc, set(loaded)) == (name, "0", _COMMAND_MODULES[name])
 
 
 def test_fit_command_leaves_numpy_ma_unloaded(tmp_path):

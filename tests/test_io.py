@@ -1,5 +1,6 @@
 """Tests for timestamp ingestion, histogramming and fit serialization."""
 
+import dataclasses
 import json
 import logging
 import math
@@ -233,6 +234,62 @@ def test_emission_memory_stays_below_the_file(tmp_path):
     assert peak < path.stat().st_size, (peak, path.stat().st_size)
 
 
+def test_ingest_memory_is_the_result_plus_one_block(tmp_path):
+    """load_timestamps parses a block of lines at a time: on a blob of
+    512k lines, several parse blocks, its traced peak stays below 16
+    bytes a line (the parsed int64 array and the train's own copy of it)
+    plus four blocks' worth of temporaries.  A list of one byte string
+    per line, as a whole-blob split builds, takes about 4.5 times the
+    blob."""
+    rng = np.random.default_rng(23)
+    ts = 1_700_000_000_000 + np.cumsum(rng.integers(1, 5000, 1 << 19))
+    path = tmp_path / "big.txt"
+    save_timestamps(EventTrain(ts), path)
+    blob = path.read_bytes()
+    assert len(blob) > 4 * bio._PARSE_BLOCK
+    bound = 16 * ts.size + 4 * bio._PARSE_BLOCK
+    tracemalloc.start()
+    try:
+        train = load_timestamps(blob)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_array_equal(train.timestamps_ms, ts)
+    assert peak < bound, (peak, bound, len(blob))
+
+
+def _stamps_of_every_width(widest: int) -> np.ndarray:
+    """Increasing stamps with 1 to `widest` digits, a few of each width."""
+    top = int(np.iinfo(np.int64).max)
+    values = {0, 9, top}
+    for w in range(2, widest + 1):
+        values |= {10 ** (w - 1), 10 ** (w - 1) + 7, min(10**w - 1, top)}
+    return np.array(sorted(v for v in values if len(str(v)) <= widest), dtype=np.int64)
+
+
+@pytest.mark.parametrize("block", [1, 5, 64, None], ids=["1", "5", "64", "default"])
+@pytest.mark.parametrize("widest", [18, 19])
+def test_round_trip_across_widths_and_parse_blocks(tmp_path, monkeypatch, block, widest):
+    """Stamps of every width from 1 to 19 digits survive save then load,
+    with lines straddling parse blocks and a last line without a newline.
+    Up to 18 digits the digit arithmetic reads every block; a 19-digit
+    line hands the blob to the line loop."""
+    ts = _stamps_of_every_width(widest)
+    path = tmp_path / "out.txt"
+    save_timestamps(EventTrain(ts), path)
+    blob = path.read_bytes()
+    assert blob == ("unit=ms\n" + "\n".join(map(str, ts.tolist())) + "\n").encode()
+    if block is not None:
+        monkeypatch.setattr(bio, "_PARSE_BLOCK", block)
+    if widest <= bio._MAX_DIGITS:
+        def refuse(blob):
+            raise AssertionError("the line loop ran on digit lines")
+
+        monkeypatch.setattr(bio, "_parse_lines", refuse)
+    for source in (blob, blob[:-1], blob[len(b"unit=ms\n"):]):
+        np.testing.assert_array_equal(load_timestamps(source).timestamps_ms, ts)
+
+
 # ----------------------------------------------------------------------
 # intervals
 # ----------------------------------------------------------------------
@@ -422,6 +479,16 @@ def test_deserialize_rejects_bad_documents():
     doc["version"] = 99
     with pytest.raises(ValueError, match="version 99"):
         deserialize_fit(json.dumps(doc))
+
+
+def test_deserialize_reads_a_stall_stop():
+    """Fits no longer stop on "objective stall", but a v1 artifact written
+    when they did still loads, reason and converged flag as written."""
+    doc = json.loads(serialize_fit(_synthetic_result()))
+    doc["reason"] = "objective stall"
+    back = deserialize_fit(json.dumps(doc, indent=2) + "\n")
+    assert back.reason == "objective stall" and back.converged
+    assert back == dataclasses.replace(_synthetic_result(), reason="objective stall")
 
 
 def test_deserialize_names_missing_field():
