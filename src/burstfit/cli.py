@@ -7,8 +7,9 @@ never leaves a partial artifact behind.
 Exit codes: 0 success, 1 runtime failure, 2 usage error.
 
 Each command imports the modules it runs inside its handler, so a
-command pays the import time of its own modules only: `hist` and
-`simulate` never load the fitter.
+command pays the import time of its own modules only: `hist`,
+`simulate`, the `eval-*` tables and `compare` of loaded fits never load
+the fitter.
 """
 
 from __future__ import annotations
@@ -143,7 +144,6 @@ def _cmd_compare(args, parser) -> int:
         parser.error("--variants needs --in to fit against")
     if args.jobs < 1:
         parser.error("--jobs must be at least 1")
-    from .fit import fit
     from .selection import compare
 
     results = {}
@@ -155,6 +155,9 @@ def _cmd_compare(args, parser) -> int:
     # a variant named twice is fitted once
     todo = [v for v in dict.fromkeys(args.variants or ()) if v not in results]
     if todo:
+        # imported here: comparing loaded fits alone never loads the fitter
+        from .fit import fit
+
         # parsed once; the pool pickles both into each task
         fit_one = functools.partial(fit, data=_load_itis(args.infile), cfg=_load_config(args.config))
         if args.jobs > 1 and len(todo) > 1:

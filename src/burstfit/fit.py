@@ -43,14 +43,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .likelihood import ItiSet, ObjectiveValue, _vector_objective
+from .io import FitResult, ObjectiveValue
+from .likelihood import ItiSet, _vector_objective
 from .model import ModelParams, VariantSpec, _decay_matrix, _variant_spec
 from .model import params_to_vector, vector_to_params
 from .selection import bic
 
 __all__ = [
     "FitConfig",
-    "FitResult",
     "default_constraint_grid",
     "feasible",
     "fit",
@@ -137,28 +137,6 @@ class FitConfig:
         except ValueError as exc:
             raise ValueError(f"{path}: bad numeric value ({exc})") from None
         return cls(**kwargs)
-
-
-@dataclass(frozen=True)
-class FitResult:
-    """Outcome of one fit: the point found, how, and on what data."""
-
-    params_star: ModelParams
-    objective_trace: tuple[ObjectiveValue, ...]
-    converged: bool
-    reason: str
-    n_projections: int
-    bic: float
-    n_data: int
-    data_digest: str
-
-    @property
-    def variant(self) -> str:
-        return self.params_star.variant
-
-    @property
-    def objective(self) -> float:
-        return self.objective_trace[-1].objective
 
 
 def _grid_basis(spec: VariantSpec) -> np.ndarray:

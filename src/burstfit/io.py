@@ -1,4 +1,5 @@
-"""File formats: timestamp logs, log-binned histograms, fit artifacts.
+"""File formats and the records they carry: event trains, log-binned
+histograms, fit artifacts.
 
 Timestamps travel as newline-delimited integer milliseconds with an
 optional ``unit=ms`` header line.  Both directions work a block of lines
@@ -10,9 +11,15 @@ string.  Fit results travel as versioned JSON; floats go through
 Python's shortest round-trip repr, so serialization is lossless bit for
 bit.
 
-This module imports the model, fit and selection modules, and ``json``
-and ``logging``, only inside the functions that use them, so a command
-that reads or writes timestamps alone does not pay their import.
+The records that cross a file boundary live here: EventTrain, what
+timestamp files hold, and FitResult with its ObjectiveValue trace, what
+fit artifacts hold.  The samplers, the likelihood and the fitter import
+them from this module, which imports no module of the package at its
+top: it loads ``model`` (to rebuild a fit's parameters), ``likelihood``
+(for the interval set ``compute_itis`` returns), ``json`` and
+``logging`` only inside the functions that use them.  So a command that
+reads or writes timestamps alone does not pay their import, and one that
+reads a fit artifact loads neither the fitter nor the likelihood.
 """
 
 from __future__ import annotations
@@ -30,12 +37,14 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 if TYPE_CHECKING:
-    from .fit import FitResult
     from .likelihood import ItiSet
+    from .model import ModelParams
     from .selection import ComparisonMatrix
-    from .simulate import EventTrain
 
 __all__ = [
+    "EventTrain",
+    "ObjectiveValue",
+    "FitResult",
     "LogBinnedHistogram",
     "load_timestamps",
     "save_timestamps",
@@ -50,6 +59,76 @@ __all__ = [
 
 _FIT_FORMAT = "burstfit-fit"
 _FIT_VERSION = 1
+
+
+@dataclass(frozen=True, eq=False)
+class EventTrain:
+    """Strictly increasing event timestamps in integer milliseconds."""
+
+    timestamps_ms: np.ndarray
+
+    def __post_init__(self) -> None:
+        ts = np.asarray(self.timestamps_ms)
+        if ts.ndim != 1:
+            raise ValueError("timestamps must be a 1-d array")
+        # a float cast to int64 would truncate fractions and turn NaN or
+        # inf into -2**63; NaN fails both comparisons
+        if ts.dtype.kind == "f" and not np.all((ts == np.floor(ts)) & (np.abs(ts) < 2.0**63)):
+            raise ValueError("timestamps must be finite whole milliseconds")
+        ts = ts.astype(np.int64, copy=True)
+        if ts.size:
+            if ts[0] < 0:
+                raise ValueError("timestamps must be nonnegative")
+            # compared, not subtracted: a difference can wrap around int64
+            if np.any(ts[1:] <= ts[:-1]):
+                raise ValueError("timestamps must be strictly increasing")
+        ts.setflags(write=False)
+        object.__setattr__(self, "timestamps_ms", ts)
+
+    @property
+    def n_events(self) -> int:
+        return int(self.timestamps_ms.size)
+
+    @property
+    def duration_seconds(self) -> float:
+        if self.n_events < 2:
+            return 0.0
+        return float(self.timestamps_ms[-1] - self.timestamps_ms[0]) / 1000.0
+
+    def intervals_seconds(self) -> np.ndarray:
+        """Consecutive inter-event intervals in seconds."""
+        return np.diff(self.timestamps_ms) / 1000.0
+
+
+@dataclass(frozen=True)
+class ObjectiveValue:
+    """Penalized objective split into its two parts."""
+
+    log_likelihood: float
+    penalty: float
+    objective: float
+
+
+@dataclass(frozen=True)
+class FitResult:
+    """Outcome of one fit: the point found, how, and on what data."""
+
+    params_star: ModelParams
+    objective_trace: tuple[ObjectiveValue, ...]
+    converged: bool
+    reason: str
+    n_projections: int
+    bic: float
+    n_data: int
+    data_digest: str
+
+    @property
+    def variant(self) -> str:
+        return self.params_star.variant
+
+    @property
+    def objective(self) -> float:
+        return self.objective_trace[-1].objective
 
 
 @dataclass(frozen=True)
@@ -104,17 +183,28 @@ _ZERO_BYTES = [48 * (10**w - 1) // 9 for w in range(_MAX_DIGITS + 1)]
 def _digit_lines(b: np.ndarray) -> np.ndarray | None:
     """int64 values of a uint8 block of whole lines, or None.
 
-    The block must hold only ASCII digits and newlines, with at most
-    _MAX_DIGITS digits a line; empty lines give no value.  Lines are
-    grouped by width, and each group is folded one digit column at a time.
+    The block must hold only ASCII digits and newlines, each newline
+    perhaps preceded by one "\\r", with at most _MAX_DIGITS digits a
+    line; empty lines give no value.  Lines are grouped by width, and each
+    group is folded one digit column at a time.
     """
     ends = np.flatnonzero(b == 10)
-    # every byte that is not a digit must be a newline
-    if np.count_nonzero(b - 48 > 9) != ends.size:
+    # every byte that is not a digit must be a newline or a "\r" directly
+    # before one; a block of bare newlines skips the "\r" search
+    n_other = np.count_nonzero(b - 48 > 9) - ends.size
+    crs = np.flatnonzero(b == 13) if n_other else ends[:0]
+    if crs.size != n_other or (
+        crs.size and (crs[-1] == b.size - 1 or np.any(b[crs + 1] != 10))
+    ):
         return None
     if not ends.size or ends[-1] != b.size - 1:
         ends = np.append(ends, b.size)  # the blob's last line has no newline
     widths = np.diff(ends, prepend=-1) - 1
+    if crs.size:
+        # a CRLF line's digits end at its "\r"
+        crlf = np.searchsorted(ends, crs + 1)
+        ends[crlf] -= 1
+        widths[crlf] -= 1
     if widths.max() > _MAX_DIGITS:
         return None
     starts = ends - widths
@@ -142,8 +232,8 @@ def _parse(blob: bytes) -> np.ndarray:
     newline count.  A block of digit lines gives int()'s value of each
     line (_digit_lines).  The first block that holds any other byte hands
     the whole blob to the line loop, the one general route: it reads what
-    int() accepts beyond bare digits (signs, spaces, "\\r", Unicode
-    digits) or names the bad line.
+    int() accepts beyond bare digits (signs, spaces, Unicode digits) or
+    names the bad line.
     """
     first = blob.find(b"\n")
     pos = first + 1 if _is_header(blob[:first] if first >= 0 else blob) else 0
@@ -172,8 +262,6 @@ def load_timestamps(source) -> EventTrain:
     duplicates collapsed (count logged); anything non-integer raises with
     its line number.
     """
-    from .simulate import EventTrain
-
     ts = _parse(source if isinstance(source, bytes) else Path(source).read_bytes())
     if not ts.size:
         raise ValueError("timestamp stream contains no events")
@@ -360,12 +448,25 @@ def _field(doc: dict, name: str):
     return doc[name]
 
 
+def _typed(doc: dict, name: str, ok, what: str):
+    """The field, if ok(field) holds; its JSON type is checked, never
+    coerced, so "false" cannot load as true nor 2.9 as 2."""
+    value = _field(doc, name)
+    if not ok(value):
+        raise ValueError(f"fit document field {name!r} must be {what}, got {value!r}")
+    return value
+
+
+def _is_count(value) -> bool:
+    # bool is an int subclass; JSON true is not a count
+    return type(value) is int and value >= 0
+
+
 def deserialize_fit(text: str | bytes) -> FitResult:
-    """Inverse of serialize_fit; rejects unknown versions loudly."""
+    """Inverse of serialize_fit; rejects unknown versions loudly, and a
+    field of the wrong JSON type by name."""
     import json
 
-    from .fit import FitResult
-    from .likelihood import ObjectiveValue
     from .model import ModelParams, RefractoryKernel
 
     try:
@@ -392,18 +493,17 @@ def deserialize_fit(text: str | bytes) -> FitResult:
         kernel=kernel,
         variant=str(_field(doc, "variant")),
     )
-    trace = tuple(
-        ObjectiveValue(float(ll), float(pen), float(obj))
-        for ll, pen, obj in _field(doc, "objective_trace")
-    )
+    rows = _typed(doc, "objective_trace", lambda v: isinstance(v, list) and v,
+                  "a non-empty list of rows")
+    trace = tuple(ObjectiveValue(float(ll), float(pen), float(obj)) for ll, pen, obj in rows)
     return FitResult(
         params_star=params,
         objective_trace=trace,
-        converged=bool(_field(doc, "converged")),
+        converged=_typed(doc, "converged", lambda v: isinstance(v, bool), "true or false"),
         reason=str(_field(doc, "reason")),
-        n_projections=int(_field(doc, "n_projections")),
+        n_projections=_typed(doc, "n_projections", _is_count, "an integer >= 0"),
         bic=float(_field(doc, "bic")),
-        n_data=int(_field(doc, "n_data")),
+        n_data=_typed(doc, "n_data", _is_count, "an integer >= 0"),
         data_digest=str(_field(doc, "data_digest")),
     )
 

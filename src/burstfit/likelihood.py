@@ -29,12 +29,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .io import ObjectiveValue
 from .model import ModelParams, VARIANTS, _decay_matrix, _variant_spec
 from .special import PrecisionLossError, _log_hyp1f1_neg
 
 __all__ = [
     "ItiSet",
-    "ObjectiveValue",
     "InfeasibleParamsError",
     "log_likelihood",
     "objective",
@@ -43,15 +43,6 @@ __all__ = [
 
 class InfeasibleParamsError(ValueError):
     """The kernel drives the event rate nonpositive at an observed interval."""
-
-
-@dataclass(frozen=True)
-class ObjectiveValue:
-    """Penalized objective split into its two parts."""
-
-    log_likelihood: float
-    penalty: float
-    objective: float
 
 
 @dataclass(frozen=True, eq=False)

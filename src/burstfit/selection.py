@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
-    from .fit import FitResult
+    from .io import FitResult
 
 __all__ = [
     "BIC_PREFERENCE_MARGIN",

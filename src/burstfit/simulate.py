@@ -37,6 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .io import EventTrain
 from .model import (
     ModelParams,
     RefractoryKernel,
@@ -49,7 +50,6 @@ from .model import (
 )
 
 __all__ = [
-    "EventTrain",
     "SimConfig",
     "simulate_discrete",
     "discrete_intervals",
@@ -82,45 +82,6 @@ _SPAN_ERROR = (
 # _INVERSE_SPAN / min alpha, where exp(-alpha tau) < 5e-18.
 _INVERSE_GRID = 1024
 _INVERSE_SPAN = 40.0
-
-
-@dataclass(frozen=True, eq=False)
-class EventTrain:
-    """Strictly increasing event timestamps in integer milliseconds."""
-
-    timestamps_ms: np.ndarray
-
-    def __post_init__(self) -> None:
-        ts = np.asarray(self.timestamps_ms)
-        if ts.ndim != 1:
-            raise ValueError("timestamps must be a 1-d array")
-        # a float cast to int64 would truncate fractions and turn NaN or
-        # inf into -2**63; NaN fails both comparisons
-        if ts.dtype.kind == "f" and not np.all((ts == np.floor(ts)) & (np.abs(ts) < 2.0**63)):
-            raise ValueError("timestamps must be finite whole milliseconds")
-        ts = ts.astype(np.int64, copy=True)
-        if ts.size:
-            if ts[0] < 0:
-                raise ValueError("timestamps must be nonnegative")
-            # compared, not subtracted: a difference can wrap around int64
-            if np.any(ts[1:] <= ts[:-1]):
-                raise ValueError("timestamps must be strictly increasing")
-        ts.setflags(write=False)
-        object.__setattr__(self, "timestamps_ms", ts)
-
-    @property
-    def n_events(self) -> int:
-        return int(self.timestamps_ms.size)
-
-    @property
-    def duration_seconds(self) -> float:
-        if self.n_events < 2:
-            return 0.0
-        return float(self.timestamps_ms[-1] - self.timestamps_ms[0]) / 1000.0
-
-    def intervals_seconds(self) -> np.ndarray:
-        """Consecutive inter-event intervals in seconds."""
-        return np.diff(self.timestamps_ms) / 1000.0
 
 
 @dataclass(frozen=True)

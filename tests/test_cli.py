@@ -432,20 +432,20 @@ def test_cli_import_leaves_process_pool_unloaded():
 # (short names), and whether json or logging is among them.
 _COMMAND_MODULES = {
     "simulate": {"cli", "io", "model", "special", "simulate"},
-    "hist": {"cli", "io", "model", "special", "simulate", "likelihood"},
-    "fit": {"cli", "io", "model", "special", "simulate", "likelihood", "fit", "selection",
-            "json"},
-    "compare": {"cli", "io", "model", "special", "likelihood", "fit", "selection", "json"},
-    "eval-density": {"cli", "io", "model", "special", "likelihood", "fit", "selection", "json"},
-    "eval-kernel": {"cli", "io", "model", "special", "likelihood", "fit", "selection", "json"},
+    "hist": {"cli", "io", "model", "special", "likelihood"},
+    "fit": {"cli", "io", "model", "special", "likelihood", "fit", "selection", "json"},
+    "compare": {"cli", "io", "model", "special", "selection", "json"},
+    "eval-density": {"cli", "io", "model", "special", "json"},
+    "eval-kernel": {"cli", "io", "model", "special", "json"},
 }
 
 
 def test_each_command_loads_only_its_modules(tmp_path):
-    """A command imports the modules it runs and no others: simulate and
-    hist load neither the fitter nor the selection module, and only
-    commands that read or write a fit artifact load json.  No command
-    here collapses duplicates or starts a pool, so none loads logging."""
+    """A command imports the modules it runs and no others: only fit
+    loads the fitter, reading a fit artifact loads neither the fitter nor
+    the likelihood, fit and hist skip the samplers, and only commands
+    that read or write a fit artifact load json.  No command here
+    collapses duplicates or starts a pool, so none loads logging."""
     events = tmp_path / "events.txt"
     fitted = tmp_path / "m1.json"
     assert main(["simulate", "--events", "300", "--seed", "5", "--out", str(events)]) == 0

@@ -152,6 +152,8 @@ _GOOD_LINES = b"".join(b"%d\n" % (3 * i) for i in range(10_000))
 
 _PARSE_CASES = {
     "crlf": b"unit=ms\r\n5\r\n7\r\n",
+    "mixed crlf and lf": b"5\r\n7\n9\r\n\r\n11",
+    "two crs before a newline": b"5\r\r\n7\r\n",
     "tabs and spaces": b"\t5 \n  7\t\n 9\n",
     "sign, underscore, leading zeros": b"+7\n1_000\n007\n0\n",
     "blank lines": b"5\n\n7\n\n\n",
@@ -271,9 +273,10 @@ def _stamps_of_every_width(widest: int) -> np.ndarray:
 @pytest.mark.parametrize("widest", [18, 19])
 def test_round_trip_across_widths_and_parse_blocks(tmp_path, monkeypatch, block, widest):
     """Stamps of every width from 1 to 19 digits survive save then load,
-    with lines straddling parse blocks and a last line without a newline.
-    Up to 18 digits the digit arithmetic reads every block; a 19-digit
-    line hands the blob to the line loop."""
+    with lines straddling parse blocks and a last line without a newline,
+    and load alike with CRLF line ends.  Up to 18 digits the digit
+    arithmetic reads every block; a 19-digit line hands the blob to the
+    line loop."""
     ts = _stamps_of_every_width(widest)
     path = tmp_path / "out.txt"
     save_timestamps(EventTrain(ts), path)
@@ -286,7 +289,9 @@ def test_round_trip_across_widths_and_parse_blocks(tmp_path, monkeypatch, block,
             raise AssertionError("the line loop ran on digit lines")
 
         monkeypatch.setattr(bio, "_parse_lines", refuse)
-    for source in (blob, blob[:-1], blob[len(b"unit=ms\n"):]):
+    crlf = blob.replace(b"\n", b"\r\n")
+    for source in (blob, blob[:-1], blob[len(b"unit=ms\n"):],
+                   crlf, crlf[:-2], crlf[len(b"unit=ms\r\n"):]):
         np.testing.assert_array_equal(load_timestamps(source).timestamps_ms, ts)
 
 
@@ -500,6 +505,42 @@ def test_deserialize_names_missing_field():
     del doc["params"]["gamma"]
     with pytest.raises(ValueError, match="'gamma'"):
         deserialize_fit(json.dumps(doc))
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("converged", "false"),
+        ("converged", 1),
+        ("n_projections", 2.9),
+        ("n_projections", True),
+        ("n_projections", -1),
+        ("n_data", -5),
+        ("n_data", 3000.0),
+        ("objective_trace", []),
+        ("objective_trace", None),
+    ],
+    ids=str,
+)
+def test_deserialize_refuses_a_field_of_the_wrong_type(field, value):
+    """A field is read as its JSON type, never coerced: "false" is not
+    true, 2.9 is not 2, and an empty trace, which leaves a result
+    without an objective, is refused."""
+    doc = json.loads(serialize_fit(_synthetic_result()))
+    doc[field] = value
+    with pytest.raises(ValueError, match=f"'{field}'"):
+        deserialize_fit(json.dumps(doc))
+
+
+def test_deserialize_reads_a_zero_count_artifact():
+    """No data, no projections and one all-zero trace row, as a record of
+    known parameters carries, load as written."""
+    record = dataclasses.replace(
+        _synthetic_result(), objective_trace=(ObjectiveValue(0.0, 0.0, 0.0),),
+        n_projections=0, bic=0.0, n_data=0,
+    )
+    back = deserialize_fit(serialize_fit(record))
+    assert back == record and back.objective == 0.0
 
 
 def test_serialize_comparison_shape():

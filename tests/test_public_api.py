@@ -1,5 +1,6 @@
-"""The public names: every ``__all__`` entry resolves, and removed helpers
-stay removed."""
+"""The public names: each is defined in one module, whose ``__all__``
+lists it; the package itself re-exports nothing; removed helpers stay
+removed."""
 
 import importlib
 import os
@@ -11,12 +12,10 @@ import pytest
 
 import burstfit
 
-from burstfit.fit import FitResult
-from burstfit.io import LogBinnedHistogram
+from burstfit.io import FitResult, LogBinnedHistogram
 from burstfit.model import RefractoryKernel, VariantSpec
 
 MODULES = (
-    "burstfit",
     "burstfit.special",
     "burstfit.model",
     "burstfit.simulate",
@@ -26,6 +25,28 @@ MODULES = (
     "burstfit.io",
 )
 
+# Every name the package namespace once re-exported; each stays
+# importable from its one module.
+PUBLIC_NAMES = (
+    "BIC_PREFERENCE_MARGIN", "ComparisonMatrix", "EventTrain", "FitConfig", "FitResult",
+    "InfeasibleParamsError", "ItiSet", "LogBinnedHistogram", "ModelParams", "ObjectiveValue",
+    "PrecisionLossError", "RefractoryKernel", "SimConfig", "VARIANTS", "bic", "compare",
+    "compute_itis", "default_constraint_grid", "deserialize_fit", "digamma",
+    "discrete_intervals", "feasible", "fit", "fit_log_slope", "gradient", "invert_R",
+    "iti_density", "iti_tail_asymptote", "kummer_1f1", "load_timestamps", "log_beta",
+    "log_binned_histogram", "log_gamma", "log_likelihood", "objective", "params_to_vector",
+    "refractory_eval", "refractory_integral", "save_timestamps", "serialize_comparison",
+    "serialize_fit", "simulate_continuous", "simulate_discrete", "vector_to_params",
+)
+
+
+def _fresh(code: str, *args: str) -> str:
+    """stdout of code run in a new interpreter that imports this tree."""
+    src = str(Path(burstfit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
+                          text=True, check=True).stdout
+
 
 @pytest.mark.parametrize("name", MODULES)
 def test_all_names_resolve(name):
@@ -34,65 +55,34 @@ def test_all_names_resolve(name):
     assert missing == []
 
 
-def test_star_import_binds_every_public_name():
-    namespace: dict = {}
-    exec("from burstfit import *", namespace)
-    package = importlib.import_module("burstfit")
-    for n in package.__all__:
-        assert namespace[n] is getattr(package, n)
+def test_each_public_name_is_listed_by_exactly_one_module():
+    homes: dict[str, list[str]] = {}
+    for name in MODULES:
+        for n in importlib.import_module(name).__all__:
+            homes.setdefault(n, []).append(name)
+    assert {n: m for n, m in homes.items() if len(m) != 1} == {}
+    assert set(PUBLIC_NAMES) - set(homes) == set()
 
 
 def test_package_import_loads_no_module_until_a_name_is_used():
-    """``import burstfit`` loads none of its modules; a public name or a
-    submodule attribute loads its module on first use."""
-    src = str(Path(burstfit.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = (
+    """``import burstfit`` loads none of its modules and binds no public
+    name; importing a name loads its module and that module's imports."""
+    out = _fresh(
         "import sys, burstfit\n"
         "print(sorted(m for m in sys.modules if m.startswith('burstfit.')))\n"
-        "burstfit.log_gamma\n"
+        "print(sorted(n for n in vars(burstfit) if not n.startswith('__')))\n"
+        "from burstfit.special import log_gamma\n"
         "print(sorted(m for m in sys.modules if m.startswith('burstfit.')))\n"
-        "names = ('io', 'model', 'simulate', 'likelihood', 'selection', 'special')\n"
-        "print(all(getattr(burstfit, m) is sys.modules['burstfit.' + m] for m in names))\n"
     )
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                         check=True)
-    assert out.stdout.split("\n")[:3] == ["[]", "['burstfit.special']", "True"]
+    assert out.split("\n")[:3] == ["[]", "[]", "['burstfit.special']"]
 
 
-# Run in a fresh interpreter: every submodule is imported before any
-# package attribute is read, so the package names resolve only after the
-# import of burstfit.fit has bound that submodule on the package.
-_HOME_CHECK = """
-import importlib, sys
-submodules = sys.argv[1:]
-for name in submodules:
-    importlib.import_module(name)
-import burstfit
-wrong = []
-for n in burstfit.__all__:
-    homes = [m for m in submodules if n in getattr(sys.modules[m], "__all__", ())]
-    if len(homes) != 1 or getattr(burstfit, n) is not getattr(sys.modules[homes[0]], n):
-        wrong.append((n, homes))
-namespace = {}
-exec("from burstfit import *", namespace)
-wrong += [n for n in burstfit.__all__ if namespace[n] is not getattr(burstfit, n)]
-fit_module = sys.modules["burstfit.fit"]
-if burstfit.fit is not fit_module.fit or namespace["fit"] is not fit_module.fit:
-    wrong.append("fit")
-print(wrong)
-"""
-
-
-def test_public_names_are_their_home_objects():
-    """Each ``__all__`` name is the object its one home module defines,
-    ``burstfit.fit`` is the function, not the submodule of that name, and
-    ``from burstfit import *`` binds the same objects."""
-    src = str(Path(burstfit.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    out = subprocess.run([sys.executable, "-c", _HOME_CHECK, *MODULES[1:], "burstfit.cli"],
-                         env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+@pytest.mark.parametrize("name", ("burstfit", *MODULES, "burstfit.cli"))
+def test_each_module_imports_alone(name):
+    """Each module imports first in a new interpreter, so no import
+    order hides a cycle."""
+    assert _fresh("import importlib, sys; importlib.import_module(sys.argv[1]); print('ok')",
+                  name).strip() == "ok"
 
 
 @pytest.mark.parametrize(
