@@ -68,13 +68,12 @@ def _build_params(args, parser) -> ModelParams:
         parser.error(
             f"variant {args.variant} takes {n_terms} kernel coefficient(s), got {len(gamma)}"
         )
-    kernel = RefractoryKernel.log_spaced(gamma) if gamma else RefractoryKernel.none()
     try:
         return ModelParams(
             a=args.a,
             b=args.b,
             c=float(np.log(args.rho)),
-            kernel=kernel,
+            kernel=RefractoryKernel.log_spaced(gamma),
             variant=args.variant,
         )
     except ValueError as exc:
@@ -84,8 +83,10 @@ def _build_params(args, parser) -> ModelParams:
 def _cmd_simulate(args, parser) -> int:
     if args.events is not None and args.events < 2:
         parser.error("--events must be at least 2, the fewest that form an interval")
-    if args.duration is not None and args.duration <= 0.0:
-        parser.error("--duration must be positive")
+    if args.duration is not None and not 0.0 < args.duration < math.inf:
+        parser.error("--duration must be positive and finite")
+    if not 0.0 < args.dt < math.inf:
+        parser.error("--dt must be positive and finite")
     if (args.events is None) == (args.duration is None):
         parser.error("give exactly one of --events / --duration")
     if args.rho <= 0.0:

@@ -162,8 +162,6 @@ def feasible(kernel, grid: np.ndarray) -> tuple[bool, int | None]:
 
 def _basis_feasible(basis: np.ndarray, gamma: np.ndarray) -> tuple[bool, int | None]:
     """feasible() on a precomputed basis exp(-alpha_k t_i)."""
-    if basis.shape[1] == 0:
-        return True, None
     rate = 1.0 + basis @ gamma
     worst = int(np.argmin(rate))
     if rate[worst] >= 0.0:
@@ -292,7 +290,7 @@ def _curvature_matrix(
     grad: np.ndarray,
     variant: str,
     data: ItiSet,
-    previous: np.ndarray | None,
+    previous: np.ndarray,
 ) -> np.ndarray:
     """Forward differences of the per-datum gradient, one column per probe.
 
@@ -302,8 +300,8 @@ def _curvature_matrix(
     diagonal, and it is symmetrized to absorb finite-difference noise.
     A forward probe raises the shapes, the rate and the kernel, so it
     leaves the model domain only where exp overflows or no 1F1 regime
-    settles; such a probe reuses the previous column (unit diagonal at
-    the first refresh).
+    settles; such a probe reuses the previous column (the fit's first
+    refresh starts from the negated identity).
     """
     dim = u.size
     n = data.n
@@ -314,11 +312,7 @@ def _curvature_matrix(
         probe[i] += h
         _, gp = _search_objective(probe, variant, data)
         if gp is None:
-            if previous is not None:
-                cols[:, i] = previous[:, i] * n
-            else:
-                cols[:, i] = 0.0
-                cols[i, i] = -float(n)
+            cols[:, i] = previous[:, i] * n
         else:
             cols[:, i] = (gp - grad) / h
     return (cols + cols.T) / (2.0 * n)
@@ -332,7 +326,7 @@ def _ascent_map(curvature: np.ndarray) -> np.ndarray:
     directions; the backtracking search takes care of the rest.
     """
     lam, q = np.linalg.eigh(-curvature)
-    top = float(lam.max()) if lam.size else 0.0
+    top = float(lam.max())
     if not math.isfinite(top) or top <= 0.0:
         return np.eye(curvature.shape[0])
     lam = np.maximum(lam, _CURV_FLOOR * top)
@@ -388,7 +382,8 @@ def fit(variant: str, data: ItiSet, cfg: FitConfig | None = None) -> FitResult:
     converged = False
     reason = "max iterations"
     max_proj = spec.n_kernel_terms + 1
-    curv: np.ndarray | None = None
+    # the negated identity, with +0.0 off the diagonal where -np.eye has -0.0
+    curv = np.diag(np.full(u.size, -1.0))
     ascent = np.eye(u.size)
     refresh_at = 0
 

@@ -448,18 +448,38 @@ def _field(doc: dict, name: str):
     return doc[name]
 
 
-def _typed(doc: dict, name: str, ok, what: str):
-    """The field, if ok(field) holds; its JSON type is checked, never
-    coerced, so "false" cannot load as true nor 2.9 as 2."""
+def _is_number(value) -> bool:
+    # bool is an int subclass; JSON true is neither a number nor a count
+    return type(value) in (int, float)
+
+
+# The JSON types a fit document's fields may take, by their description
+_KINDS = {
+    "an object": lambda v: isinstance(v, dict),
+    "a string": lambda v: isinstance(v, str),
+    "true or false": lambda v: isinstance(v, bool),
+    "an integer >= 0": lambda v: type(v) is int and v >= 0,
+    "a number": _is_number,
+    "a list of numbers": lambda v: isinstance(v, list) and all(map(_is_number, v)),
+    "a non-empty list of rows": lambda v: isinstance(v, list) and v,
+}
+
+
+def _typed(doc: dict, name: str, what: str):
+    """The field, if it is what _KINDS[what] accepts; its JSON type is
+    checked, never coerced, so "false" cannot load as true, 2.9 as 2 nor
+    "0.5" as 0.5."""
     value = _field(doc, name)
-    if not ok(value):
+    if not _KINDS[what](value):
         raise ValueError(f"fit document field {name!r} must be {what}, got {value!r}")
     return value
 
 
-def _is_count(value) -> bool:
-    # bool is an int subclass; JSON true is not a count
-    return type(value) is int and value >= 0
+def _trace_row(index: int, row) -> ObjectiveValue:
+    if not (_KINDS["a list of numbers"](row) and len(row) == 3):
+        raise ValueError(f"fit document field 'objective_trace' row {index} must be "
+                         f"3 numbers (log-likelihood, penalty, objective), got {row!r}")
+    return ObjectiveValue(*map(float, row))
 
 
 def deserialize_fit(text: str | bytes) -> FitResult:
@@ -476,35 +496,31 @@ def deserialize_fit(text: str | bytes) -> FitResult:
     if not isinstance(doc, dict) or doc.get("format") != _FIT_FORMAT:
         raise ValueError("not a fit document (missing format tag)")
     version = _field(doc, "version")
-    if version != _FIT_VERSION:
+    if type(version) is not int or version != _FIT_VERSION:
         raise ValueError(
             f"fit document version {version!r} is not supported (expected {_FIT_VERSION})"
         )
-    raw_params = _field(doc, "params")
-    gamma = tuple(float(g) for g in _field(raw_params, "gamma"))
-    alpha = tuple(float(al) for al in _field(raw_params, "alpha"))
-    kernel = (
-        RefractoryKernel(gamma=gamma, alpha=alpha) if gamma else RefractoryKernel.none()
-    )
+    # ModelParams and RefractoryKernel store the numbers as floats
+    raw = _typed(doc, "params", "an object")
     params = ModelParams(
-        a=float(_field(raw_params, "a")),
-        b=float(_field(raw_params, "b")),
-        c=float(_field(raw_params, "c")),
-        kernel=kernel,
-        variant=str(_field(doc, "variant")),
+        a=_typed(raw, "a", "a number"),
+        b=_typed(raw, "b", "a number"),
+        c=_typed(raw, "c", "a number"),
+        kernel=RefractoryKernel(
+            _typed(raw, "gamma", "a list of numbers"), _typed(raw, "alpha", "a list of numbers")
+        ),
+        variant=_typed(doc, "variant", "a string"),
     )
-    rows = _typed(doc, "objective_trace", lambda v: isinstance(v, list) and v,
-                  "a non-empty list of rows")
-    trace = tuple(ObjectiveValue(float(ll), float(pen), float(obj)) for ll, pen, obj in rows)
+    rows = _typed(doc, "objective_trace", "a non-empty list of rows")
     return FitResult(
         params_star=params,
-        objective_trace=trace,
-        converged=_typed(doc, "converged", lambda v: isinstance(v, bool), "true or false"),
-        reason=str(_field(doc, "reason")),
-        n_projections=_typed(doc, "n_projections", _is_count, "an integer >= 0"),
-        bic=float(_field(doc, "bic")),
-        n_data=_typed(doc, "n_data", _is_count, "an integer >= 0"),
-        data_digest=str(_field(doc, "data_digest")),
+        objective_trace=tuple(_trace_row(i, row) for i, row in enumerate(rows)),
+        converged=_typed(doc, "converged", "true or false"),
+        reason=_typed(doc, "reason", "a string"),
+        n_projections=_typed(doc, "n_projections", "an integer >= 0"),
+        bic=float(_typed(doc, "bic", "a number")),
+        n_data=_typed(doc, "n_data", "an integer >= 0"),
+        data_digest=_typed(doc, "data_digest", "a string"),
     )
 
 

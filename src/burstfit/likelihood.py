@@ -121,19 +121,15 @@ def _evaluate(
     """
     tau, cnt = data._unique()
     n_data = float(data.n)
-    if gamma.size:
-        decay, decay_int = data._basis(alpha)
-        r = 1.0 + decay @ gamma
-        if r.min() <= 0.0:
-            raise InfeasibleParamsError(
-                "rate modulation r(tau) <= 0 at an observed interval"
-            )
-        big_r = tau + decay_int @ gamma
-        log_r_sum = float(cnt @ np.log(r))
-    else:
-        r = None
-        big_r = tau
-        log_r_sum = 0.0
+    # with no kernel terms the basis has no columns, so r is 1 and R is tau
+    decay, decay_int = data._basis(alpha)
+    r = 1.0 + decay @ gamma
+    if r.min() <= 0.0:
+        raise InfeasibleParamsError(
+            "rate modulation r(tau) <= 0 at an observed interval"
+        )
+    big_r = tau + decay_int @ gamma
+    log_r_sum = float(cnt @ np.log(r))
 
     rho = math.exp(c)
     w = rho * big_r
@@ -155,12 +151,8 @@ def _evaluate(
     g_a = float(cnt @ d_a) + n_data * (1.0 / a - 1.0 / (a + b))
     g_b = float(cnt @ d_b) - n_data / (a + b)
     g_c = n_data - rho * float(cnt @ (big_r * ratio))
-    if gamma.size:
-        weighted = cnt * ratio
-        d_gamma = (cnt / r) @ decay - rho * (weighted @ decay_int)
-        d_gamma -= 2.0 * reg_weight * gamma
-    else:
-        d_gamma = gamma
+    d_gamma = (cnt / r) @ decay - rho * ((cnt * ratio) @ decay_int)
+    d_gamma -= 2.0 * reg_weight * gamma
     return value, (g_a, g_b, g_c, d_gamma)
 
 

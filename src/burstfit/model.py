@@ -89,10 +89,8 @@ class RefractoryKernel:
         """
         gamma = tuple(float(g) for g in gamma)
         n = len(gamma)
-        if n == 0:
-            return cls.none()
-        if n == 1:
-            return cls(gamma, (1.0 / fastest_timescale,))
+        if n < 2:
+            return cls(gamma, (1.0 / fastest_timescale,) * n)
         if slowest_timescale is None:
             slowest_timescale = _SLOWEST_TIMESCALE.get(n)
             if slowest_timescale is None:
@@ -276,16 +274,12 @@ def refractory_eval(kernel: RefractoryKernel, tau):
     violation instead of a silently repaired kernel.
     """
     t, shape = _as_times(tau, minimum=0.0)
-    if not kernel.n:
-        return _restore(np.ones_like(t), shape)
     return _restore(_rate_from_decay(kernel, _decay_matrix(kernel.alpha, t)), shape)
 
 
 def refractory_integral(kernel: RefractoryKernel, tau):
     """R(tau) = tau + sum_k (gamma_k/alpha_k)(1 - exp(-alpha_k tau))."""
     t, shape = _as_times(tau, minimum=0.0)
-    if not kernel.n:
-        return _restore(t.copy(), shape)
     return _restore(_integral_from_decay(kernel, t, _decay_matrix(kernel.alpha, t)), shape)
 
 

@@ -100,14 +100,14 @@ class SimConfig:
     duration: float | None = None
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.dt) and self.dt > 0.0):
-            raise ValueError(f"dt must be positive, got {self.dt}")
+        if not 0.0 < self.dt < math.inf:
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
         if (self.n_events is None) == (self.duration is None):
             raise ValueError("give exactly one of n_events and duration")
         if self.n_events is not None and self.n_events < 1:
             raise ValueError("n_events must be >= 1")
-        if self.duration is not None and not self.duration > 0.0:
-            raise ValueError("duration must be positive")
+        if self.duration is not None and not 0.0 < self.duration < math.inf:
+            raise ValueError(f"duration must be positive and finite, got {self.duration}")
 
 
 def _kernel_support_bins(kernel: RefractoryKernel, dt: float) -> int:
@@ -122,7 +122,7 @@ def _kernel_support_bins(kernel: RefractoryKernel, dt: float) -> int:
 def _check_feasible(kernel: RefractoryKernel) -> None:
     """Reject kernels that go negative on a dense grid (R would not be
     invertible)."""
-    if kernel.n == 0:
+    if kernel.n == 0:  # the grid's span needs a slowest decay rate
         return
     grid = np.geomspace(1e-5, 20.0 / min(kernel.alpha), 600)
     if refractory_eval(kernel, grid).min() < 0.0 or refractory_eval(kernel, 0.0) < 0.0:
@@ -189,6 +189,7 @@ def _run_chain(params: ModelParams, cfg: SimConfig) -> np.ndarray:
         )
 
     support = _kernel_support_bins(kernel, dt)
+    # a flat rate skips the thinning draws, which would shift the t stream
     if support:
         r_grid = refractory_eval(kernel, dt * np.arange(1, support + 1))
         if r_grid.min() < 0.0:
@@ -201,16 +202,16 @@ def _run_chain(params: ModelParams, cfg: SimConfig) -> np.ndarray:
         r_table = None
         p_first = rho * dt
 
-    # bins count from the start of warm-up; events past `cap` are never
-    # kept, and a jump is clamped at `beyond` > cap before any int64 cast
+    # bins count from the start of warm-up; events past `end` are never
+    # kept, and a jump is clamped at `beyond` > end before any int64 cast.
+    # A duration past the span limit is refused before any draw.
     warm_bins = math.ceil(10.0 / rho / dt)
     limit = min(_MAX_BINS, warm_bins + math.floor(_SPAN_LIMIT_MS / (dt * 1000.0)))
-    if warm_bins >= limit:
-        raise ValueError(_SPAN_ERROR)
     end = limit
     if cfg.duration is not None:
         end = warm_bins + math.floor(cfg.duration / dt + 1e-9)
-    cap = min(end, limit)
+    if warm_bins >= limit or end > limit:
+        raise ValueError(_SPAN_ERROR)
     beyond = 2.0 * _MAX_BINS
 
     rng_x, rng_y, rng_t = (
@@ -239,9 +240,9 @@ def _run_chain(params: ModelParams, cfg: SimConfig) -> np.ndarray:
 
         # float positions find the cut; only jumps before it are cast, and
         # their exact sums stay well inside int64
-        n = int(np.searchsorted(pos + np.cumsum(k), cap * (1.0 + 1e-9), side="right"))
+        n = int(np.searchsorted(pos + np.cumsum(k), end * (1.0 + 1e-9), side="right"))
         ends = pos + np.cumsum(k[:n].astype(np.int64))
-        n = int(np.searchsorted(ends, cap, side="right"))
+        n = int(np.searchsorted(ends, end, side="right"))
         ends = ends[:n]
         kept = ends[ends >= warm_bins] - warm_bins
         if want is not None and n_found + kept.size >= want:
@@ -250,7 +251,7 @@ def _run_chain(params: ModelParams, cfg: SimConfig) -> np.ndarray:
         found.append(kept)
         n_found += kept.size
         if n < _BLOCK:
-            if cfg.duration is None or cap < end:
+            if cfg.duration is None:
                 raise ValueError(_SPAN_ERROR)
             break
         pos = int(ends[-1])
@@ -318,8 +319,6 @@ def simulate_continuous(params: ModelParams, n_events: int, seed) -> np.ndarray:
         target = rng.standard_exponential(n_events) / (params.rho * x)
     if not np.all(np.isfinite(target)):
         raise ValueError(_SPAN_ERROR)
-    if params.kernel.n == 0:
-        return target
     return invert_R(params.kernel, target)
 
 
@@ -348,7 +347,7 @@ def invert_R(kernel: RefractoryKernel, target):
     t = np.asarray(target, dtype=float).ravel()
     if not np.all(np.isfinite(t)) or (t.size and t.min() <= 0.0):
         raise ValueError("target must be positive and finite")
-    if kernel.n == 0:
+    if kernel.n == 0:  # the table's span needs a slowest decay rate
         return _restore(t.copy(), shape)
 
     g = np.asarray(kernel.gamma)

@@ -103,6 +103,40 @@ def test_simulate_usage_errors(tmp_path):
     assert exc.value.code == 2  # M1 takes no kernel coefficients
 
 
+@pytest.mark.parametrize(
+    "mode, flag, value",
+    [(mode, "--dt", dt) for mode in ("continuous", "discrete") for dt in ("0", "-1", "nan", "inf")]
+    + [("discrete", "--duration", "nan"), ("discrete", "--duration", "inf")],
+)
+def test_simulate_bad_grid_or_horizon_is_a_usage_error(tmp_path, mode, flag, value):
+    """A --dt or --duration that is not positive and finite exits 2, like
+    every other bad flag value; a bad --dt does so in either mode."""
+    horizon = [] if flag == "--duration" else ["--events", "10"]
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--mode", mode, *horizon, flag, value,
+              "--out", str(tmp_path / "x.txt")])
+    assert exc.value.code == 2
+    assert not (tmp_path / "x.txt").exists()
+
+
+def test_simulate_duration_past_the_span_limit_fails_before_drawing(
+    tmp_path, capsys, monkeypatch
+):
+    """A finite but huge --duration is a runtime failure named by the span
+    limit, raised before the chain draws anything."""
+    from burstfit import simulate
+
+    def drew(*args):
+        raise AssertionError("the chain drew events")
+
+    monkeypatch.setattr(simulate, "_thinned_jumps", drew)
+    out = tmp_path / "huge.txt"
+    rc = main(["simulate", "--mode", "discrete", "--duration", "1e300", "--out", str(out)])
+    assert rc == 1
+    assert "int64 millisecond span limit" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_simulate_without_events_fails_cleanly(tmp_path, capsys):
     """A horizon too short for two events is a runtime error: no file is
     written that load_timestamps or compute_itis would reject."""

@@ -519,17 +519,73 @@ def test_deserialize_names_missing_field():
         ("n_data", 3000.0),
         ("objective_trace", []),
         ("objective_trace", None),
+        ("bic", "3.0"),
+        ("variant", 3),
+        ("reason", 5),
+        ("params", [0.61, 1.0]),
     ],
     ids=str,
 )
 def test_deserialize_refuses_a_field_of_the_wrong_type(field, value):
     """A field is read as its JSON type, never coerced: "false" is not
-    true, 2.9 is not 2, and an empty trace, which leaves a result
-    without an objective, is refused."""
+    true, 2.9 is not 2, "3.0" is not a number, and an empty trace, which
+    leaves a result without an objective, is refused."""
     doc = json.loads(serialize_fit(_synthetic_result()))
     doc[field] = value
     with pytest.raises(ValueError, match=f"'{field}'"):
         deserialize_fit(json.dumps(doc))
+
+
+def _set(doc: dict, path: tuple, value) -> None:
+    for key in path[:-1]:
+        doc = doc[key]
+    doc[path[-1]] = value
+
+
+@pytest.mark.parametrize(
+    "path, value, named",
+    [
+        (("params", "a"), True, "'a'"),
+        (("params", "a"), "0.5", "'a'"),
+        (("params", "c"), None, "'c'"),
+        (("params", "gamma", 2), "0.3", "'gamma'"),
+        (("params", "alpha", 0), False, "'alpha'"),
+        (("objective_trace", 1, 0), "-1400.0", "'objective_trace' row 1"),
+        (("objective_trace", 0), [-1500.25, 0.125], "'objective_trace' row 0"),
+        (("objective_trace", 0), [-1500.25, 0.125, -1500.375, 0.0], "'objective_trace' row 0"),
+        (("version",), True, "version True"),
+    ],
+    ids=str,
+)
+def test_deserialize_refuses_a_coerced_value(path, value, named):
+    """Every number is a JSON int or float, never a bool nor a numeric
+    string, and a trace row holds exactly three: each refusal names its
+    field or row."""
+    doc = json.loads(serialize_fit(_synthetic_result()))
+    _set(doc, path, value)
+    with pytest.raises(ValueError, match=named):
+        deserialize_fit(json.dumps(doc))
+
+
+def test_deserialize_refuses_an_alpha_list_without_gamma():
+    """Decay rates beside no amplitudes are a malformed kernel, not an
+    empty one: they are refused, not dropped."""
+    doc = json.loads(serialize_fit(_synthetic_result()))
+    doc["variant"] = "M1"
+    doc["params"]["gamma"] = []
+    doc["params"]["alpha"] = [20.0]
+    with pytest.raises(ValueError, match="gamma and alpha"):
+        deserialize_fit(json.dumps(doc))
+
+
+def test_deserialize_reads_whole_numbers_as_floats():
+    """A JSON int is a number: it loads as the equal float."""
+    doc = json.loads(serialize_fit(_synthetic_result()))
+    doc["params"]["b"] = 1
+    doc["bic"] = 2817
+    back = deserialize_fit(json.dumps(doc))
+    assert type(back.params_star.b) is float and back.params_star.b == 1.0
+    assert type(back.bic) is float and back.bic == 2817.0
 
 
 def test_deserialize_reads_a_zero_count_artifact():

@@ -24,6 +24,8 @@ from burstfit.model import (
     RefractoryKernel,
     iti_density,
     params_to_vector,
+    refractory_eval,
+    refractory_integral,
     vector_to_params,
 )
 from burstfit.simulate import simulate_continuous
@@ -82,6 +84,27 @@ class TestItiSet:
         assert a.digest == b.digest
         assert len(a.digest) == 16
         assert a.digest != c.digest
+
+
+def test_empty_kernel_is_the_zero_kernel():
+    """M1 and M3 with every amplitude 0 at the same (a, c) take one route:
+    values, the shared gradient entries, densities and r and R all agree
+    bit for bit, so no empty-kernel shortcut can drift from the kernel
+    basis."""
+    a, c = 0.63, math.log(3.7)
+    empty = ModelParams(a=a, b=1.0, c=c, variant="M1")
+    zero = ModelParams(a=a, b=1.0, c=c, kernel=RefractoryKernel.log_spaced(np.zeros(8)))
+    assert zero.variant == "M3"
+    data = ItiSet(np.concatenate([np.geomspace(1e-3, 1e6, 700), np.full(50, 0.25)]))
+    assert log_likelihood(empty, data) == log_likelihood(zero, data)
+    assert objective(empty, data) == objective(zero, data)
+    assert np.array_equal(gradient(empty, data), gradient(zero, data)[:2])
+    grid = np.concatenate([[0.0], np.geomspace(1e-4, 1e7, 300)])
+    assert np.array_equal(iti_density(empty, grid), iti_density(zero, grid))
+    assert np.array_equal(refractory_eval(empty.kernel, grid), refractory_eval(zero.kernel, grid))
+    assert np.array_equal(
+        refractory_integral(empty.kernel, grid), refractory_integral(zero.kernel, grid)
+    )
 
 
 def test_likelihood_invariant_under_permutation():

@@ -166,6 +166,15 @@ class TestSimConfig:
         with pytest.raises(ValueError):
             SimConfig(seed=0, duration=-2.0)
 
+    @pytest.mark.parametrize("field", ["dt", "duration"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_horizon_and_grid_must_be_finite(self, field, value):
+        """An infinite duration cannot end a run: it is refused here, as
+        an infinite dt is, not by the chain's integer conversion."""
+        kwargs = {"dt": 1e-3, "duration": 5.0, field: value}
+        with pytest.raises(ValueError, match=f"{field} must be positive and finite"):
+            SimConfig(seed=0, **kwargs)
+
 
 # ----------------------------------------------------------------------
 # discrete sampler
@@ -228,6 +237,19 @@ def test_event_count_and_duration_horizons():
     by_time = simulate_discrete(p, SimConfig(seed=3, dt=1e-3, duration=300.0))
     assert 0 < by_time.n_events
     assert by_time.timestamps_ms[-1] <= 300_000
+
+
+def test_duration_past_the_span_limit_is_refused_before_drawing(monkeypatch):
+    """A finite duration beyond the int64 millisecond span raises the span
+    error up front; drawing toward it would run until killed."""
+
+    def drew(*args):
+        raise AssertionError("the chain drew events")
+
+    monkeypatch.setattr(simulate, "_thinned_jumps", drew)
+    p = ModelParams(a=0.7, b=1.0, c=math.log(5.0))
+    with pytest.raises(ValueError, match="int64 millisecond span limit"):
+        simulate_discrete(p, SimConfig(seed=0, duration=1e300))
 
 
 def test_tiny_duration_gives_empty_train():
