@@ -91,6 +91,8 @@ def _cmd_simulate(args, parser) -> int:
         parser.error("give exactly one of --events / --duration")
     if args.rho <= 0.0:
         parser.error("--rho must be a positive rate")
+    if args.seed < 0:
+        parser.error("--seed must be >= 0")
     params = _build_params(args, parser)
     from .simulate import SimConfig, _train_from_intervals, simulate_continuous, simulate_discrete
 

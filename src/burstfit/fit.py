@@ -1,13 +1,14 @@
 """Projected quasi-Newton ascent for the penalized interval likelihood.
 
 The search runs in log-shape coordinates: the packed parameter vector
-with a (and b where free) replaced by log a (and log b).  Both shapes
-are positive scale-like parameters, and b is weakly identified; on a log
-scale a probe cannot leave a, b > 0, and a ridge in b is climbed in
-steps proportional to b.  The rate is already searched as c = log rho,
-and starts at the rate of the median interval: with a < 1 the interval
-law has no finite mean, so a mean-rate start sits far out on the
-month-long gaps.
+with a (and b where free) replaced by log a (and log b), written by
+_encode and read by _decode; every probe passes one domain gate,
+_search_objective.  Both shapes are positive scale-like parameters, and
+b is weakly identified; on a log scale a probe cannot leave a, b > 0,
+and a ridge in b is climbed in steps proportional to b.  The rate is
+already searched as c = log rho, and starts at the rate of the median
+interval: with a < 1 the interval law has no finite mean, so a
+mean-rate start sits far out on the month-long gaps.
 
 The kernel coefficients are constrained by nonnegativity of the event
 rate on a fixed grid of times (default_constraint_grid, 1 ms to 5 s):
@@ -44,10 +45,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .io import FitResult, ObjectiveValue
-from .likelihood import ItiSet, _vector_objective
-from .model import ModelParams, VariantSpec, _decay_matrix, _variant_spec
-from .model import params_to_vector, vector_to_params
+from .likelihood import InfeasibleParamsError, ItiSet, _evaluate
+from .model import ModelParams, RefractoryKernel, VariantSpec, _decay_matrix, _variant_spec
 from .selection import bic
+from .special import PrecisionLossError
 
 __all__ = [
     "FitConfig",
@@ -106,6 +107,8 @@ class FitConfig:
             raise ValueError("grad_tolerance must be positive and finite")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
+        if self.seed is not None and self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     @classmethod
     def from_file(cls, path) -> "FitConfig":
@@ -161,23 +164,11 @@ def feasible(kernel, grid: np.ndarray) -> tuple[bool, int | None]:
 
 
 def _basis_feasible(basis: np.ndarray, gamma: np.ndarray) -> tuple[bool, int | None]:
-    """feasible() on a precomputed basis exp(-alpha_k t_i)."""
+    """feasible() on a precomputed basis exp(-alpha_k t_i); no rows, no violation."""
     rate = 1.0 + basis @ gamma
-    worst = int(np.argmin(rate))
-    if rate[worst] >= 0.0:
+    if rate.min(initial=0.0) >= 0.0:
         return True, None
-    return False, worst
-
-
-def _project_row(theta: np.ndarray, w: np.ndarray, off: int) -> np.ndarray:
-    """Project the kernel block onto the halfspace 1 + w . gamma >= 0."""
-    gamma = theta[off:]
-    excess = 1.0 + float(w @ gamma)
-    if excess >= 0.0:
-        return theta
-    out = theta.copy()
-    out[off:] = gamma - (excess / float(w @ w)) * w
-    return out
+    return False, int(np.argmin(rate))
 
 
 def _repair(theta: np.ndarray, basis: np.ndarray, off: int, cap: int) -> tuple[np.ndarray, int] | None:
@@ -194,12 +185,35 @@ def _repair(theta: np.ndarray, basis: np.ndarray, off: int, cap: int) -> tuple[n
             return theta, used
         if used == cap:
             return None
-        theta = _project_row(theta, basis[worst], off)
+        w = basis[worst]
+        gamma = theta[off:]
+        excess = 1.0 + float(w @ gamma)
+        theta = theta.copy()
+        theta[off:] = gamma - (excess / float(w @ w)) * w
         used += 1
 
 
+def _encode(spec: VariantSpec, a: float, b: float, c: float, gamma) -> np.ndarray:
+    """The search point of (a, b, c, gamma): the packed vector with a (and
+    b where free) replaced by log a (and log b)."""
+    u = spec.pack(a, b, c, gamma)
+    n_shape = spec.gamma_offset - 1
+    u[:n_shape] = np.log(u[:n_shape])
+    return u
+
+
+def _decode(u: np.ndarray, spec: VariantSpec) -> tuple[float, float, float, np.ndarray]:
+    """(a, b, c, gamma) of a search point, b = 1 where fixed; a shape whose
+    exp overflows is inf, one whose exp underflows is 0."""
+    off = spec.gamma_offset
+    with np.errstate(over="ignore"):
+        shapes = np.exp(u[: off - 1])
+    b = float(shapes[1]) if spec.free_b else 1.0
+    return float(shapes[0]), b, float(u[off - 1]), u[off:]
+
+
 def _initial_vector(variant: str, data: ItiSet, cfg: FitConfig) -> np.ndarray:
-    """The starting point in search coordinates (see _search_objective).
+    """The starting point in search coordinates (see _encode).
 
     Without init_params: a = 0.8, b = 1.2, a flat kernel, and the rate
     of the median interval, c = -log(median).  The median holds still
@@ -207,54 +221,48 @@ def _initial_vector(variant: str, data: ItiSet, cfg: FitConfig) -> np.ndarray:
     mean rate n / span would not.  seed jitters log a, log b and c.
     """
     spec = _variant_spec(variant)
-    n_shape = spec.gamma_offset - 1
-    if cfg.init_params is not None:
-        if cfg.init_params.variant != variant:
+    start = cfg.init_params
+    if start is not None:
+        if start.variant != variant:
             raise ValueError(
-                f"init_params is for variant {cfg.init_params.variant!r}, fitting {variant!r}"
+                f"init_params is for variant {start.variant!r}, fitting {variant!r}"
             )
-        out = params_to_vector(cfg.init_params)
-        out[:n_shape] = np.log(out[:n_shape])
-        return out
+        return _encode(spec, start.a, start.b, start.c, start.kernel.gamma)
     # weighted median over the sorted unique intervals: the mean of the
     # order statistics (n - 1) // 2 and n // 2, counted from zero
     tau, cnt = data._unique()
     lo, hi = np.searchsorted(np.cumsum(cnt), ((data.n - 1) // 2, data.n // 2), side="right")
     c0 = -math.log(0.5 * (tau[lo] + tau[hi]))
-    out = spec.pack(math.log(0.8), math.log(1.2), c0, np.zeros(spec.n_kernel_terms))
+    out = _encode(spec, 0.8, 1.2, c0, np.zeros(spec.n_kernel_terms))
     if cfg.seed is not None:
         rng = np.random.default_rng(cfg.seed)
         out[: spec.gamma_offset] += rng.uniform(-0.1, 0.1, size=spec.gamma_offset)
     return out
 
 
-def _packed(u: np.ndarray, variant: str) -> np.ndarray:
-    """The packed vector of a search point: exp of its log-shape slots."""
-    n_shape = _variant_spec(variant).gamma_offset - 1
-    theta = u.copy()
-    with np.errstate(over="ignore"):
-        theta[:n_shape] = np.exp(u[:n_shape])
-    return theta
-
-
 def _search_objective(
     u: np.ndarray, variant: str, data: ItiSet
 ) -> tuple[ObjectiveValue | None, np.ndarray | None]:
-    """_vector_objective at a search point, with its gradient in search
-    coordinates.
+    """Objective and gradient at a search point; (None, None) out of domain.
 
-    The search point u is the packed vector with a (and b where free)
-    replaced by log a (and log b).  By the chain rule the gradient's
-    shape entries are a d/da and b d/db; the rate c and the kernel gamma
-    are searched as packed.  An overflowing exp(u) gives an infinite
-    shape, which _vector_objective rejects.
+    The fitter's one domain gate: a probe where a shape's exp underflows
+    to 0 or overflows, the kernel drives the rate nonpositive, exp(c)
+    overflows, no 1F1 regime reaches its accuracy, or the objective or
+    gradient is not finite is rejected rather than raised.  By the chain
+    rule the shape entries of the gradient are a d/da and b d/db.
     """
-    theta = _packed(u, variant)
-    value, grad = _vector_objective(theta, variant, data)
-    if grad is not None:
-        n_shape = _variant_spec(variant).gamma_offset - 1
-        grad[:n_shape] *= theta[:n_shape]
-    return value, grad
+    spec = _variant_spec(variant)
+    a, b, c, gamma = _decode(u, spec)
+    if not (a > 0.0 and b > 0.0 and math.isfinite(a + b + c)):
+        return None, None
+    try:
+        value, (g_a, g_b, g_c, d_gamma) = _evaluate(a, b, c, gamma, spec.alpha, variant, data)
+    except (InfeasibleParamsError, PrecisionLossError, OverflowError):
+        return None, None
+    grad = spec.pack(g_a, g_b, g_c, d_gamma)
+    if not (math.isfinite(value.objective) and np.all(np.isfinite(grad))):
+        return None, None
+    return value, spec.pack(a * g_a, b * g_b, g_c, d_gamma)
 
 
 def _face_step(
@@ -426,7 +434,8 @@ def fit(variant: str, data: ItiSet, cfg: FitConfig | None = None) -> FitResult:
         ascent = _secant_update(ascent, u - prev_u, scaled - grad / n)
         trace.append(value)
 
-    params_star = vector_to_params(_packed(u, variant), variant)
+    a, b, c, gamma = _decode(u, spec)
+    params_star = ModelParams(a, b, c, RefractoryKernel(gamma, spec.alpha), variant)
     return FitResult(
         params_star=params_star,
         objective_trace=tuple(trace),

@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 import os
 import stat
+import sys
 import tempfile
 from collections.abc import Iterable
 from dataclasses import dataclass
@@ -449,8 +450,9 @@ def _field(doc: dict, name: str):
 
 
 def _is_number(value) -> bool:
-    # bool is an int subclass; JSON true is neither a number nor a count
-    return type(value) in (int, float)
+    # bool is an int subclass; JSON true is neither a number nor a count,
+    # and an int past the float range cannot be stored as a float
+    return type(value) is float or (type(value) is int and abs(value) <= sys.float_info.max)
 
 
 # The JSON types a fit document's fields may take, by their description

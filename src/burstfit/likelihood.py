@@ -14,7 +14,8 @@ come out of the same series pass that computes log F (see
 special._log_hyp1f1_neg), each as a positive-weighted sum.  Every caller,
 value-only ones included, runs that one pass under its one accuracy check,
 so log_likelihood and objective raise exactly where gradient does and
-agree bit for bit with the value the fitter sees.
+agree bit for bit with the value the fitter's gate, fit._search_objective,
+gets from _evaluate.
 
 Everything hypergeometric is carried in log space, so month-long gaps
 (w ~ 1e7 and beyond) lose no precision to underflow.  Interval values are
@@ -31,7 +32,7 @@ import numpy as np
 
 from .io import ObjectiveValue
 from .model import ModelParams, VARIANTS, _decay_matrix, _variant_spec
-from .special import PrecisionLossError, _log_hyp1f1_neg
+from .special import _log_hyp1f1_neg
 
 __all__ = [
     "ItiSet",
@@ -180,27 +181,3 @@ def gradient(params: ModelParams, data: ItiSet) -> np.ndarray:
     spec = _variant_spec(params.variant)
     return spec.pack(*_params_evaluate(params, data)[1])
 
-
-def _vector_objective(
-    vec: np.ndarray, variant: str, data: ItiSet
-) -> tuple[ObjectiveValue | None, np.ndarray | None]:
-    """Objective and gradient on a packed vector; (None, None) out of domain.
-
-    This is the fitter's one domain gate: it must be able to probe points
-    where ModelParams construction would fail (a <= 0, negative kernel),
-    where exp(c) overflows, where no 1F1 regime reaches its accuracy
-    (precision loss), or where the objective or gradient is not finite,
-    and see them rejected rather than raised.
-    """
-    spec = _variant_spec(variant)
-    a, b, c, gamma = spec.unpack(vec)
-    if not (a > 0.0 and b > 0.0 and math.isfinite(a + b + c)):
-        return None, None
-    try:
-        value, grad = _evaluate(a, b, c, gamma, spec.alpha, variant, data)
-    except (InfeasibleParamsError, PrecisionLossError, OverflowError):
-        return None, None
-    grad = spec.pack(*grad)
-    if not (math.isfinite(value.objective) and np.all(np.isfinite(grad))):
-        return None, None
-    return value, grad

@@ -143,8 +143,8 @@ class VariantSpec:
     def unpack(self, vec) -> tuple[float, float, float, np.ndarray]:
         """(a, b, c, gamma) of a packed vector, b = 1 where fixed.
 
-        Checks the length only: the fitter probes points outside the
-        model domain through this.
+        Checks the length only; vector_to_params checks the domain when
+        it builds the ModelParams.
         """
         vec = np.asarray(vec, dtype=float)
         if vec.shape != (self.n_params,):

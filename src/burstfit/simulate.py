@@ -100,6 +100,8 @@ class SimConfig:
     duration: float | None = None
 
     def __post_init__(self) -> None:
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not 0.0 < self.dt < math.inf:
             raise ValueError(f"dt must be positive and finite, got {self.dt}")
         if (self.n_events is None) == (self.duration is None):

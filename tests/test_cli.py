@@ -119,6 +119,17 @@ def test_simulate_bad_grid_or_horizon_is_a_usage_error(tmp_path, mode, flag, val
     assert not (tmp_path / "x.txt").exists()
 
 
+@pytest.mark.parametrize("mode", ["continuous", "discrete"])
+def test_simulate_negative_seed_is_a_usage_error(tmp_path, mode):
+    """A negative --seed exits 2 like every other bad flag value, not 1
+    from the random generator."""
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--mode", mode, "--events", "10", "--seed", "-1",
+              "--out", str(tmp_path / "x.txt")])
+    assert exc.value.code == 2
+    assert not (tmp_path / "x.txt").exists()
+
+
 def test_simulate_duration_past_the_span_limit_fails_before_drawing(
     tmp_path, capsys, monkeypatch
 ):

@@ -48,13 +48,13 @@ def _count_passes(monkeypatch) -> list:
     """Record the variant of every likelihood pass the fitter makes."""
     fit_module = sys.modules[fit.__module__]
     calls = []
-    inner = fit_module._vector_objective
+    inner = fit_module._search_objective
 
     def counting(*args, **kwargs):
         calls.append(args[1])
         return inner(*args, **kwargs)
 
-    monkeypatch.setattr(fit_module, "_vector_objective", counting)
+    monkeypatch.setattr(fit_module, "_search_objective", counting)
     return calls
 
 
@@ -91,6 +91,18 @@ def test_fit_config_validation():
     cfg = FitConfig()
     assert cfg.max_iters == 5000
     assert cfg.grad_tolerance == 1e-6
+
+
+def test_fit_config_refuses_a_negative_seed(tmp_path):
+    """A negative seed is refused where it is set, by name, not later by
+    the random generator."""
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        FitConfig(seed=-1)
+    path = tmp_path / "fit.cfg"
+    path.write_text("seed = -3\n")
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        FitConfig.from_file(path)
+    assert FitConfig(seed=0).seed == 0
 
 
 def test_fit_config_from_file(tmp_path):
@@ -165,6 +177,13 @@ def test_feasible_on_default_grid():
     assert idx == 0
 
 
+def test_feasible_on_an_empty_grid():
+    """No grid time, no violated constraint: every kernel is feasible."""
+    for gamma in ((), np.zeros(8), [-2.0] + [0.0] * 7):
+        kernel = RefractoryKernel.log_spaced(gamma)
+        assert feasible(kernel, np.array([])) == (True, None)
+
+
 def _repaired(vec, variant):
     """The fitter's repair of a packed vector on the default grid's basis."""
     spec = VARIANTS[variant]
@@ -237,6 +256,46 @@ def test_projection_is_idempotent():
     once, _ = _repaired(vec, "M3")
     twice, _ = _repaired(once, "M3")
     np.testing.assert_allclose(once, twice, rtol=0, atol=1e-15)
+
+
+# ----------------------------------------------------------------------
+# search codec and domain gate
+# ----------------------------------------------------------------------
+
+
+def test_search_gate_flags_out_of_domain():
+    """A log shape whose exp underflows to 0 or overflows is out of the
+    model domain; an ordinary point is not."""
+    data = ItiSet(np.array([0.1, 0.4]))
+    for log_a in (-800.0, 800.0):
+        value, grad = _search_objective(np.array([log_a, 0.0]), "M1", data)
+        assert value is None and grad is None
+    value, grad = _search_objective(np.array([math.log(0.7), 0.0]), "M1", data)
+    assert value is not None and grad.shape == (2,)
+
+
+def test_search_gate_rejects_precision_loss():
+    """At b = 200 the asymptotic 1F1 regime (w >= 300) cannot reach its
+    accuracy; the probe must come back as out-of-domain, not raise."""
+    u = np.array([math.log(0.7), math.log(200.0), 0.0])
+    value, grad = _search_objective(u, "M2", ItiSet(np.array([0.5, 301.0])))
+    assert value is None and grad is None
+
+
+def test_search_gate_rejects_rate_overflow():
+    """exp(c) overflows a float at c >= 709.79; the probe is out of domain."""
+    u = np.array([math.log(0.7), 710.0])
+    value, grad = _search_objective(u, "M1", ItiSet(np.array([0.1, 0.4, 2.0])))
+    assert value is None and grad is None
+
+
+def test_search_gate_rejects_non_finite_objective():
+    """At c = 700 a 1e10 s interval gives w ~ 1e314: the log-likelihood is
+    -inf, so the probe is out of domain rather than a value to compare."""
+    u = np.array([math.log(0.7), 700.0])
+    with np.errstate(over="ignore"):
+        value, grad = _search_objective(u, "M1", ItiSet(np.array([0.1, 1e10])))
+    assert value is None and grad is None
 
 
 # ----------------------------------------------------------------------

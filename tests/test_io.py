@@ -567,6 +567,28 @@ def test_deserialize_refuses_a_coerced_value(path, value, named):
         deserialize_fit(json.dumps(doc))
 
 
+@pytest.mark.parametrize(
+    "path, value, named",
+    [
+        (("params", "a"), 10**400, "'a'"),
+        (("params", "b"), 10**400, "'b'"),
+        (("params", "c"), -(10**400), "'c'"),
+        (("bic",), 10**400, "'bic'"),
+        (("params", "gamma", 2), 10**400, "'gamma'"),
+        (("params", "alpha", 0), 10**400, "'alpha'"),
+        (("objective_trace", 1, 0), -(10**400), "'objective_trace' row 1"),
+    ],
+    ids=["a", "b", "c", "bic", "gamma", "alpha", "trace"],
+)
+def test_deserialize_refuses_an_int_past_the_float_range(path, value, named):
+    """A JSON int too large for a float is refused by name, not left to
+    overflow when the field is stored as a float."""
+    doc = json.loads(serialize_fit(_synthetic_result()))
+    _set(doc, path, value)
+    with pytest.raises(ValueError, match=named):
+        deserialize_fit(json.dumps(doc))
+
+
 def test_deserialize_refuses_an_alpha_list_without_gamma():
     """Decay rates beside no amplitudes are a malformed kernel, not an
     empty one: they are refused, not dropped."""

@@ -5,12 +5,12 @@ objective; the likelihood value itself is tied to the marginal density
 evaluated interval by interval.
 """
 
-import importlib
 import math
 
 import numpy as np
 import pytest
 
+from burstfit.fit import _decode, _encode, _search_objective
 from burstfit.likelihood import (
     InfeasibleParamsError,
     ItiSet,
@@ -20,6 +20,7 @@ from burstfit.likelihood import (
     objective,
 )
 from burstfit.model import (
+    VARIANTS,
     ModelParams,
     RefractoryKernel,
     iti_density,
@@ -30,8 +31,6 @@ from burstfit.model import (
 )
 from burstfit.simulate import simulate_continuous
 from burstfit.special import PrecisionLossError
-
-_likelihood_internals = importlib.import_module("burstfit.likelihood")
 
 _KERNEL_GAMMA = (-0.45, -0.2, 0.0, 0.12, 0.0, 0.0, 0.0, 0.05)
 
@@ -206,60 +205,45 @@ def test_gradient_ordering_matches_packing():
         assert diff == pytest.approx(grad[i], rel=5e-4, abs=1e-7)
 
 
-def test_vector_objective_flags_out_of_domain():
-    data = ItiSet(np.array([0.1, 0.4]))
-    value, grad = _likelihood_internals._vector_objective(
-        np.array([-0.2, 0.0]), "M1", data
-    )
-    assert value is None and grad is None
-    value, grad = _likelihood_internals._vector_objective(
-        np.array([0.7, 0.0]), "M1", data
-    )
-    assert value is not None and grad.shape == (2,)
-
-
-def test_vector_objective_rejects_precision_loss():
-    """At b = 200 the asymptotic 1F1 regime (w >= 300) cannot reach its
-    accuracy; the probe must come back as out-of-domain, not raise."""
-    value, grad = _likelihood_internals._vector_objective(
-        np.array([0.7, 200.0, 0.0]), "M2", ItiSet(np.array([0.5, 301.0]))
-    )
-    assert value is None and grad is None
-
-
-def test_vector_objective_rejects_rate_overflow():
-    """exp(c) overflows a float at c >= 709.79; the probe is out of domain."""
-    value, grad = _likelihood_internals._vector_objective(
-        np.array([0.7, 710.0]), "M1", ItiSet(np.array([0.1, 0.4, 2.0]))
-    )
-    assert value is None and grad is None
-
-
-def test_vector_objective_rejects_non_finite_objective():
-    """At c = 700 a 1e10 s interval gives w ~ 1e314: the log-likelihood is
-    -inf, so the probe is out of domain rather than a value to compare."""
-    with np.errstate(over="ignore"):
-        value, grad = _likelihood_internals._vector_objective(
-            np.array([0.7, 700.0]), "M1", ItiSet(np.array([0.1, 1e10]))
-        )
-    assert value is None and grad is None
+def _gate(params: ModelParams, data: ItiSet):
+    """The fitter's search gate at params' search point, and the point it
+    decodes to (exp(log a) need not give back a to the last bit)."""
+    spec = VARIANTS[params.variant]
+    u = _encode(spec, params.a, params.b, params.c, params.kernel.gamma)
+    a, b, c, gamma = _decode(u, spec)
+    at = ModelParams(a, b, c, RefractoryKernel(gamma, spec.alpha), params.variant)
+    return (*_search_objective(u, params.variant, data), at)
 
 
 @pytest.mark.parametrize("variant", ["M1", "M2", "M3", "M4", "M5"])
 def test_objective_value_does_not_depend_on_want_grad(variant):
     """The public value routes, which discard the gradient, return the
     fitter's value bit for bit: objective() and log_likelihood() equal what
-    _vector_objective computes alongside its gradient."""
+    the fitter's search gate computes alongside its gradient."""
     params = _sample_params(variant)
     iv = simulate_continuous(params, 400, seed=60)
     iv = np.concatenate([np.maximum(np.rint(iv * 1000.0), 1.0) / 1000.0, [150.0, 2e4, 3e6]])
     data = ItiSet(iv)
-    value, grad = _likelihood_internals._vector_objective(
-        params_to_vector(params), variant, data
-    )
+    value, grad, at = _gate(params, data)
     assert grad is not None
-    assert objective(params, data) == value
-    assert log_likelihood(params, data) == value.log_likelihood
+    assert objective(at, data) == value
+    assert log_likelihood(at, data) == value.log_likelihood
+
+
+@pytest.mark.parametrize("variant", ["M1", "M2", "M3", "M4", "M5"])
+def test_search_gradient_is_the_chain_rule_of_gradient(variant):
+    """The search gate's gradient is gradient() at the decoded point with
+    the a (and b) entry multiplied by a (and b), bit for bit: the search
+    runs in log a and log b, and d/dlog a = a d/da.  The rate and kernel
+    entries are gradient()'s own."""
+    params = _sample_params(variant)
+    data = _sample_data(params, 400, seed=62, quantize=True)
+    _, grad, at = _gate(params, data)
+    expected = gradient(at, data)
+    expected[0] *= at.a
+    if VARIANTS[variant].free_b:
+        expected[1] *= at.b
+    np.testing.assert_array_equal(grad, expected)
 
 
 def test_value_routes_refuse_where_the_gradient_does():
@@ -272,9 +256,7 @@ def test_value_routes_refuse_where_the_gradient_does():
     for route in (objective, log_likelihood, gradient):
         with pytest.raises(PrecisionLossError):
             route(params, data)
-    value, grad = _likelihood_internals._vector_objective(
-        params_to_vector(params), "M1", data
-    )
+    value, grad, _ = _gate(params, data)
     assert value is None and grad is None
 
 

@@ -166,6 +166,12 @@ class TestSimConfig:
         with pytest.raises(ValueError):
             SimConfig(seed=0, duration=-2.0)
 
+    def test_seed_must_be_nonnegative(self):
+        """A negative seed is refused by name here, not by the random
+        generator once the chain starts."""
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            SimConfig(seed=-1, n_events=10)
+
     @pytest.mark.parametrize("field", ["dt", "duration"])
     @pytest.mark.parametrize("value", [math.inf, math.nan])
     def test_horizon_and_grid_must_be_finite(self, field, value):
