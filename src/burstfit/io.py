@@ -1,15 +1,16 @@
 """File formats and the records they carry: event trains, log-binned
 histograms, fit artifacts.
 
-Timestamps travel as newline-delimited integer milliseconds with an
-optional ``unit=ms`` header line.  Both directions work a block of lines
-at a time on byte arrays: ingest turns each block of digit lines into
-int64 by digit arithmetic, with a line-by-line loop for any other text
-(it reads what ``int()`` reads, or names a bad line), and emission
-writes each block's digits from the int64 values, never one whole-file
-string.  Fit results travel as versioned JSON; floats go through
-Python's shortest round-trip repr, so serialization is lossless bit for
-bit.
+Timestamps travel as newline-delimited integer milliseconds in one
+grammar: an optional ``unit=ms`` header line, then lines of 1 to 19
+ASCII digits whose value is below 2**63, each perhaps ending in
+"\\r\\n", and empty lines.  Both directions work a block of lines at a
+time on byte arrays: ingest turns each block into int64 by digit
+arithmetic, or names the first line that breaks the grammar, and
+emission writes each block's digits from the int64 values, never one
+whole-file string.  Fit results travel as versioned JSON; floats go
+through Python's shortest round-trip repr, so serialization is lossless
+bit for bit.
 
 The records that cross a file boundary live here: EventTrain, what
 timestamp files hold, and FitResult with its ObjectiveValue trace, what
@@ -31,7 +32,6 @@ import sys
 import tempfile
 from collections.abc import Iterable
 from dataclasses import dataclass
-from io import BytesIO
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -151,44 +151,24 @@ def _is_header(raw: bytes) -> bool:
     return raw.decode("utf-8", errors="replace").strip().replace(" ", "") == "unit=ms"
 
 
-def _parse_lines(blob: bytes) -> list[int]:
-    """Line-by-line parse that names the first bad line."""
-    values: list[int] = []
-    for lineno, raw in enumerate(BytesIO(blob), start=1):
-        text = raw.decode("utf-8", errors="replace").strip()
-        if not text:
-            continue
-        if lineno == 1 and _is_header(raw):
-            continue
-        try:
-            values.append(int(text))
-        except ValueError:
-            raise ValueError(
-                f"line {lineno}: expected an integer millisecond timestamp, got {text!r}"
-            ) from None
-    return values
-
-
 # Bytes parsed per block.  A block's digit arithmetic holds a few arrays
 # of its own bytes and of its own line count, so ingest memory beyond the
 # int64 result does not grow with the file.
 _PARSE_BLOCK = 1 << 20
-# Widest line the digit arithmetic reads: 18 digit bytes sum to at most
-# 57 * (10**18 - 1) / 9 < 2**63 under Horner's rule.  Wider lines take the
-# line loop, which keeps int()'s value, or its overflow, of any width.
-_MAX_DIGITS = 18
+# Widest line the grammar takes.  Horner's rule folds at most 18 digit
+# bytes within int64 (57 * (10**18 - 1) / 9 < 2**63), so a 19-digit line
+# folds its last 18 and adds its top digit times 10**18, up to 2**63 - 1.
+_MAX_DIGITS = 19
+_TOP9_REST_MAX = 2**63 - 1 - 9 * 10**18
 # What w bytes of "0" add to the value of w digit bytes under Horner's rule
-_ZERO_BYTES = [48 * (10**w - 1) // 9 for w in range(_MAX_DIGITS + 1)]
+_ZERO_BYTES = [48 * (10**w - 1) // 9 for w in range(_MAX_DIGITS)]
 
 
-def _digit_lines(b: np.ndarray) -> np.ndarray | None:
-    """int64 values of a uint8 block of whole lines, or None.
-
-    The block must hold only ASCII digits and newlines, each newline
-    perhaps preceded by one "\\r", with at most _MAX_DIGITS digits a
-    line; empty lines give no value.  Lines are grouped by width, and each
-    group is folded one digit column at a time.
-    """
+def _digit_lines(b: np.ndarray) -> np.ndarray | int:
+    """int64 values of a uint8 block of whole lines in the module's
+    grammar, or the offset of its first line that breaks it.  Empty lines
+    give no value; lines are grouped by width, and each group is folded
+    one digit column at a time."""
     ends = np.flatnonzero(b == 10)
     # every byte that is not a digit must be a newline or a "\r" directly
     # before one; a block of bare newlines skips the "\r" search
@@ -197,7 +177,11 @@ def _digit_lines(b: np.ndarray) -> np.ndarray | None:
     if crs.size != n_other or (
         crs.size and (crs[-1] == b.size - 1 or np.any(b[crs + 1] != 10))
     ):
-        return None
+        bad = (b - 48 > 9) & (b != 10)
+        bad[:-1] &= (b[:-1] != 13) | (b[1:] != 10)
+        at = np.argmax(bad)
+        head = _digit_lines(b[:at])  # an earlier line may be too wide or large
+        return head if isinstance(head, int) else int(at)
     if not ends.size or ends[-1] != b.size - 1:
         ends = np.append(ends, b.size)  # the blob's last line has no newline
     widths = np.diff(ends, prepend=-1) - 1
@@ -206,22 +190,30 @@ def _digit_lines(b: np.ndarray) -> np.ndarray | None:
         crlf = np.searchsorted(ends, crs + 1)
         ends[crlf] -= 1
         widths[crlf] -= 1
-    if widths.max() > _MAX_DIGITS:
-        return None
     starts = ends - widths
     del ends
+    over = widths > _MAX_DIGITS
     values = np.empty(widths.size, np.int64)
     counts = np.bincount(widths)
-    for w in np.flatnonzero(counts[1:]) + 1:
+    for w in np.flatnonzero(counts[1 : _MAX_DIGITS + 1]) + 1:
         rows = np.flatnonzero(widths == w)
         pos = starts[rows]
+        if w == _MAX_DIGITS:
+            top = b[pos].astype(np.int64) - 48
+            pos += 1
+        fold = min(w, _MAX_DIGITS - 1)
         acc = b[pos].astype(np.int64)
-        for _ in range(w - 1):
+        for _ in range(fold - 1):
             pos += 1
             acc *= 10
             acc += b[pos]
-        acc -= _ZERO_BYTES[w]
+        acc -= _ZERO_BYTES[fold]
+        if w == _MAX_DIGITS:
+            over[rows] = (top == 9) & (acc > _TOP9_REST_MAX)
+            acc += top * 10**18
         values[rows] = acc
+    if over.any():
+        return int(starts[np.argmax(over)])
     return values[widths > 0] if counts[0] else values
 
 
@@ -230,14 +222,12 @@ def _parse(blob: bytes) -> np.ndarray:
 
     The blob is read as a uint8 view, one block of about _PARSE_BLOCK
     bytes of whole lines at a time, into an int64 array sized by its
-    newline count.  A block of digit lines gives int()'s value of each
-    line (_digit_lines).  The first block that holds any other byte hands
-    the whole blob to the line loop, the one general route: it reads what
-    int() accepts beyond bare digits (signs, spaces, Unicode digits) or
-    names the bad line.
+    newline count; _digit_lines reads each block.  The first block with
+    a line that breaks the grammar stops the parse, which raises naming
+    the earliest such line by number and its text without its line end.
     """
-    first = blob.find(b"\n")
-    pos = first + 1 if _is_header(blob[:first] if first >= 0 else blob) else 0
+    first = blob.find(b"\n") + 1 or len(blob)  # where line 2 starts
+    pos = first if _is_header(blob[:first]) else 0
     view = np.frombuffer(blob, np.uint8)
     out = np.empty(blob.count(b"\n") + 1, np.int64)
     n = 0
@@ -246,8 +236,14 @@ def _parse(blob: bytes) -> np.ndarray:
         # bytes, or at the blob's end
         end = blob.find(b"\n", pos + _PARSE_BLOCK - 1) + 1 or len(blob)
         values = _digit_lines(view[pos:end])
-        if values is None:
-            return np.asarray(_parse_lines(blob), dtype=np.int64)
+        if isinstance(values, int):
+            at = pos + values
+            start, stop = blob.rfind(b"\n", 0, at) + 1, blob.find(b"\n", at)
+            line = blob[start:stop].removesuffix(b"\r") if stop >= 0 else blob[start:]
+            lineno, text = blob.count(b"\n", 0, at) + 1, line.decode(errors="replace")
+            raise ValueError(
+                f"line {lineno}: expected an integer millisecond timestamp, got {text!r}"
+            )
         out[n : n + values.size] = values
         n += values.size
         pos = end
@@ -258,10 +254,10 @@ def load_timestamps(source) -> EventTrain:
     """Parse newline-delimited millisecond timestamps into an EventTrain.
 
     source is a file path or a bytes blob, read alike as one byte string
-    that splits lines at newline bytes only.  A single ``unit=ms`` header
-    line is allowed at the top.  Timestamps are sorted and exact
-    duplicates collapsed (count logged); anything non-integer raises with
-    its line number.
+    that splits lines at newline bytes only, in the grammar this module's
+    docstring states.  Timestamps are sorted and exact duplicates
+    collapsed (count logged); the first line that breaks the grammar
+    raises with its line number and text.
     """
     ts = _parse(source if isinstance(source, bytes) else Path(source).read_bytes())
     if not ts.size:
@@ -450,9 +446,12 @@ def _field(doc: dict, name: str):
 
 
 def _is_number(value) -> bool:
-    # bool is an int subclass; JSON true is neither a number nor a count,
-    # and an int past the float range cannot be stored as a float
-    return type(value) is float or (type(value) is int and abs(value) <= sys.float_info.max)
+    # bool is an int subclass, so JSON true is no number; an int must fit
+    # a float, and never reaches isfinite, which overflows past that range;
+    # NaN, Infinity and 1e400 (which json reads as inf) are not finite
+    if type(value) is int:
+        return abs(value) <= sys.float_info.max
+    return type(value) is float and math.isfinite(value)
 
 
 # The JSON types a fit document's fields may take, by their description
@@ -493,7 +492,7 @@ def deserialize_fit(text: str | bytes) -> FitResult:
 
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an int past Python's digit limit
         raise ValueError(f"fit document is not valid JSON: {exc}") from None
     if not isinstance(doc, dict) or doc.get("format") != _FIT_FORMAT:
         raise ValueError("not a fit document (missing format tag)")

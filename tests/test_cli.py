@@ -406,6 +406,16 @@ def test_hist_matches_library(tmp_path):
     np.testing.assert_allclose(table[:, 1], hist.densities, rtol=1e-9)
 
 
+def test_hist_names_the_line_past_int64(tmp_path, capsys):
+    """A stamp past int64 fails naming its line, not with numpy's
+    conversion overflow."""
+    sim = tmp_path / "sim.txt"
+    sim.write_bytes(b"5\n99999999999999999999\n")
+    rc = main(["hist", "--in", str(sim), "--out", str(tmp_path / "hist.txt")])
+    assert rc == 1
+    assert "line 2" in capsys.readouterr().err
+
+
 def test_eval_kernel_default_grid(tmp_path):
     sim = tmp_path / "sim.txt"
     main(["simulate", "--events", "200", "--seed", "4", "--out", str(sim)])

@@ -5,6 +5,7 @@ import json
 import logging
 import math
 import os
+import re
 import stat
 import tracemalloc
 from io import BytesIO
@@ -121,21 +122,23 @@ def test_ingestion_is_idempotent(tmp_path):
 
 
 def _line_loop_oracle(blob: bytes) -> EventTrain:
-    """Reference parse: decode, strip and int() one line at a time, then
-    np.unique; the bulk parse must agree with it on every input."""
+    """Reference parse of the timestamp grammar, one line at a time: a
+    ``unit=ms`` header on line 1, then lines of 1 to 19 ASCII digits below
+    2**63, each perhaps ending in "\\r\\n", and empty lines, then
+    np.unique.  The bulk parse must agree with it on every input."""
     values = []
     for lineno, raw in enumerate(BytesIO(blob), start=1):
-        text = raw.decode("utf-8", errors="replace").strip()
-        if not text:
+        # a "\r" belongs to the line end only directly before its "\n"
+        line = raw[:-2] if raw.endswith(b"\r\n") else raw.removesuffix(b"\n")
+        header = raw.decode("utf-8", errors="replace").strip().replace(" ", "") == "unit=ms"
+        if not line or (lineno == 1 and header):
             continue
-        if lineno == 1 and text.replace(" ", "") == "unit=ms":
-            continue
-        try:
-            values.append(int(text))
-        except ValueError:
+        if not (re.fullmatch(rb"[0-9]{1,19}", line) and int(line) < 2**63):
+            text = line.decode("utf-8", errors="replace")
             raise ValueError(
                 f"line {lineno}: expected an integer millisecond timestamp, got {text!r}"
-            ) from None
+            )
+        values.append(int(line))
     if not values:
         raise ValueError("timestamp stream contains no events")
     return EventTrain(np.unique(np.asarray(values, dtype=np.int64)))
@@ -155,7 +158,9 @@ _PARSE_CASES = {
     "mixed crlf and lf": b"5\r\n7\n9\r\n\r\n11",
     "two crs before a newline": b"5\r\r\n7\r\n",
     "tabs and spaces": b"\t5 \n  7\t\n 9\n",
-    "sign, underscore, leading zeros": b"+7\n1_000\n007\n0\n",
+    "sign": b"0\n+7\n",
+    "underscore": b"0\n1_000\n",
+    "leading zeros": b"007\n0\n",
     "blank lines": b"5\n\n7\n\n\n",
     "whitespace-only lines": b"5\n   \n\r\n7\n\t\n",
     "no final newline": b"5\n7",
@@ -170,15 +175,19 @@ _PARSE_CASES = {
     "int64 overflow before a bad line": b"99999999999999999999\nbad\n",
     "negative": b"-5\n7\n",
     "unsorted with duplicates": b"30\n10\n20\n10\n30\n30\n",
+    "19 digits at 2**63 - 1": b"5\n9223372036854775807\n",
+    "19 digits at 2**63": b"5\n9223372036854775808\n",
+    "cr at the end": b"5\n7\r",
     "header only": b"unit=ms\n",
+    "header without a newline": b"unit=ms",
     "empty": b"",
 }
 
 
 @pytest.mark.parametrize("blob", _PARSE_CASES.values(), ids=_PARSE_CASES.keys())
 def test_bulk_parse_matches_line_loop(tmp_path, blob):
-    """The bulk parse gives the line loop's train, or its exact error,
-    from bytes and from a file alike."""
+    """The bulk parse gives the reference parse's train, or its exact
+    error, from bytes and from a file alike."""
     want = _outcome(_line_loop_oracle, blob)
     path = tmp_path / "train.txt"
     path.write_bytes(blob)
@@ -187,10 +196,43 @@ def test_bulk_parse_matches_line_loop(tmp_path, blob):
 
 
 def test_bulk_parse_error_names_its_line():
-    """Pinned apart from the oracle, which shares the fallback's loop."""
-    with pytest.raises(ValueError, match="^line 10002: .*'bad'"):
+    """Pinned apart from the reference parse: the first line that breaks
+    the grammar, by number, and its text unstripped."""
+    with pytest.raises(ValueError, match="^line 10002: .*'bad'$"):
         load_timestamps(_PARSE_CASES["bad line after 10k"])
-    assert load_timestamps(_PARSE_CASES["unicode digits"]).timestamps_ms.tolist() == [3, 5, 12]
+    with pytest.raises(ValueError, match="^line 1: .*'\u0663'$"):
+        load_timestamps(_PARSE_CASES["unicode digits"])
+    with pytest.raises(ValueError, match=r"^line 1: .*'5\\r'$"):
+        load_timestamps(_PARSE_CASES["two crs before a newline"])
+    with pytest.raises(ValueError, match="^line 2: .*'   '$"):
+        load_timestamps(_PARSE_CASES["whitespace-only lines"])
+    with pytest.raises(ValueError, match="^line 1: .*'99999999999999999999'$"):
+        load_timestamps(_PARSE_CASES["int64 overflow before a bad line"])
+
+
+_LINES_40 = b"".join(b"%d\n" % (7 * i) for i in range(40))
+# blobs whose last 64-byte parse block holds lines 38 to 42, and the line
+# each error names
+_BLOCK_CASES = {
+    "bad byte in the last block": (_LINES_40 + b"12x4\n281\n", 41),
+    "bad byte in an unended last line": (_LINES_40 + b"281\n2 9", 42),
+    "overflow before a bad byte": (_LINES_40 + b"9300000000000000000\n12 \n", 41),
+    "too wide before an overflow": (_LINES_40 + b"1" * 20 + b"\n9300000000000000000\n", 41),
+    "overflow before too wide": (_LINES_40 + b"9300000000000000000\n" + b"1" * 20, 41),
+}
+
+
+@pytest.mark.parametrize("block", [1, 5, 64])
+@pytest.mark.parametrize("case", _BLOCK_CASES.values(), ids=_BLOCK_CASES.keys())
+def test_first_bad_line_across_parse_blocks(monkeypatch, block, case):
+    """Whatever the parse block size, the error names the earliest line
+    that breaks the grammar, in the last block or beside another bad line
+    in one block."""
+    blob, lineno = case
+    monkeypatch.setattr(bio, "_PARSE_BLOCK", block)
+    want = _outcome(_line_loop_oracle, blob)
+    assert want[0] is ValueError and want[1].startswith(f"line {lineno}: ")
+    assert _outcome(load_timestamps, blob) == want
 
 
 def test_bulk_parse_counts_duplicates(caplog):
@@ -272,11 +314,9 @@ def _stamps_of_every_width(widest: int) -> np.ndarray:
 @pytest.mark.parametrize("block", [1, 5, 64, None], ids=["1", "5", "64", "default"])
 @pytest.mark.parametrize("widest", [18, 19])
 def test_round_trip_across_widths_and_parse_blocks(tmp_path, monkeypatch, block, widest):
-    """Stamps of every width from 1 to 19 digits survive save then load,
-    with lines straddling parse blocks and a last line without a newline,
-    and load alike with CRLF line ends.  Up to 18 digits the digit
-    arithmetic reads every block; a 19-digit line hands the blob to the
-    line loop."""
+    """Stamps of every width from 1 to 19 digits, 2**63 - 1 the widest,
+    survive save then load, with lines straddling parse blocks and a last
+    line without a newline, and load alike with CRLF line ends."""
     ts = _stamps_of_every_width(widest)
     path = tmp_path / "out.txt"
     save_timestamps(EventTrain(ts), path)
@@ -284,11 +324,6 @@ def test_round_trip_across_widths_and_parse_blocks(tmp_path, monkeypatch, block,
     assert blob == ("unit=ms\n" + "\n".join(map(str, ts.tolist())) + "\n").encode()
     if block is not None:
         monkeypatch.setattr(bio, "_PARSE_BLOCK", block)
-    if widest <= bio._MAX_DIGITS:
-        def refuse(blob):
-            raise AssertionError("the line loop ran on digit lines")
-
-        monkeypatch.setattr(bio, "_parse_lines", refuse)
     crlf = blob.replace(b"\n", b"\r\n")
     for source in (blob, blob[:-1], blob[len(b"unit=ms\n"):],
                    crlf, crlf[:-2], crlf[len(b"unit=ms\r\n"):]):
@@ -484,6 +519,11 @@ def test_deserialize_rejects_bad_documents():
     doc["version"] = 99
     with pytest.raises(ValueError, match="version 99"):
         deserialize_fit(json.dumps(doc))
+    # an int past Python's int-string digit limit is invalid JSON; where no
+    # limit is set, it is past the float range and refused by name
+    doc["version"], doc["bic"] = 1, "@"
+    with pytest.raises(ValueError, match="^fit document is not valid JSON: |'bic'"):
+        deserialize_fit(json.dumps(doc).replace('"@"', "1" + "0" * 4999))
 
 
 def test_deserialize_reads_a_stall_stop():
@@ -587,6 +627,26 @@ def test_deserialize_refuses_an_int_past_the_float_range(path, value, named):
     _set(doc, path, value)
     with pytest.raises(ValueError, match=named):
         deserialize_fit(json.dumps(doc))
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "1e400"])
+@pytest.mark.parametrize(
+    "path, named",
+    [
+        (("bic",), "'bic'"),
+        (("objective_trace", 1, 0), "'objective_trace' row 1"),
+        (("params", "gamma", 2), "'gamma'"),
+        (("params", "alpha", 0), "'alpha'"),
+    ],
+    ids=["bic", "trace", "gamma", "alpha"],
+)
+def test_deserialize_refuses_a_non_finite_number(path, named, literal):
+    """NaN, Infinity and 1e400, which json reads as inf, are refused by
+    name: a NaN BIC would otherwise enter compare's ordering."""
+    doc = json.loads(serialize_fit(_synthetic_result()))
+    _set(doc, path, "@")
+    with pytest.raises(ValueError, match=named):
+        deserialize_fit(json.dumps(doc).replace('"@"', literal))
 
 
 def test_deserialize_refuses_an_alpha_list_without_gamma():
