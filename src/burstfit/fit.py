@@ -22,7 +22,8 @@ Each step is the full curvature-mapped (quasi-Newton) step within the
 face of the walls (grid constraints at zero rate) the iterate sits on:
 a wall the gradient pushes against holds the step, one it pulls away
 from is released, and what the walls leave of the gradient is what the
-stop test reads.  The line search starts at that full step and halves
+stop test reads, both its largest entry and the gain the curvature map
+predicts from it.  The line search starts at that full step and halves
 on decrease.  The raw gradient is scaled by 1/N so the curvature map
 means the same thing across data sizes.  A projected step is allowed
 to lower the objective (it restores feasibility); only the gradient test
@@ -31,10 +32,10 @@ ends a run as converged.
 The kernel basis terms overlap heavily, which leaves the likelihood
 surface with curvatures spread over eight orders of magnitude; a bare
 gradient step would need millions of iterations to cross the resulting
-valley.  The gradient is therefore mapped through the inverse of the
-local curvature (one-sided finite differences of the gradient, one
-probe per coordinate, eigenvalue floored, refreshed on a geometric
-schedule), which is what makes large fits converge in seconds.
+valley.  The gradient is therefore mapped through the inverse of a
+curvature (the outer product of the per-interval scores every pass
+forms, eigenvalue floored, refreshed on a geometric schedule from the
+point in hand), which is what makes large fits converge in seconds.
 """
 
 from __future__ import annotations
@@ -89,12 +90,14 @@ class FitConfig:
 
     grad_tolerance bounds the largest entry of the 1/N-scaled gradient
     in the search coordinates (log a, [log b], c, gamma), left after the
-    active walls: the shape entries read a d/da and b d/db.  seed, when
-    set, adds a deterministic uniform jitter of at most 0.1 to log a,
-    log b and c of the default start (never to the kernel, nor to
-    init_params); it exists so multistart studies can be scripted
-    without any hidden randomness.  init_params overrides the starting
-    point entirely (it is projected to feasibility first if needed).
+    active walls: the shape entries read a d/da and b d/db.  Its square
+    bounds the gain per datum the curvature map predicts for the next
+    step.  seed, when set, adds a deterministic uniform jitter of at
+    most 0.1 to log a, log b and c of the default start (never to the
+    kernel, nor to init_params); it exists so multistart studies can be
+    scripted without any hidden randomness.  init_params overrides the
+    starting point entirely (it is projected to feasibility first if
+    needed).
     """
 
     max_iters: int = 5000
@@ -242,27 +245,31 @@ def _initial_vector(variant: str, data: ItiSet, cfg: FitConfig) -> np.ndarray:
 
 def _search_objective(
     u: np.ndarray, variant: str, data: ItiSet
-) -> tuple[ObjectiveValue | None, np.ndarray | None]:
-    """Objective and gradient at a search point; (None, None) out of domain.
+) -> tuple[ObjectiveValue | None, np.ndarray | None, np.ndarray | None]:
+    """Objective, gradient and curvature at a search point, or three Nones
+    out of the model domain.
 
     The fitter's one domain gate: a probe where a shape's exp underflows
     to 0 or overflows, the kernel drives the rate nonpositive, exp(c)
     overflows, no 1F1 regime reaches its accuracy, or the objective or
     gradient is not finite is rejected rather than raised.  By the chain
-    rule the shape entries of the gradient are a d/da and b d/db.
+    rule the shape entries of the gradient are a d/da and b d/db, and the
+    per-interval scores the curvature is built from are scaled alike.
     """
     spec = _variant_spec(variant)
     a, b, c, gamma = _decode(u, spec)
     if not (a > 0.0 and b > 0.0 and math.isfinite(a + b + c)):
-        return None, None
+        return None, None, None
     try:
-        value, (g_a, g_b, g_c, d_gamma) = _evaluate(a, b, c, gamma, spec.alpha, variant, data)
+        value, grad, scores = _evaluate(a, b, c, gamma, spec.alpha, variant, data)
     except (InfeasibleParamsError, PrecisionLossError, OverflowError):
-        return None, None
-    grad = spec.pack(g_a, g_b, g_c, d_gamma)
+        return None, None, None
+    grad = spec.pack(a * grad[0], b * grad[1], grad[2], grad[3:])
     if not (math.isfinite(value.objective) and np.all(np.isfinite(grad))):
-        return None, None
-    return value, spec.pack(a * g_a, b * g_b, g_c, d_gamma)
+        return None, None, None
+    scores[:, 0] *= a
+    scores[:, 1] *= b
+    return value, grad, _curvature_matrix(scores, spec, data)
 
 
 def _face_step(
@@ -293,37 +300,22 @@ def _face_step(
     return grad, ascent @ grad
 
 
-def _curvature_matrix(
-    u: np.ndarray,
-    grad: np.ndarray,
-    variant: str,
-    data: ItiSet,
-    previous: np.ndarray,
-) -> np.ndarray:
-    """Forward differences of the per-datum gradient, one column per probe.
+def _curvature_matrix(scores: np.ndarray, spec: VariantSpec, data: ItiSet) -> np.ndarray:
+    """-(S' diag(cnt) S + 2 reg I_gamma) / N over the search coordinates.
 
-    Column i is (g(u + h e_i) - g(u)) / h in search coordinates, with
-    g(u) the gradient already in hand, so a refresh costs one gradient
-    evaluation per coordinate.  The full matrix comes at the price of a
-    diagonal, and it is symmetrized to absorb finite-difference noise.
-    A forward probe raises the shapes, the rate and the kernel, so it
-    leaves the model domain only where exp overflows or no 1F1 regime
-    settles; such a probe reuses the previous column (the fit's first
-    refresh starts from the negated identity).
+    S holds _evaluate's per-interval scores, the shape columns in log
+    shapes, and cnt their multiplicities.  Their weighted outer product
+    is the BHHH (Berndt, Hall, Hall & Hausman 1974) estimate of the
+    log-likelihood's curvature, which near the optimum of a
+    well-specified model matches the Hessian; every pass forms S for its
+    gradient, so the fitter's curvature costs no pass of its own.
     """
-    dim = u.size
-    n = data.n
-    cols = np.empty((dim, dim))
-    for i in range(dim):
-        h = 1e-4 * max(1.0, abs(u[i]))
-        probe = u.copy()
-        probe[i] += h
-        _, gp = _search_objective(probe, variant, data)
-        if gp is None:
-            cols[:, i] = previous[:, i] * n
-        else:
-            cols[:, i] = (gp - grad) / h
-    return (cols + cols.T) / (2.0 * n)
+    _, cnt = data._unique()
+    keep = spec.pack(0, 1, 2, range(3, scores.shape[1])).astype(int)
+    curv = -(scores.T @ (cnt[:, None] * scores))[np.ix_(keep, keep)]
+    kernel = np.arange(spec.gamma_offset, keep.size)
+    curv[kernel, kernel] -= 2.0 * spec.reg_weight
+    return curv / data.n
 
 
 def _ascent_map(curvature: np.ndarray) -> np.ndarray:
@@ -382,7 +374,7 @@ def fit(variant: str, data: ItiSet, cfg: FitConfig | None = None) -> FitResult:
     if repaired is None:
         raise ArithmeticError("constraint repair did not terminate")
     u, n_proj = repaired
-    value, grad = _search_objective(u, variant, data)
+    value, grad, curv = _search_objective(u, variant, data)
     if value is None:
         raise ValueError("initial parameters are outside the model domain")
 
@@ -390,15 +382,14 @@ def fit(variant: str, data: ItiSet, cfg: FitConfig | None = None) -> FitResult:
     converged = False
     reason = "max iterations"
     max_proj = spec.n_kernel_terms + 1
-    # the negated identity, with +0.0 off the diagonal where -np.eye has -0.0
-    curv = np.diag(np.full(u.size, -1.0))
     ascent = np.eye(u.size)
     refresh_at = 0
 
     for it in range(cfg.max_iters):
         scaled = grad / n
         free, direction = _face_step(ascent, scaled, u, basis, off)
-        if np.max(np.abs(free)) < cfg.grad_tolerance:
+        tol = cfg.grad_tolerance
+        if np.max(np.abs(free)) < tol and free @ direction < 2.0 * tol * tol:
             converged = True
             reason = "gradient tolerance"
             break
@@ -407,14 +398,13 @@ def fit(variant: str, data: ItiSet, cfg: FitConfig | None = None) -> FitResult:
         refresh = it >= refresh_at
         while True:
             if refresh:
-                curv = _curvature_matrix(u, grad, variant, data, curv)
                 ascent = _ascent_map(curv)
                 refresh_at = max(10, it * 2)
                 _, direction = _face_step(ascent, scaled, u, basis, off)
             peak = float(np.max(np.abs(direction), initial=0.0))
             if peak > _DIR_CAP:
                 direction *= _DIR_CAP / peak
-            accepted, u, value, new_grad, used = _backtrack(
+            accepted, u, value, new_grad, new_curv, used = _backtrack(
                 u, value, direction, variant, data, basis, off, max_proj
             )
             if accepted or refresh:
@@ -425,12 +415,11 @@ def fit(variant: str, data: ItiSet, cfg: FitConfig | None = None) -> FitResult:
         if not accepted:
             reason = "line search failed"
             break
-        grad = new_grad
+        grad, curv = new_grad, new_curv
         n_proj += used
         # Secant update keeps the map tracking the local curvature
-        # between the much more expensive probe rebuilds; steps that
-        # fail its positivity condition (projected, or crossing a convex
-        # patch) are skipped.
+        # between rebuilds; steps that fail its positivity condition
+        # (projected, or crossing a convex patch) are skipped.
         ascent = _secant_update(ascent, u - prev_u, scaled - grad / n)
         trace.append(value)
 
@@ -462,17 +451,17 @@ def _backtrack(
     improves the objective.
 
     Works in search coordinates (see _search_objective).  Returns
-    (accepted, u, value, grad, n_projections); a rejected search hands
-    back the incoming point with grad None.
+    (accepted, u, value, grad, curvature, n_projections); a rejected
+    search hands back the incoming point with grad and curvature None.
     """
     eta = 1.0
     while True:
         repaired = _repair(u + eta * direction, basis, off, max_proj)
         if repaired is not None:
             cand, used = repaired
-            cand_value, cand_grad = _search_objective(cand, variant, data)
+            cand_value, cand_grad, cand_curv = _search_objective(cand, variant, data)
             if cand_value is not None and cand_value.objective >= value.objective:
-                return True, cand, cand_value, cand_grad, used
+                return True, cand, cand_value, cand_grad, cand_curv, used
         if eta <= _ETA_MIN:
-            return False, u, value, None, 0
+            return False, u, value, None, None, 0
         eta = max(eta / 2.0, _ETA_MIN)

@@ -11,11 +11,12 @@ F = 1F1(a+1, a+b+1; -w) and w = rho R(tau).  The gradient needs the
 derivatives of log F in a, b and w; the last is minus the ratio
 <x^2 E>/<x E>, which also drives the rate and kernel gradients.  All three
 come out of the same series pass that computes log F (see
-special._log_hyp1f1_neg), each as a positive-weighted sum.  Every caller,
-value-only ones included, runs that one pass under its one accuracy check,
-so log_likelihood and objective raise exactly where gradient does and
-agree bit for bit with the value the fitter's gate, fit._search_objective,
-gets from _evaluate.
+special._log_hyp1f1_neg), each as a positive-weighted sum, and go into
+each unique interval's score, which the gradient sums by multiplicity.
+Every caller, value-only ones included, runs that one pass under its one
+accuracy check, so log_likelihood and objective raise exactly where
+gradient does and agree bit for bit with the value the fitter's gate,
+fit._search_objective, gets from _evaluate.
 
 Everything hypergeometric is carried in log space, so month-long gaps
 (w ~ 1e7 and beyond) lose no precision to underflow.  Interval values are
@@ -113,12 +114,15 @@ def _evaluate(
     alpha: tuple[float, ...],
     variant: str,
     data: ItiSet,
-) -> tuple[ObjectiveValue, tuple]:
-    """Objective, and its gradient as (d/da, d/db, d/dc, d/dgamma).
+) -> tuple[ObjectiveValue, np.ndarray, np.ndarray]:
+    """Objective, its gradient and the per-interval scores.
 
-    The penalty weight is the variant table's; a kernel bank outside the
-    table ("custom") carries none.  The gradient always carries the b
-    entry; VariantSpec.pack drops it for variants that fix b.
+    scores has one row per unique interval and the columns d/da, d/db,
+    d/dc, d/dgamma_1..n of that interval's log-likelihood term; the
+    gradient, ordered the same way, is their count-weighted sum less the
+    penalty's.  The penalty weight is the variant table's; a kernel bank
+    outside the table ("custom") carries none.  The b entry is always
+    there; VariantSpec.pack drops it for variants that fix b.
     """
     tau, cnt = data._unique()
     n_data = float(data.n)
@@ -149,15 +153,18 @@ def _evaluate(
     penalty = reg_weight * float(gamma @ gamma)
     value = ObjectiveValue(loglik, penalty, loglik - penalty)
 
-    g_a = float(cnt @ d_a) + n_data * (1.0 / a - 1.0 / (a + b))
-    g_b = float(cnt @ d_b) - n_data / (a + b)
-    g_c = n_data - rho * float(cnt @ (big_r * ratio))
-    d_gamma = (cnt / r) @ decay - rho * ((cnt * ratio) @ decay_int)
-    d_gamma -= 2.0 * reg_weight * gamma
-    return value, (g_a, g_b, g_c, d_gamma)
+    scores = np.empty((tau.size, 3 + gamma.size), order="F")
+    scores[:, 0] = d_a + (1.0 / a - 1.0 / (a + b))
+    scores[:, 1] = d_b - 1.0 / (a + b)
+    scores[:, 2] = 1.0 - rho * ratio * big_r
+    scores[:, 3:] = decay / r[:, None] - (rho * ratio)[:, None] * decay_int
+    # a dot per column, so no entry depends on how many columns there are
+    grad = np.array([cnt @ column for column in scores.T])
+    grad[3:] -= 2.0 * reg_weight * gamma
+    return value, grad, scores
 
 
-def _params_evaluate(params: ModelParams, data: ItiSet) -> tuple[ObjectiveValue, tuple]:
+def _params_evaluate(params: ModelParams, data: ItiSet) -> tuple:
     gamma = np.asarray(params.kernel.gamma, dtype=float)
     return _evaluate(
         params.a, params.b, params.c, gamma, params.kernel.alpha, params.variant, data
@@ -178,6 +185,6 @@ def objective(params: ModelParams, data: ItiSet) -> ObjectiveValue:
 def gradient(params: ModelParams, data: ItiSet) -> np.ndarray:
     """Analytic gradient of the penalized objective over the variant's free
     coordinates, ordered a, [b], c, gamma_1..gamma_n."""
-    spec = _variant_spec(params.variant)
-    return spec.pack(*_params_evaluate(params, data)[1])
+    grad = _params_evaluate(params, data)[1]
+    return _variant_spec(params.variant).pack(*grad[:3], grad[3:])
 

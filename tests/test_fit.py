@@ -11,7 +11,7 @@ from burstfit.cli import main
 from burstfit.fit import (
     FitConfig,
     FitResult,
-    _curvature_matrix,
+    _ascent_map,
     _face_step,
     _grid_basis,
     _initial_vector,
@@ -22,12 +22,13 @@ from burstfit.fit import (
     fit,
 )
 from burstfit.io import compute_itis, load_timestamps
-from burstfit.likelihood import ItiSet, objective
+from burstfit.likelihood import ItiSet, _evaluate, gradient, objective
 from burstfit.model import (
     VARIANTS,
     ModelParams,
     RefractoryKernel,
     params_to_vector,
+    refractory_integral,
     vector_to_params,
 )
 from burstfit.simulate import simulate_continuous
@@ -268,9 +269,9 @@ def test_search_gate_flags_out_of_domain():
     model domain; an ordinary point is not."""
     data = ItiSet(np.array([0.1, 0.4]))
     for log_a in (-800.0, 800.0):
-        value, grad = _search_objective(np.array([log_a, 0.0]), "M1", data)
+        value, grad, _ = _search_objective(np.array([log_a, 0.0]), "M1", data)
         assert value is None and grad is None
-    value, grad = _search_objective(np.array([math.log(0.7), 0.0]), "M1", data)
+    value, grad, _ = _search_objective(np.array([math.log(0.7), 0.0]), "M1", data)
     assert value is not None and grad.shape == (2,)
 
 
@@ -278,14 +279,14 @@ def test_search_gate_rejects_precision_loss():
     """At b = 200 the asymptotic 1F1 regime (w >= 300) cannot reach its
     accuracy; the probe must come back as out-of-domain, not raise."""
     u = np.array([math.log(0.7), math.log(200.0), 0.0])
-    value, grad = _search_objective(u, "M2", ItiSet(np.array([0.5, 301.0])))
+    value, grad, _ = _search_objective(u, "M2", ItiSet(np.array([0.5, 301.0])))
     assert value is None and grad is None
 
 
 def test_search_gate_rejects_rate_overflow():
     """exp(c) overflows a float at c >= 709.79; the probe is out of domain."""
     u = np.array([math.log(0.7), 710.0])
-    value, grad = _search_objective(u, "M1", ItiSet(np.array([0.1, 0.4, 2.0])))
+    value, grad, _ = _search_objective(u, "M1", ItiSet(np.array([0.1, 0.4, 2.0])))
     assert value is None and grad is None
 
 
@@ -294,7 +295,7 @@ def test_search_gate_rejects_non_finite_objective():
     -inf, so the probe is out of domain rather than a value to compare."""
     u = np.array([math.log(0.7), 700.0])
     with np.errstate(over="ignore"):
-        value, grad = _search_objective(u, "M1", ItiSet(np.array([0.1, 1e10])))
+        value, grad, _ = _search_objective(u, "M1", ItiSet(np.array([0.1, 1e10])))
     assert value is None and grad is None
 
 
@@ -420,6 +421,21 @@ def test_fit_kernel_child_reaches_its_parent_cold(tmp_path):
     assert m4.objective >= m3.objective - 0.5
 
 
+def test_fit_kernel_curvature_makes_no_passes_of_its_own(tmp_path, monkeypatch):
+    """Cold M3 on the seed-121 data above: every likelihood pass after the
+    start is a line search candidate, and the fit takes 35.  Forward-
+    difference probes, one pass per coordinate at every curvature
+    refresh, made it 48."""
+    path = tmp_path / "events.txt"
+    assert main(["simulate", "--variant", "M3", "--a", "0.7", "--rho", "8",
+                 "--gamma", "0,0,-0.3,-0.4,-0.26,0,0,0", "--events", "2000",
+                 "--seed", "121", "--out", str(path)]) == 0
+    data = compute_itis(load_timestamps(path))
+    calls = _count_passes(monkeypatch)
+    assert fit("M3", data).converged
+    assert len(calls) <= 36
+
+
 @pytest.mark.parametrize("seed", [108, 111])
 def test_fit_kernel_child_reaches_its_parent_cold_off_the_wall(tmp_path, seed):
     """On these seeds cold M4 crosses the lag-zero wall.  With the outward
@@ -464,6 +480,23 @@ def test_fit_wall_optimum_is_reached_from_cold_and_from_truth():
     warm = fit("M3", data, FitConfig(init_params=truth))
     assert cold.reason == warm.reason == "gradient tolerance"
     assert cold.objective == pytest.approx(warm.objective, abs=0.01)
+
+
+@pytest.mark.parametrize("seed", [4, 6])
+def test_fit_stops_on_the_predicted_gain_too(seed):
+    """M3 on 50k millisecond-rounded intervals of a kernel truth.  Here the
+    gradient test alone stopped the fit where the 1/N-scaled gradient was
+    below grad_tol but the curvature still predicted about 7e-7 nats along
+    a flat kernel direction; with the predicted gain bounded too, the fit
+    ends within 1e-7 nats of a refit at grad_tol 1e-9 from its optimum."""
+    truth = ModelParams(a=0.7, b=1.0, c=math.log(8.0),
+                        kernel=RefractoryKernel.log_spaced([0, 0, -0.3, -0.4, -0.26, 0, 0, 0]))
+    taus = np.round(simulate_continuous(truth, 50_000, seed=seed) * 1000.0) / 1000.0
+    data = ItiSet(taus[taus > 0])
+    cold = fit("M3", data)
+    tight = fit("M3", data, FitConfig(grad_tolerance=1e-9, init_params=cold.params_star))
+    assert cold.converged
+    assert tight.objective - cold.objective < 1e-7
 
 
 def test_fit_single_interval_terminates():
@@ -515,16 +548,37 @@ def test_seed_jitter_is_deterministic_in_search_coordinates():
     np.testing.assert_allclose(given, [math.log(0.9), math.log(1.3), 0.2], rtol=1e-15)
 
 
-def test_curvature_refresh_probes_each_coordinate_once(monkeypatch):
-    """A refresh takes forward differences from the gradient in hand: one
-    evaluation per coordinate, not two, and a matrix that still agrees
-    with central differences in the search coordinates."""
+def test_curvature_comes_from_the_scores_of_the_pass_in_hand(monkeypatch):
+    """A pass's per-interval scores are the gradient's own terms: for every
+    variant, at a point whose w = rho R(tau) lies on both sides of the 300
+    regime switch, their count-weighted sum less the penalty's gradient is
+    gradient().  The search gate returns their outer product as its
+    curvature, so a refresh makes no likelihood pass; at M2's optimum on
+    heavy-tail data that curvature agrees with central differences of the
+    gradient within 2% of its largest entry (0.9%; M1, misspecified on
+    these data, reads 5%)."""
+    data = ItiSet(np.concatenate([np.geomspace(1e-3, 10.0, 40), [0.5, 0.5, 150.0, 2e4, 3e6]]))
+    tau, cnt = data._unique()
+    for variant, spec in VARIANTS.items():
+        kernel = RefractoryKernel(0.05 * (-1.0) ** np.arange(spec.n_kernel_terms), spec.alpha)
+        params = ModelParams(0.8, 1.6 if spec.free_b else 1.0, math.log(2.0), kernel, variant)
+        w = params.rho * refractory_integral(kernel, tau)
+        assert w.min() < 300.0 < w.max()
+        gamma = np.asarray(kernel.gamma)
+        _, _, scores = _evaluate(params.a, params.b, params.c, gamma, spec.alpha, variant, data)
+        assert scores.shape == (tau.size, 3 + spec.n_kernel_terms)
+        summed = cnt @ scores
+        summed[3:] -= 2.0 * spec.reg_weight * gamma
+        expected = gradient(params, data)
+        np.testing.assert_allclose(spec.pack(*summed[:3], summed[3:]), expected,
+                                   rtol=0, atol=1e-12 * np.abs(expected).max())
+
     data = _heavy_m2_data()
     u = _initial_vector("M2", data, FitConfig(init_params=fit("M2", data).params_star))
-    _, grad = _search_objective(u, "M2", data)
+    _, _, curv = _search_objective(u, "M2", data)
     calls = _count_passes(monkeypatch)
-    curv = _curvature_matrix(u, grad, "M2", data, None)
-    assert len(calls) == u.size
+    _ascent_map(curv)
+    assert calls == []
     central = np.empty((u.size, u.size))
     for i in range(u.size):
         h = 1e-4 * max(1.0, abs(u[i]))
@@ -535,7 +589,7 @@ def test_curvature_refresh_probes_each_coordinate_once(monkeypatch):
         gm = _search_objective(dn, "M2", data)[1]
         central[:, i] = (gp - gm) / (2.0 * h)
     central = (central + central.T) / (2.0 * data.n)
-    np.testing.assert_allclose(curv, central, rtol=0, atol=1e-3 * np.abs(central).max())
+    np.testing.assert_allclose(curv, central, rtol=0, atol=0.02 * np.abs(central).max())
 
 
 def test_fit_work_stays_bounded_on_heavy_tail_data(monkeypatch):
@@ -543,7 +597,8 @@ def test_fit_work_stays_bounded_on_heavy_tail_data(monkeypatch):
     data (a = 0.6, b = 2, rho = 2, 6000 events, seed 46001).  Searching a and
     b on a linear scale from the mean-rate start, with central-difference
     curvature probes, took 14 + 78 = 92 passes; the log-shape search from
-    the median-rate start with forward probes takes 7 + 13."""
+    the median-rate start took 7 + 13 with forward-difference probes, and
+    takes 7 + 12 with the curvature from the per-interval scores."""
     data = _heavy_m2_data()
     calls = _count_passes(monkeypatch)
     m1 = fit("M1", data)

@@ -212,7 +212,8 @@ def _gate(params: ModelParams, data: ItiSet):
     u = _encode(spec, params.a, params.b, params.c, params.kernel.gamma)
     a, b, c, gamma = _decode(u, spec)
     at = ModelParams(a, b, c, RefractoryKernel(gamma, spec.alpha), params.variant)
-    return (*_search_objective(u, params.variant, data), at)
+    value, grad, _ = _search_objective(u, params.variant, data)
+    return value, grad, at
 
 
 @pytest.mark.parametrize("variant", ["M1", "M2", "M3", "M4", "M5"])
