@@ -9,7 +9,9 @@ Exit codes: 0 success, 1 runtime failure, 2 usage error.
 Each command imports the modules it runs inside its handler, so a
 command pays the import time of its own modules only: `hist`,
 `simulate`, the `eval-*` tables and `compare` of loaded fits never load
-the fitter.
+the fitter.  Only the handlers that compute import numpy, after their
+usage checks: importing this module, `--help`, every usage error and
+`compare` of loaded fits run without it.
 """
 
 from __future__ import annotations
@@ -21,8 +23,6 @@ import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 from . import io as bio
 from .model import (
     ModelParams,
@@ -33,6 +33,8 @@ from .model import (
 )
 
 if TYPE_CHECKING:
+    import numpy as np
+
     from .fit import FitConfig
     from .likelihood import ItiSet
 
@@ -44,8 +46,12 @@ def _parse_gamma(text: str) -> tuple[float, ...]:
         raise argparse.ArgumentTypeError(f"bad kernel coefficient list {text!r}") from None
 
 
-def _parse_grid(text: str) -> np.ndarray:
-    """'start:stop:count' -> log-spaced grid."""
+def _parse_grid(text: str) -> tuple[float, float, int]:
+    """'start:stop:count' -> (start, stop, count) of a log-spaced grid.
+
+    Validation only: the handler builds the grid, so a count too large to
+    allocate fails there, as a runtime error, and parsing needs no numpy.
+    """
     parts = text.split(":")
     if len(parts) != 3:
         raise argparse.ArgumentTypeError(f"grid must be start:stop:count, got {text!r}")
@@ -58,7 +64,7 @@ def _parse_grid(text: str) -> np.ndarray:
         raise argparse.ArgumentTypeError(f"grid needs 0 < start < stop and count >= 2, got {text!r}")
     if not math.isfinite(stop):
         raise argparse.ArgumentTypeError(f"grid bounds must be finite, got {text!r}")
-    return np.geomspace(start, stop, count)
+    return start, stop, count
 
 
 def _build_params(args, parser) -> ModelParams:
@@ -72,7 +78,7 @@ def _build_params(args, parser) -> ModelParams:
         return ModelParams(
             a=args.a,
             b=args.b,
-            c=float(np.log(args.rho)),
+            c=math.log(args.rho),
             kernel=RefractoryKernel.log_spaced(gamma),
             variant=args.variant,
         )
@@ -207,16 +213,20 @@ def _load_fit_params(path) -> ModelParams:
 
 
 def _cmd_eval_density(args, parser) -> int:
+    import numpy as np
+
     params = _load_fit_params(args.fit)
-    grid = args.tau_grid
+    grid = np.geomspace(*args.tau_grid)
     _write_table(args.out, grid, iti_density(params, grid))
     print(f"{grid.size} density values -> {args.out}")
     return 0
 
 
 def _cmd_eval_kernel(args, parser) -> int:
+    import numpy as np
+
     params = _load_fit_params(args.fit)
-    grid = args.tau_grid
+    grid = np.geomspace(*args.tau_grid)
     _write_table(args.out, grid, refractory_eval(params.kernel, grid))
     print(f"{grid.size} kernel values -> {args.out}")
     return 0
@@ -278,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     kern = sub.add_parser("eval-kernel", help="rate modulation on a grid")
     kern.add_argument("--fit", required=True, help="fit artifact to evaluate")
-    kern.add_argument("--tau-grid", type=_parse_grid, default=_parse_grid("0.001:5:200"))
+    kern.add_argument("--tau-grid", type=_parse_grid, default="0.001:5:200")
     kern.add_argument("--out", required=True)
     kern.set_defaults(func=_cmd_eval_kernel)
 

@@ -16,11 +16,14 @@ The records that cross a file boundary live here: EventTrain, what
 timestamp files hold, and FitResult with its ObjectiveValue trace, what
 fit artifacts hold.  The samplers, the likelihood and the fitter import
 them from this module, which imports no module of the package at its
-top: it loads ``model`` (to rebuild a fit's parameters), ``likelihood``
+top: it loads numpy (for the timestamp codec, the arrays and the
+histogram), ``model`` (to rebuild a fit's parameters), ``likelihood``
 (for the interval set ``compute_itis`` returns), ``json`` and
 ``logging`` only inside the functions that use them.  So a command that
-reads or writes timestamps alone does not pay their import, and one that
-reads a fit artifact loads neither the fitter nor the likelihood.
+reads or writes timestamps alone does not pay the import of the others,
+one that reads a fit artifact loads neither the fitter nor the
+likelihood, and reading and writing fit and comparison documents loads
+no numpy.
 """
 
 from __future__ import annotations
@@ -35,9 +38,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 if TYPE_CHECKING:
+    import numpy as np
+
     from .likelihood import ItiSet
     from .model import ModelParams
     from .selection import ComparisonMatrix
@@ -69,6 +72,8 @@ class EventTrain:
     timestamps_ms: np.ndarray
 
     def __post_init__(self) -> None:
+        import numpy as np
+
         ts = np.asarray(self.timestamps_ms)
         if ts.ndim != 1:
             raise ValueError("timestamps must be a 1-d array")
@@ -98,6 +103,8 @@ class EventTrain:
 
     def intervals_seconds(self) -> np.ndarray:
         """Consecutive inter-event intervals in seconds."""
+        import numpy as np
+
         return np.diff(self.timestamps_ms) / 1000.0
 
 
@@ -144,6 +151,8 @@ class LogBinnedHistogram:
     @property
     def centers(self) -> np.ndarray:
         """Geometric bin midpoints."""
+        import numpy as np
+
         return np.sqrt(self.edges[:-1] * self.edges[1:])
 
 
@@ -169,6 +178,8 @@ def _digit_lines(b: np.ndarray) -> np.ndarray | int:
     grammar, or the offset of its first line that breaks it.  Empty lines
     give no value; lines are grouped by width, and each group is folded
     one digit column at a time."""
+    import numpy as np
+
     ends = np.flatnonzero(b == 10)
     # every byte that is not a digit must be a newline or a "\r" directly
     # before one; a block of bare newlines skips the "\r" search
@@ -226,6 +237,8 @@ def _parse(blob: bytes) -> np.ndarray:
     a line that breaks the grammar stops the parse, which raises naming
     the earliest such line by number and its text without its line end.
     """
+    import numpy as np
+
     first = blob.find(b"\n") + 1 or len(blob)  # where line 2 starts
     pos = first if _is_header(blob[:first]) else 0
     view = np.frombuffer(blob, np.uint8)
@@ -259,6 +272,8 @@ def load_timestamps(source) -> EventTrain:
     collapsed (count logged); the first line that breaks the grammar
     raises with its line number and text.
     """
+    import numpy as np
+
     ts = _parse(source if isinstance(source, bytes) else Path(source).read_bytes())
     if not ts.size:
         raise ValueError("timestamp stream contains no events")
@@ -279,7 +294,7 @@ def load_timestamps(source) -> EventTrain:
 # whole.
 _FORMAT_BLOCK = 1 << 14
 # 10, 100, ..., 10**18: a value below 10**w has at most w digits
-_POW10 = 10 ** np.arange(1, 19, dtype=np.int64)
+_POW10 = [10**w for w in range(1, 19)]
 
 
 def _format_lines(ts: np.ndarray) -> str:
@@ -288,6 +303,8 @@ def _format_lines(ts: np.ndarray) -> str:
     Values of equal width sit in one run, written as a (count, width + 1)
     byte block: digit columns from the last, then a newline column.
     """
+    import numpy as np
+
     cuts = np.concatenate(([0], np.searchsorted(ts, _POW10), [ts.size]))
     widths = np.arange(1, cuts.size)
     text = np.empty(int(np.diff(cuts) @ (widths + 1)), np.uint8)
@@ -344,6 +361,8 @@ def log_binned_histogram(
     Empty bins stay in the output with zero density; a single distinct
     value degenerates to one bin centered on it.
     """
+    import numpy as np
+
     if bins_per_decade < 1:
         raise ValueError("bins_per_decade must be at least 1")
     iv = data.intervals
@@ -367,6 +386,8 @@ def fit_log_slope(
     hist: LogBinnedHistogram, tau_min: float, tau_max: float
 ) -> float:
     """Least-squares slope of log density vs log time over occupied bins."""
+    import numpy as np
+
     centers = hist.centers
     keep = (hist.counts > 0) & (centers >= tau_min) & (centers <= tau_max)
     if keep.sum() < 2:

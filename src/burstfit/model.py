@@ -9,16 +9,22 @@ with a power-law tail of exponent -(a + 1).
 
 All times are seconds and all rates Hz.  The log rate c = log(rho) is the
 coordinate used by the fitter, so ModelParams stores c rather than rho.
+
+The parameter records (RefractoryKernel, ModelParams, VariantSpec and
+VARIANTS) are plain Python.  numpy is imported inside the functions that
+evaluate or pack them, and ``special`` (1F1 and the Beta function) inside
+``iti_density`` and ``iti_tail_asymptote`` alone, so rebuilding a fit's
+parameters from its artifact loads neither.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .special import _log_hyp1f1_neg, log_beta, log_gamma
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "RefractoryKernel",
@@ -137,6 +143,8 @@ class VariantSpec:
 
     def pack(self, a: float, b: float, c: float, gamma) -> np.ndarray:
         """Packed vector of the coordinates; b is dropped where fixed."""
+        import numpy as np
+
         head = (a, b, c) if self.free_b else (a, c)
         return np.array([*head, *gamma], dtype=float)
 
@@ -146,6 +154,8 @@ class VariantSpec:
         Checks the length only; vector_to_params checks the domain when
         it builds the ModelParams.
         """
+        import numpy as np
+
         vec = np.asarray(vec, dtype=float)
         if vec.shape != (self.n_params,):
             raise ValueError(
@@ -225,6 +235,8 @@ class ModelParams:
 
 def _as_times(tau, minimum: float):
     """Flatten tau to a validated float vector, remembering the input shape."""
+    import numpy as np
+
     shape = np.shape(tau)
     t = np.asarray(tau, dtype=float).ravel()
     if not np.all(np.isfinite(t)):
@@ -247,12 +259,16 @@ def _decay_matrix(alpha: tuple[float, ...], t: np.ndarray) -> np.ndarray:
     same times (the inverter of R) builds it once.  The likelihood's and
     the constraint grid's kernel bases are this matrix too.
     """
+    import numpy as np
+
     decay = -t[:, None] * np.asarray(alpha)
     return np.exp(decay, out=decay)
 
 
 def _rate_from_decay(kernel: RefractoryKernel, decay: np.ndarray) -> np.ndarray:
     """r at the times whose decay matrix is given, dust clamped to 0."""
+    import numpy as np
+
     out = 1.0 + decay @ np.asarray(kernel.gamma)
     out[(out < 0.0) & (out >= -_KERNEL_DUST)] = 0.0
     return out
@@ -262,6 +278,8 @@ def _integral_from_decay(
     kernel: RefractoryKernel, t: np.ndarray, decay: np.ndarray
 ) -> np.ndarray:
     """R at the times t from their decay matrix."""
+    import numpy as np
+
     g = np.asarray(kernel.gamma)
     return t + (1.0 - decay) @ (g / np.asarray(kernel.alpha))
 
@@ -290,6 +308,10 @@ def iti_density(params: ModelParams, tau):
     At tau = 0 the hypergeometric factor is 1 and the formula equals the
     right limit rho r(0) a/(a+b), so zero needs no special casing.
     """
+    import numpy as np
+
+    from .special import _log_hyp1f1_neg
+
     t, shape = _as_times(tau, minimum=0.0)
     r = refractory_eval(params.kernel, t)
     if t.size and r.min() < 0.0:
@@ -307,6 +329,10 @@ def iti_tail_asymptote(params: ModelParams, tau):
     Returns [Gamma(a+1) / (B(a, b) rho^a)] tau^-(a+1); the log-log slope is
     exactly -(a + 1).
     """
+    import numpy as np
+
+    from .special import log_beta, log_gamma
+
     t, shape = _as_times(tau, minimum=0.0)
     if t.size and t.min() <= 0.0:
         raise ValueError("tail asymptote needs tau > 0")

@@ -438,6 +438,9 @@ def test_eval_kernel_default_grid(tmp_path):
     np.testing.assert_allclose(
         table[:, 1], refractory_eval(params.kernel, grid), rtol=1e-9
     )
+    # the default spec is parsed like the flag; its grid is this one, byte for byte
+    rows = [f"{t:.12g} {v:.12g}" for t, v in zip(grid, refractory_eval(params.kernel, grid))]
+    assert out.read_text() == "\n".join(rows) + "\n"
 
 
 def test_eval_density_bad_grid_spec(tmp_path):
@@ -449,6 +452,22 @@ def test_eval_density_bad_grid_spec(tmp_path):
         main(["eval-density", "--fit", "x.json", "--tau-grid", "1:10",
               "--out", str(tmp_path / "d.txt")])
     assert exc.value.code == 2
+
+
+def test_eval_density_grid_too_large_is_a_runtime_error(tmp_path, capsys):
+    """A grid count too large to allocate fails in the handler, as one
+    error line and exit 1, not as a traceback out of argument parsing.
+    The count asks for more bytes than any address space holds, so the
+    allocation is refused however the host overcommits memory."""
+    truth = tmp_path / "truth.json"
+    _truth_artifact(truth, ModelParams(a=0.7, b=1.0, c=0.0), ItiSet(np.array([0.5, 1.5])))
+    out = tmp_path / "d.txt"
+    rc = main(["eval-density", "--fit", str(truth), "--tau-grid", f"0.001:10:{10**17}",
+               "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("spec", ["0.001:inf:5", "0.001:1e400:5", "0.001:nan:5", "inf:1e400:5"])
@@ -484,14 +503,19 @@ def test_cli_import_leaves_process_pool_unloaded():
 
 
 # What each command loads in a fresh interpreter: its burstfit modules
-# (short names), and whether json or logging is among them.
+# (short names), and which of json, logging and numpy are among them.
+# Only commands that compute load numpy; simulate and eval-kernel, which
+# evaluate no 1F1, skip special.
 _COMMAND_MODULES = {
-    "simulate": {"cli", "io", "model", "special", "simulate"},
-    "hist": {"cli", "io", "model", "special", "likelihood"},
-    "fit": {"cli", "io", "model", "special", "likelihood", "fit", "selection", "json"},
-    "compare": {"cli", "io", "model", "special", "selection", "json"},
-    "eval-density": {"cli", "io", "model", "special", "json"},
-    "eval-kernel": {"cli", "io", "model", "special", "json"},
+    "simulate": {"cli", "io", "model", "simulate", "numpy"},
+    "hist": {"cli", "io", "model", "special", "likelihood", "numpy"},
+    "fit": {"cli", "io", "model", "special", "likelihood", "fit", "selection", "json", "numpy"},
+    "compare": {"cli", "io", "model", "selection", "json"},
+    "eval-density": {"cli", "io", "model", "special", "json", "numpy"},
+    "eval-kernel": {"cli", "io", "model", "json", "numpy"},
+    "--help": {"cli", "io", "model"},
+    "compare --help": {"cli", "io", "model"},
+    "usage error": {"cli", "io", "model"},
 }
 
 
@@ -500,34 +524,42 @@ def test_each_command_loads_only_its_modules(tmp_path):
     loads the fitter, reading a fit artifact loads neither the fitter nor
     the likelihood, fit and hist skip the samplers, and only commands
     that read or write a fit artifact load json.  No command here
-    collapses duplicates or starts a pool, so none loads logging."""
+    collapses duplicates or starts a pool, so none loads logging.
+    compare of loaded fits, --help and a usage error load no numpy."""
     events = tmp_path / "events.txt"
     fitted = tmp_path / "m1.json"
     assert main(["simulate", "--events", "300", "--seed", "5", "--out", str(events)]) == 0
     assert main(["fit", "--variant", "M1", "--in", str(events), "--out", str(fitted)]) == 0
+    out = ["--out", str(tmp_path / "cmd.out")]
     commands = {
-        "simulate": ["--events", "300", "--seed", "5", "--mode", "discrete"],
-        "hist": ["--in", str(events)],
-        "fit": ["--variant", "M1", "--in", str(events)],
-        "compare": ["--fits", str(fitted)],
-        "eval-density": ["--fit", str(fitted), "--tau-grid", "0.01:10:5"],
-        "eval-kernel": ["--fit", str(fitted)],
+        "simulate": (["simulate", "--events", "300", "--seed", "5", "--mode", "discrete", *out], 0),
+        "hist": (["hist", "--in", str(events), *out], 0),
+        "fit": (["fit", "--variant", "M1", "--in", str(events), *out], 0),
+        "compare": (["compare", "--fits", str(fitted), *out], 0),
+        "eval-density": (["eval-density", "--fit", str(fitted), "--tau-grid", "0.01:10:5", *out], 0),
+        "eval-kernel": (["eval-kernel", "--fit", str(fitted), *out], 0),
+        "--help": (["--help"], 0),
+        "compare --help": (["compare", "--help"], 0),
+        "usage error": (["eval-density", "--fit", str(fitted), "--tau-grid", "5:1:10", *out], 2),
     }
     assert set(commands) == set(_COMMAND_MODULES)
     src = str(Path(burstfit.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = (
-        "import sys; from burstfit.cli import main; "
-        "rc = main(sys.argv[1:]); "
+        "import sys\n"
+        "from burstfit.cli import main\n"
+        "try:\n"
+        "    rc = main(sys.argv[1:])\n"
+        "except SystemExit as exc:\n"
+        "    rc = exc.code\n"
         "print(rc, *sorted(m.removeprefix('burstfit.') for m in sys.modules "
-        "if m.startswith('burstfit.') or m in ('json', 'logging')))"
+        "if m.startswith('burstfit.') or m in ('json', 'logging', 'numpy')))\n"
     )
-    for name, flags in commands.items():
-        argv = [name, *flags, "--out", str(tmp_path / f"{name}.out")]
-        out = subprocess.run([sys.executable, "-c", code, *argv], env=env,
+    for name, (argv, code_expected) in commands.items():
+        run = subprocess.run([sys.executable, "-c", code, *argv], env=env,
                              capture_output=True, text=True, check=True)
-        rc, *loaded = out.stdout.splitlines()[-1].split()
-        assert (name, rc, set(loaded)) == (name, "0", _COMMAND_MODULES[name])
+        rc, *loaded = run.stdout.splitlines()[-1].split()
+        assert (name, rc, set(loaded)) == (name, str(code_expected), _COMMAND_MODULES[name])
 
 
 def test_fit_command_leaves_numpy_ma_unloaded(tmp_path):
