@@ -49,8 +49,9 @@ def _parse_gamma(text: str) -> tuple[float, ...]:
 def _parse_grid(text: str) -> tuple[float, float, int]:
     """'start:stop:count' -> (start, stop, count) of a log-spaced grid.
 
-    Validation only: the handler builds the grid, so a count too large to
-    allocate fails there, as a runtime error, and parsing needs no numpy.
+    Validation only, so parsing needs no numpy: the handler builds the
+    grid, and a count past io's cap on table rows is refused here, before
+    anything is allocated.
     """
     parts = text.split(":")
     if len(parts) != 3:
@@ -64,6 +65,10 @@ def _parse_grid(text: str) -> tuple[float, float, int]:
         raise argparse.ArgumentTypeError(f"grid needs 0 < start < stop and count >= 2, got {text!r}")
     if not math.isfinite(stop):
         raise argparse.ArgumentTypeError(f"grid bounds must be finite, got {text!r}")
+    if count > bio._MAX_TABLE_ROWS:
+        raise argparse.ArgumentTypeError(
+            f"grid count {count} is past the cap of {bio._MAX_TABLE_ROWS} table rows"
+        )
     return start, stop, count
 
 

@@ -54,7 +54,6 @@ from .special import PrecisionLossError
 __all__ = [
     "FitConfig",
     "default_constraint_grid",
-    "feasible",
     "fit",
 ]
 
@@ -157,17 +156,10 @@ def _grid_basis(spec: VariantSpec) -> np.ndarray:
     return _decay_matrix(spec.alpha, np.concatenate(([0.0], default_constraint_grid())))
 
 
-def feasible(kernel, grid: np.ndarray) -> tuple[bool, int | None]:
-    """Is the rate nonnegative at every grid time?
-
-    Returns (True, None) or (False, index of the most violated point).
-    """
-    grid = np.asarray(grid, dtype=float)
-    return _basis_feasible(_decay_matrix(kernel.alpha, grid), np.asarray(kernel.gamma))
-
-
 def _basis_feasible(basis: np.ndarray, gamma: np.ndarray) -> tuple[bool, int | None]:
-    """feasible() on a precomputed basis exp(-alpha_k t_i); no rows, no violation."""
+    """Is the rate 1 + basis @ gamma nonnegative at every row of the basis
+    exp(-alpha_k t_i)?  (True, None), or (False, index of the most violated
+    row); no rows, no violation."""
     rate = 1.0 + basis @ gamma
     if rate.min(initial=0.0) >= 0.0:
         return True, None
@@ -250,11 +242,12 @@ def _search_objective(
     out of the model domain.
 
     The fitter's one domain gate: a probe where a shape's exp underflows
-    to 0 or overflows, the kernel drives the rate nonpositive, exp(c)
-    overflows, no 1F1 regime reaches its accuracy, or the objective or
-    gradient is not finite is rejected rather than raised.  By the chain
-    rule the shape entries of the gradient are a d/da and b d/db, and the
-    per-interval scores the curvature is built from are scaled alike.
+    to 0 or overflows, the kernel drives the rate nonpositive, exp(c) R(tau)
+    overflows, no 1F1 regime reaches its accuracy (b lost beside a + 1
+    included), or the objective or gradient is not finite is rejected
+    rather than raised.  By the chain rule the shape entries of the
+    gradient are a d/da and b d/db, and the per-interval scores the
+    curvature is built from are scaled alike.
     """
     spec = _variant_spec(variant)
     a, b, c, gamma = _decode(u, spec)

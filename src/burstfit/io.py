@@ -54,7 +54,6 @@ __all__ = [
     "save_timestamps",
     "compute_itis",
     "log_binned_histogram",
-    "fit_log_slope",
     "serialize_fit",
     "deserialize_fit",
     "serialize_comparison",
@@ -353,13 +352,21 @@ def compute_itis(train: EventTrain) -> ItiSet:
     return ItiSet(train.intervals_seconds())
 
 
+# Most rows a table sized by a caller's count may have: a histogram's
+# bins, an evaluation grid's points.  The count is checked against it
+# before anything is allocated, so no count can ask for more memory than
+# a machine has.
+_MAX_TABLE_ROWS = 10**6
+
+
 def log_binned_histogram(
     data: ItiSet, bins_per_decade: int = 8, bin_range: tuple[float, float] | None = None
 ) -> LogBinnedHistogram:
     """Density estimate on geometric bins.
 
     Empty bins stay in the output with zero density; a single distinct
-    value degenerates to one bin centered on it.
+    value degenerates to one bin centered on it.  More than
+    _MAX_TABLE_ROWS bins raise ValueError before any is allocated.
     """
     import numpy as np
 
@@ -374,28 +381,17 @@ def log_binned_histogram(
         edges = np.array([lo / math.sqrt(step), lo * math.sqrt(step)])
     else:
         n_bins = max(1, math.ceil(round(bins_per_decade * math.log10(hi / lo), 9)))
+        if n_bins > _MAX_TABLE_ROWS:
+            raise ValueError(
+                f"the histogram needs {n_bins} bins, past the cap of "
+                f"{_MAX_TABLE_ROWS} table rows"
+            )
         edges = lo * step ** np.arange(n_bins + 1)
         edges[-1] = max(edges[-1], hi)
     counts, _ = np.histogram(iv, bins=edges)
     n_total = int(counts.sum())
     densities = counts / (max(n_total, 1) * np.diff(edges))
     return LogBinnedHistogram(edges=edges, counts=counts, densities=densities, n_total=n_total)
-
-
-def fit_log_slope(
-    hist: LogBinnedHistogram, tau_min: float, tau_max: float
-) -> float:
-    """Least-squares slope of log density vs log time over occupied bins."""
-    import numpy as np
-
-    centers = hist.centers
-    keep = (hist.counts > 0) & (centers >= tau_min) & (centers <= tau_max)
-    if keep.sum() < 2:
-        raise ValueError("need at least 2 occupied bins in range to fit a slope")
-    x = np.log10(centers[keep])
-    y = np.log10(hist.densities[keep])
-    slope = np.polyfit(x, y, 1)[0]
-    return float(slope)
 
 
 def _open_mode(path: Path) -> int:

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .io import ObjectiveValue
-from .model import ModelParams, VARIANTS, _decay_matrix, _variant_spec
+from .model import ModelParams, VARIANTS, _decay_matrix, _hyp_argument, _variant_spec
 from .special import _log_hyp1f1_neg
 
 __all__ = [
@@ -136,10 +136,10 @@ def _evaluate(
     big_r = tau + decay_int @ gamma
     log_r_sum = float(cnt @ np.log(r))
 
-    rho = math.exp(c)
-    w = rho * big_r
+    w = _hyp_argument(c, big_r)
     if w.min() <= 0.0:
         raise InfeasibleParamsError("integrated rate R(tau) <= 0 at an interval")
+    rho = math.exp(c)
 
     log_f1, d_a, d_b, ratio = _log_hyp1f1_neg(a + 1.0, a + b + 1.0, w)
     loglik = (

@@ -12,9 +12,8 @@ coordinate used by the fitter, so ModelParams stores c rather than rho.
 
 The parameter records (RefractoryKernel, ModelParams, VariantSpec and
 VARIANTS) are plain Python.  numpy is imported inside the functions that
-evaluate or pack them, and ``special`` (1F1 and the Beta function) inside
-``iti_density`` and ``iti_tail_asymptote`` alone, so rebuilding a fit's
-parameters from its artifact loads neither.
+evaluate or pack them, and ``special`` (1F1) inside ``iti_density``
+alone, so rebuilding a fit's parameters from its artifact loads neither.
 """
 
 from __future__ import annotations
@@ -34,9 +33,6 @@ __all__ = [
     "refractory_eval",
     "refractory_integral",
     "iti_density",
-    "iti_tail_asymptote",
-    "params_to_vector",
-    "vector_to_params",
 ]
 
 # Slowest decay timescale (seconds) implied by the number of kernel terms.
@@ -115,7 +111,7 @@ class RefractoryKernel:
 
 @dataclass(frozen=True)
 class VariantSpec:
-    """Shape of one model variant and the codec of its packed vector.
+    """Shape of one model variant and the layout of its packed vector.
 
     The fitted coordinates are packed as a, [b], c, gamma_1..gamma_n, with
     b left out where the variant fixes it at 1.  ``alpha`` is the variant's
@@ -147,24 +143,6 @@ class VariantSpec:
 
         head = (a, b, c) if self.free_b else (a, c)
         return np.array([*head, *gamma], dtype=float)
-
-    def unpack(self, vec) -> tuple[float, float, float, np.ndarray]:
-        """(a, b, c, gamma) of a packed vector, b = 1 where fixed.
-
-        Checks the length only; vector_to_params checks the domain when
-        it builds the ModelParams.
-        """
-        import numpy as np
-
-        vec = np.asarray(vec, dtype=float)
-        if vec.shape != (self.n_params,):
-            raise ValueError(
-                f"variant {self.name} packs {self.n_params} parameters, "
-                f"got shape {vec.shape}"
-            )
-        off = self.gamma_offset
-        b = float(vec[1]) if self.free_b else 1.0
-        return float(vec[0]), b, float(vec[off - 1]), vec[off:]
 
 
 VARIANTS = {
@@ -301,6 +279,25 @@ def refractory_integral(kernel: RefractoryKernel, tau):
     return _restore(_integral_from_decay(kernel, t, _decay_matrix(kernel.alpha, t)), shape)
 
 
+def _hyp_argument(c: float, big_r: np.ndarray) -> np.ndarray:
+    """w = exp(c) R(tau), the argument of the density's 1F1.
+
+    A rate or a product past the float range is refused naming c, not
+    carried into the 1F1 pass as inf.
+    """
+    import numpy as np
+
+    try:
+        rho = math.exp(c)
+    except OverflowError:
+        rho = math.inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = rho * big_r
+    if not np.all(np.isfinite(w)):
+        raise OverflowError(f"exp(c) R(tau) is past the float range at c={c!r}")
+    return w
+
+
 def iti_density(params: ModelParams, tau):
     """Marginal interval density p(tau) in 1/s, elementwise.
 
@@ -317,28 +314,10 @@ def iti_density(params: ModelParams, tau):
     if t.size and r.min() < 0.0:
         raise ValueError("kernel is negative in range; params infeasible")
     a, b = params.a, params.b
-    w = params.rho * refractory_integral(params.kernel, t)
+    w = _hyp_argument(params.c, refractory_integral(params.kernel, t))
     log_f1 = _log_hyp1f1_neg(a + 1.0, a + b + 1.0, w)[0]
     dens = params.rho * r * (a / (a + b)) * np.exp(log_f1)
     return _restore(dens, shape)
-
-
-def iti_tail_asymptote(params: ModelParams, tau):
-    """Power-law approximation of the interval density at large tau.
-
-    Returns [Gamma(a+1) / (B(a, b) rho^a)] tau^-(a+1); the log-log slope is
-    exactly -(a + 1).
-    """
-    import numpy as np
-
-    from .special import log_beta, log_gamma
-
-    t, shape = _as_times(tau, minimum=0.0)
-    if t.size and t.min() <= 0.0:
-        raise ValueError("tail asymptote needs tau > 0")
-    a, b = params.a, params.b
-    log_amp = log_gamma(a + 1.0) - log_beta(a, b) - a * params.c
-    return _restore(np.exp(log_amp - (a + 1.0) * np.log(t)), shape)
 
 
 def _variant_spec(variant: str) -> VariantSpec:
@@ -350,15 +329,3 @@ def _variant_spec(variant: str) -> VariantSpec:
         )
     return spec
 
-
-def params_to_vector(params: ModelParams) -> np.ndarray:
-    """Pack the free coordinates of params into a flat vector."""
-    spec = _variant_spec(params.variant)
-    return spec.pack(params.a, params.b, params.c, params.kernel.gamma)
-
-
-def vector_to_params(vec, variant: str) -> ModelParams:
-    """Inverse of params_to_vector; validates length and domain."""
-    spec = _variant_spec(variant)
-    a, b, c, gamma = spec.unpack(vec)
-    return ModelParams(a, b, c, RefractoryKernel(gamma, spec.alpha), variant)

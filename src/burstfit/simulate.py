@@ -52,7 +52,6 @@ from .model import (
 __all__ = [
     "SimConfig",
     "simulate_discrete",
-    "discrete_intervals",
     "simulate_continuous",
     "invert_R",
 ]
@@ -265,8 +264,8 @@ def simulate_discrete(params: ModelParams, cfg: SimConfig) -> EventTrain:
 
     Bins are rounded to whole milliseconds; should two events land in the
     same millisecond (possible only for dt below 1 ms), the duplicate is
-    dropped with a warning.  Use discrete_intervals when the analysis
-    needs the intervals at full grid resolution.
+    dropped with a warning.  The chain's own bin indices, from
+    _run_chain, keep the intervals at full grid resolution.
     """
     bins = _run_chain(params, cfg)
     ms = np.rint(bins * (cfg.dt * 1000.0)).astype(np.int64)
@@ -281,12 +280,6 @@ def simulate_discrete(params: ModelParams, cfg: SimConfig) -> EventTrain:
             )
             ms = ms[keep]
     return EventTrain(ms)
-
-
-def discrete_intervals(params: ModelParams, cfg: SimConfig) -> np.ndarray:
-    """Inter-event intervals of the discrete chain, exact multiples of dt."""
-    bins = _run_chain(params, cfg)
-    return np.diff(bins) * cfg.dt
 
 
 def _train_from_intervals(intervals: np.ndarray) -> EventTrain:

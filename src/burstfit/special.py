@@ -1,12 +1,11 @@
-"""Log-gamma, digamma, log-beta, and 1F1 with the derivatives of its log.
+"""Log-gamma, digamma, and 1F1 with the derivatives of its log.
 
 The interval density and its likelihood reduce to confluent hypergeometric
-evaluations.  This module owns those numerics: log-gamma, digamma,
-log-beta, and a 1F1 evaluator with regime switching.  Every log 1F1
-value comes from one series pass, a sweep over sorted w that retires rows
-as they converge, which also returns the derivatives of log 1F1 that the
-likelihood gradient needs; a value is returned only if its derivatives
-settled too.
+evaluations.  This module owns those numerics: log-gamma, digamma, and a
+1F1 evaluator with regime switching.  Every log 1F1 value comes from one
+series pass, a sweep over sorted w that retires rows as they converge,
+which also returns the derivatives of log 1F1 that the likelihood
+gradient needs; a value is returned only if its derivatives settled too.
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ __all__ = [
     "PrecisionLossError",
     "log_gamma",
     "digamma",
-    "log_beta",
     "kummer_1f1",
 ]
 
@@ -72,11 +70,6 @@ def digamma(z: float) -> float:
         )
     )
     return acc + math.log(z) - 0.5 / z - tail
-
-
-def log_beta(a: float, b: float) -> float:
-    """log B(a, b) = log_gamma(a) + log_gamma(b) - log_gamma(a + b)."""
-    return log_gamma(a) + log_gamma(b) - log_gamma(a + b)
 
 
 # 1F1 evaluation.  Only z <= 0 appears in the density and likelihood; the
@@ -213,9 +206,12 @@ def _asym_1f1_neg(a: float, b: float, w: np.ndarray) -> np.ndarray:
 def _log_hyp1f1_neg(a: float, b: float, w: np.ndarray) -> np.ndarray:
     """log 1F1(a, b; -w) and its log derivatives elementwise, as (4, n) rows.
 
-    w is 1-D with w >= 0, and b > a > 0.  w is sorted once and cut at
-    _ASYM_SWITCH, so each regime gets one ascending slice; a row's value
-    never depends on its neighbours.
+    w is 1-D with w >= 0, and a > 0.  b <= a raises PrecisionLossError
+    before any regime runs: the likelihood passes a + 1 and a + b + 1,
+    which are equal once b is below half an ulp of a + 1, and with b - a
+    lost no regime has a shape gap to work with.  w is sorted once and
+    cut at _ASYM_SWITCH, so each regime gets one ascending slice; a row's
+    value never depends on its neighbours.
 
     The rows are (log F, d_shift, d_b, ratio), all from one series pass:
     d_shift = (d/da + d/db) log F, d_b = d/db log F at fixed a, and
@@ -228,6 +224,10 @@ def _log_hyp1f1_neg(a: float, b: float, w: np.ndarray) -> np.ndarray:
     generic partials (DLMF 13.2, 13.7).  One accuracy check covers all four
     rows: a row whose derivatives did not settle raises, value included.
     """
+    if not b > a:
+        raise PrecisionLossError(
+            f"1F1 needs b > a, got a={a!r}, b={b!r}: the gap b - a is lost to rounding"
+        )
     w = np.asarray(w, dtype=float)
     order = np.argsort(w, kind="stable")
     ws = w[order]

@@ -17,7 +17,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from burstfit.special import log_beta
+
+def log_beta(a: float, b: float) -> float:
+    """log B(a, b) = lgamma(a) + lgamma(b) - lgamma(a + b)."""
+    return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
 
 
 @lru_cache(maxsize=8)

@@ -1,0 +1,89 @@
+"""Routes the tests hold the package to, kept out of the package.
+
+No command, fit, sampler or benchmark calls these, so they live beside
+the tests rather than in ``burstfit``: the rate-nonnegativity check on a
+grid of times, the packed-vector codec criterion 2 takes its central
+differences in, the chain's intervals at full grid resolution
+(criterion 5), the log-binned slope estimator of criterion 1, and the
+power-law tail that bounds criterion 6's remaining mass.  Each is built
+on the package's own private pieces, so it computes what the package
+would.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from beta_oracle import log_beta
+from burstfit.fit import _basis_feasible
+from burstfit.io import LogBinnedHistogram
+from burstfit.model import (
+    ModelParams,
+    RefractoryKernel,
+    _as_times,
+    _decay_matrix,
+    _restore,
+    _variant_spec,
+)
+from burstfit.simulate import SimConfig, _run_chain
+from burstfit.special import log_gamma
+
+
+def feasible(kernel: RefractoryKernel, grid) -> tuple[bool, int | None]:
+    """Is the rate nonnegative at every grid time?
+
+    Returns (True, None) or (False, index of the most violated point).
+    """
+    grid = np.asarray(grid, dtype=float)
+    return _basis_feasible(_decay_matrix(kernel.alpha, grid), np.asarray(kernel.gamma))
+
+
+def params_to_vector(params: ModelParams) -> np.ndarray:
+    """Pack the free coordinates of params into a flat vector."""
+    spec = _variant_spec(params.variant)
+    return spec.pack(params.a, params.b, params.c, params.kernel.gamma)
+
+
+def vector_to_params(vec, variant: str) -> ModelParams:
+    """Inverse of params_to_vector; validates length and domain."""
+    spec = _variant_spec(variant)
+    vec = np.asarray(vec, dtype=float)
+    if vec.shape != (spec.n_params,):
+        raise ValueError(
+            f"variant {spec.name} packs {spec.n_params} parameters, got shape {vec.shape}"
+        )
+    off = spec.gamma_offset
+    b = float(vec[1]) if spec.free_b else 1.0
+    kernel = RefractoryKernel(vec[off:], spec.alpha)
+    return ModelParams(float(vec[0]), b, float(vec[off - 1]), kernel, variant)
+
+
+def discrete_intervals(params: ModelParams, cfg: SimConfig) -> np.ndarray:
+    """Inter-event intervals of the discrete chain, exact multiples of dt."""
+    return np.diff(_run_chain(params, cfg)) * cfg.dt
+
+
+def fit_log_slope(hist: LogBinnedHistogram, tau_min: float, tau_max: float) -> float:
+    """Least-squares slope of log density vs log time over occupied bins."""
+    centers = hist.centers
+    keep = (hist.counts > 0) & (centers >= tau_min) & (centers <= tau_max)
+    if keep.sum() < 2:
+        raise ValueError("need at least 2 occupied bins in range to fit a slope")
+    x = np.log10(centers[keep])
+    y = np.log10(hist.densities[keep])
+    slope = np.polyfit(x, y, 1)[0]
+    return float(slope)
+
+
+def iti_tail_asymptote(params: ModelParams, tau):
+    """Power-law approximation of the interval density at large tau.
+
+    Returns [Gamma(a+1) / (B(a, b) rho^a)] tau^-(a+1); the log-log slope is
+    exactly -(a + 1).
+    """
+    t, shape = _as_times(tau, minimum=0.0)
+    if t.size and t.min() <= 0.0:
+        raise ValueError("tail asymptote needs tau > 0")
+    a, b = params.a, params.b
+    log_amp = log_gamma(a + 1.0) - log_beta(a, b) - a * params.c
+    return _restore(np.exp(log_amp - (a + 1.0) * np.log(t)), shape)

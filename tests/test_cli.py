@@ -16,6 +16,7 @@ import burstfit
 from burstfit.cli import main
 from burstfit.fit import FitConfig, FitResult
 from burstfit.io import (
+    _MAX_TABLE_ROWS,
     compute_itis,
     deserialize_fit,
     load_timestamps,
@@ -454,19 +455,47 @@ def test_eval_density_bad_grid_spec(tmp_path):
     assert exc.value.code == 2
 
 
-def test_eval_density_grid_too_large_is_a_runtime_error(tmp_path, capsys):
-    """A grid count too large to allocate fails in the handler, as one
-    error line and exit 1, not as a traceback out of argument parsing.
-    The count asks for more bytes than any address space holds, so the
-    allocation is refused however the host overcommits memory."""
-    truth = tmp_path / "truth.json"
-    _truth_artifact(truth, ModelParams(a=0.7, b=1.0, c=0.0), ItiSet(np.array([0.5, 1.5])))
+def test_eval_density_grid_past_the_row_cap_is_a_usage_error(tmp_path, capsys):
+    """A --tau-grid count past io's cap on table rows is refused while the
+    arguments are parsed, exit 2 and no file, before the handler allocates
+    anything: one past the cap, and a count no address space holds."""
     out = tmp_path / "d.txt"
-    rc = main(["eval-density", "--fit", str(truth), "--tau-grid", f"0.001:10:{10**17}",
-               "--out", str(out)])
-    assert rc == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+    for count in (_MAX_TABLE_ROWS + 1, 10**17):
+        with pytest.raises(SystemExit) as exc:
+            main(["eval-density", "--fit", "x.json", "--tau-grid", f"0.001:10:{count}",
+                  "--out", str(out)])
+        assert exc.value.code == 2
+        assert f"cap of {_MAX_TABLE_ROWS} table rows" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_hist_refuses_bins_past_the_row_cap(tmp_path):
+    """--bins-per-decade 100000000 on intervals spanning nine decades asks
+    for about 9e8 bins: the command exits 1 with one error line naming the
+    cap and writes no table.  The child caps its own address space at
+    2 GiB, so a table built before the check fails there instead of
+    taking the machine's memory."""
+    events = tmp_path / "events.txt"
+    assert main(["simulate", "--events", "300", "--seed", "5", "--out", str(events)]) == 0
+    out = tmp_path / "h.txt"
+    code = (
+        "import resource, sys\n"
+        "_, hard = resource.getrlimit(resource.RLIMIT_AS)\n"
+        "cap = 2 << 30 if hard == resource.RLIM_INFINITY else min(2 << 30, hard)\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (cap, hard))\n"
+        "from burstfit.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    src = str(Path(burstfit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run(
+        [sys.executable, "-c", code, "hist", "--in", str(events),
+         "--bins-per-decade", "100000000", "--out", str(out)],
+        env=env, capture_output=True, text=True,
+    )
+    assert run.returncode == 1
+    assert run.stderr.startswith("error: ") and run.stderr.count("\n") == 1
+    assert f"cap of {_MAX_TABLE_ROWS} table rows" in run.stderr
     assert not out.exists()
 
 

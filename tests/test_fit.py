@@ -18,20 +18,13 @@ from burstfit.fit import (
     _repair,
     _search_objective,
     default_constraint_grid,
-    feasible,
     fit,
 )
 from burstfit.io import compute_itis, load_timestamps
 from burstfit.likelihood import ItiSet, _evaluate, gradient, objective
-from burstfit.model import (
-    VARIANTS,
-    ModelParams,
-    RefractoryKernel,
-    params_to_vector,
-    refractory_integral,
-    vector_to_params,
-)
+from burstfit.model import VARIANTS, ModelParams, RefractoryKernel, refractory_integral
 from burstfit.simulate import simulate_continuous
+from oracles import feasible, params_to_vector, vector_to_params
 
 
 def _m1_data(n: int, seed: int, rho: float = 3.0, a: float = 0.7) -> ItiSet:

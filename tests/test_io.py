@@ -18,7 +18,6 @@ from burstfit.fit import FitResult, fit
 from burstfit.io import (
     compute_itis,
     deserialize_fit,
-    fit_log_slope,
     load_timestamps,
     log_binned_histogram,
     save_timestamps,
@@ -30,6 +29,7 @@ from burstfit.likelihood import ItiSet, ObjectiveValue
 from burstfit.model import ModelParams, RefractoryKernel
 from burstfit.selection import compare
 from burstfit.simulate import EventTrain, SimConfig, simulate_discrete
+from oracles import fit_log_slope
 
 
 # ----------------------------------------------------------------------
@@ -407,6 +407,17 @@ def test_histogram_explicit_range_and_validation():
         log_binned_histogram(data, bin_range=(-1.0, 2.0))
     with pytest.raises(ValueError):
         log_binned_histogram(data, bin_range=(5.0, 1.0))
+
+
+def test_histogram_refuses_bins_past_the_row_cap():
+    """One decade at the cap's bins per decade fills the cap exactly; one
+    more bin per decade is refused before any bin is allocated."""
+    data = ItiSet(np.array([1.0, 10.0]))
+    assert log_binned_histogram(data, bins_per_decade=bio._MAX_TABLE_ROWS).counts.size == (
+        bio._MAX_TABLE_ROWS
+    )
+    with pytest.raises(ValueError, match=f"cap of {bio._MAX_TABLE_ROWS} table rows"):
+        log_binned_histogram(data, bins_per_decade=bio._MAX_TABLE_ROWS + 1)
 
 
 def test_fit_log_slope_on_exact_power_law():

@@ -5,7 +5,10 @@ objective; the likelihood value itself is tied to the marginal density
 evaluated interval by interval.
 """
 
+import itertools
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -24,13 +27,12 @@ from burstfit.model import (
     ModelParams,
     RefractoryKernel,
     iti_density,
-    params_to_vector,
     refractory_eval,
     refractory_integral,
-    vector_to_params,
 )
 from burstfit.simulate import simulate_continuous
 from burstfit.special import PrecisionLossError
+from oracles import params_to_vector, vector_to_params
 
 _KERNEL_GAMMA = (-0.45, -0.2, 0.0, 0.12, 0.0, 0.0, 0.0, 0.05)
 
@@ -259,6 +261,77 @@ def test_value_routes_refuse_where_the_gradient_does():
             route(params, data)
     value, grad, _ = _gate(params, data)
     assert value is None and grad is None
+
+
+def test_b_lost_beside_a_plus_one_is_refused():
+    """At a = 0.7, b = 1e-17 the 1F1 shapes a + 1 and a + b + 1 round to
+    the same number.  Every route refuses naming both shapes, where the
+    gradient used to come back NaN in b; the fitter's gate rejects the
+    probe, which at c = 30 used to escape it as log_gamma's ValueError."""
+    data = ItiSet(np.array([0.5, 3.0, 40.0]))
+    for c in (0.0, 30.0):
+        params = ModelParams(a=0.7, b=1e-17, c=c, variant="M2")
+        for route in (objective, log_likelihood, gradient):
+            with pytest.raises(PrecisionLossError, match="a=1.7, b=1.7"):
+                route(params, data)
+        with pytest.raises(PrecisionLossError, match="a=1.7, b=1.7"):
+            iti_density(params, data.intervals)
+        value, grad, _ = _gate(params, data)
+        assert value is None and grad is None
+
+
+def test_rate_times_integrated_rate_past_the_float_range_is_refused():
+    """exp(700) times a month-long R(tau) overflows: every route raises
+    OverflowError naming c, where log_likelihood used to return -inf and
+    gradient NaN after overflow warnings."""
+    params = ModelParams(a=0.7, b=1.0, c=700.0)
+    data = ItiSet(np.array([0.5, 3e6]))
+    for route in (objective, log_likelihood, gradient):
+        with pytest.raises(OverflowError, match="c=700.0"):
+            route(params, data)
+    with pytest.raises(OverflowError, match="c=700.0"):
+        iti_density(params, data.intervals)
+    # a rate whose exp alone overflows is refused by the same name
+    with pytest.raises(OverflowError, match="c=710.0"):
+        log_likelihood(ModelParams(a=0.7, b=1.0, c=710.0), data)
+    value, grad, _ = _gate(params, data)
+    assert value is None and grad is None
+
+
+_EDGE_SHAPES = (1e-300, 1e-17, 1e-8, 0.7, 1e3, 1e8, 1e17, 1e300)
+_EDGE_RATES = (-700.0, -30.0, 0.0, 30.0, 700.0)
+_EDGE_TAUS = np.array([1e-6, 1e-3, 0.01, 0.5, 3.0, 40.0, 3e6, 1e9])
+
+
+def test_every_route_returns_finite_numbers_or_refuses_by_name():
+    """Over 320 M2 points, a and b from 1e-300 to 1e300 and c from -700 to
+    700, on intervals from 1 us to 30 years, log_likelihood, gradient and
+    iti_density each return finite numbers or raise PrecisionLossError,
+    InfeasibleParamsError, or an OverflowError or ValueError that names a
+    parameter; no warning is raised.  112 points a route return numbers."""
+    data = ItiSet(_EDGE_TAUS)
+    routes = (
+        lambda p: log_likelihood(p, data),
+        lambda p: gradient(p, data),
+        lambda p: iti_density(p, _EDGE_TAUS),
+    )
+    names_a_parameter = re.compile(r"\b[abc]=")
+    finite = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for a, b, c in itertools.product(_EDGE_SHAPES, _EDGE_SHAPES, _EDGE_RATES):
+            params = ModelParams(a, b, c, variant="M2")
+            for route in routes:
+                try:
+                    values = route(params)
+                except (PrecisionLossError, InfeasibleParamsError):
+                    continue
+                except (OverflowError, ValueError) as exc:
+                    assert names_a_parameter.search(str(exc)), (a, b, c, exc)
+                    continue
+                assert np.all(np.isfinite(values)), (a, b, c)
+                finite += 1
+    assert finite >= 3 * 112
 
 
 @pytest.mark.parametrize("fixed,free", [("M1", "M2"), ("M3", "M4")])

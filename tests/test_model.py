@@ -17,13 +17,11 @@ from burstfit.model import (
     ModelParams,
     RefractoryKernel,
     iti_density,
-    iti_tail_asymptote,
-    params_to_vector,
     refractory_eval,
     refractory_integral,
-    vector_to_params,
 )
 from burstfit.special import PrecisionLossError
+from oracles import iti_tail_asymptote, params_to_vector, vector_to_params
 
 # geometric step between decay rates: 20^(1/7) for 8 terms spanning
 # 50 ms..1 s, 30^(1/11) for 12 terms spanning 50 ms..1.5 s

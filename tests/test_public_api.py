@@ -1,9 +1,11 @@
 """The public names: each is defined in one module, whose ``__all__``
-lists it; the package itself re-exports nothing; removed helpers stay
-removed."""
+lists it, and reached from outside the tests; the package itself
+re-exports nothing; removed helpers stay removed."""
 
+import ast
 import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -14,6 +16,7 @@ import burstfit
 
 from burstfit.io import FitResult, LogBinnedHistogram
 from burstfit.model import RefractoryKernel, VariantSpec
+from test_readme import _library_example
 
 MODULES = (
     "burstfit.special",
@@ -25,19 +28,20 @@ MODULES = (
     "burstfit.io",
 )
 
-# Every name the package namespace once re-exported; each stays
-# importable from its one module.
+# Every name the package namespace once re-exported and still has a
+# caller; each stays importable from its one module.
 PUBLIC_NAMES = (
     "BIC_PREFERENCE_MARGIN", "ComparisonMatrix", "EventTrain", "FitConfig", "FitResult",
     "InfeasibleParamsError", "ItiSet", "LogBinnedHistogram", "ModelParams", "ObjectiveValue",
     "PrecisionLossError", "RefractoryKernel", "SimConfig", "VARIANTS", "bic", "compare",
-    "compute_itis", "default_constraint_grid", "deserialize_fit", "digamma",
-    "discrete_intervals", "feasible", "fit", "fit_log_slope", "gradient", "invert_R",
-    "iti_density", "iti_tail_asymptote", "kummer_1f1", "load_timestamps", "log_beta",
-    "log_binned_histogram", "log_gamma", "log_likelihood", "objective", "params_to_vector",
-    "refractory_eval", "refractory_integral", "save_timestamps", "serialize_comparison",
-    "serialize_fit", "simulate_continuous", "simulate_discrete", "vector_to_params",
+    "compute_itis", "default_constraint_grid", "deserialize_fit", "digamma", "fit",
+    "gradient", "invert_R", "iti_density", "kummer_1f1", "load_timestamps",
+    "log_binned_histogram", "log_gamma", "log_likelihood", "objective", "refractory_eval",
+    "refractory_integral", "save_timestamps", "serialize_comparison", "serialize_fit",
+    "simulate_continuous", "simulate_discrete",
 )
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _fresh(code: str, *args: str) -> str:
@@ -94,6 +98,13 @@ def test_each_module_imports_alone(name):
         ("burstfit.model", "free_param_names"),
         ("burstfit.fit", "project"),
         ("burstfit.likelihood", "effective_reg_weight"),
+        ("burstfit.model", "iti_tail_asymptote"),
+        ("burstfit.special", "log_beta"),
+        ("burstfit.model", "params_to_vector"),
+        ("burstfit.model", "vector_to_params"),
+        ("burstfit.simulate", "discrete_intervals"),
+        ("burstfit.io", "fit_log_slope"),
+        ("burstfit.fit", "feasible"),
     ],
 )
 def test_removed_helpers_stay_removed(module, name):
@@ -109,7 +120,49 @@ def test_removed_helpers_stay_removed(module, name):
         (VariantSpec, "names"),
         (LogBinnedHistogram, "widths"),
         (FitResult, "log_likelihood"),
+        (VariantSpec, "unpack"),
     ],
 )
 def test_removed_members_stay_removed(cls, name):
     assert not hasattr(cls, name)
+
+
+def _references(tree: ast.Module) -> set[str]:
+    """Names a module reaches, as a name, an attribute or an imported name,
+    each top-level statement's own definitions left out."""
+    found: set[str] = set()
+    for stmt in tree.body:
+        own = {getattr(stmt, "name", None)} | {
+            t.id for t in getattr(stmt, "targets", ()) if isinstance(t, ast.Name)
+        }
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, ast.alias):
+                name = node.name
+            else:
+                continue
+            if name not in own:
+                found.add(name)
+    return found
+
+
+def test_every_public_name_has_a_caller():
+    """Each ``__all__`` name is reached from outside the tests: by the
+    package beyond its own definition, by the benchmark harness (not its
+    tests), by the README's library example or by a backticked README
+    mention.  A name only tests reach is runtime code no user runs."""
+    sources = sorted((ROOT / "src" / "burstfit").glob("*.py")) + [
+        p for p in sorted((ROOT / "perfbench").glob("*.py")) if not p.name.startswith("test_")
+    ]
+    reached: set[str] = set()
+    for path in sources:
+        reached |= _references(ast.parse(path.read_text(encoding="utf-8")))
+    reached |= _references(ast.parse(_library_example()))
+    for span in re.findall(r"`([^`\n]+)`", (ROOT / "README.md").read_text(encoding="utf-8")):
+        reached |= set(re.findall(r"[A-Za-z_]\w*", span))
+    public = {n for name in MODULES for n in importlib.import_module(name).__all__}
+    unreached = sorted(public - reached)
+    assert not unreached, "public names only tests reach: " + ", ".join(unreached)

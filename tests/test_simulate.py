@@ -23,12 +23,12 @@ from burstfit.model import (
 from burstfit.simulate import (
     EventTrain,
     SimConfig,
-    discrete_intervals,
     invert_R,
     simulate_continuous,
     simulate_discrete,
 )
 from burstfit.special import kummer_1f1
+from oracles import discrete_intervals
 
 EULER_GAMMA = 0.5772156649015329
 

@@ -13,13 +13,12 @@ import math
 import numpy as np
 import pytest
 
-from beta_oracle import beta_expectation
+from beta_oracle import beta_expectation, log_beta
 from burstfit.special import (
     PrecisionLossError,
     _log_hyp1f1_neg,
     digamma,
     kummer_1f1,
-    log_beta,
     log_gamma,
 )
 
@@ -216,6 +215,14 @@ def test_kummer_refuses_unsettled_asymptotic_sum(a, b):
     5.76e+89 and 1.4e-3 off.  Both must raise, not return."""
     with pytest.raises(PrecisionLossError):
         kummer_1f1(a, b, -300.5)
+
+
+def test_series_pass_refuses_a_lost_shape_gap():
+    """b <= a, which the likelihood hands the pass once a + b + 1 rounds
+    to a + 1, is refused naming both shapes before any regime runs."""
+    for a, b in ((1.7, 1.7), (2.0, 1.5)):
+        with pytest.raises(PrecisionLossError, match=f"a={a}, b={b}"):
+            _log_hyp1f1_neg(a, b, np.array([0.5, 400.0]))
 
 
 def test_kummer_monotone_decreasing_in_w():
