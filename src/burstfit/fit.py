@@ -243,9 +243,8 @@ def _search_objective(
 
     The fitter's one domain gate: a probe where a shape's exp underflows
     to 0 or overflows, the kernel drives the rate nonpositive, exp(c) R(tau)
-    overflows, no 1F1 regime reaches its accuracy (b lost beside a + 1
-    included), or the objective or gradient is not finite is rejected
-    rather than raised.  By the chain rule the shape entries of the
+    overflows, no 1F1 regime reaches its accuracy, or the objective or
+    gradient is not finite is rejected rather than raised.  By the chain rule the shape entries of the
     gradient are a d/da and b d/db, and the per-interval scores the
     curvature is built from are scaled alike.
     """

@@ -359,23 +359,19 @@ def compute_itis(train: EventTrain) -> ItiSet:
 _MAX_TABLE_ROWS = 10**6
 
 
-def log_binned_histogram(
-    data: ItiSet, bins_per_decade: int = 8, bin_range: tuple[float, float] | None = None
-) -> LogBinnedHistogram:
-    """Density estimate on geometric bins.
+def log_binned_histogram(data: ItiSet, bins_per_decade: int = 8) -> LogBinnedHistogram:
+    """Density estimate on geometric bins spanning the data's intervals.
 
     Empty bins stay in the output with zero density; a single distinct
     value degenerates to one bin centered on it.  More than
-    _MAX_TABLE_ROWS bins raise ValueError before any is allocated.
+    _MAX_TABLE_ROWS bins (or bins per decade) raise ValueError first.
     """
     import numpy as np
 
-    if bins_per_decade < 1:
-        raise ValueError("bins_per_decade must be at least 1")
+    if not 1 <= bins_per_decade <= _MAX_TABLE_ROWS:
+        raise ValueError(f"bins_per_decade must be 1 to the cap of {_MAX_TABLE_ROWS} table rows")
     iv = data.intervals
-    lo, hi = bin_range if bin_range is not None else (float(iv.min()), float(iv.max()))
-    if not 0.0 < lo <= hi:
-        raise ValueError("histogram range must be positive and ordered")
+    lo, hi = float(iv.min()), float(iv.max())
     step = 10.0 ** (1.0 / bins_per_decade)
     if lo == hi:
         edges = np.array([lo / math.sqrt(step), lo * math.sqrt(step)])

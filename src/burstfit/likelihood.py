@@ -6,13 +6,14 @@ rho r(tau) <x E(x)> with E(x) = exp(-rho x R(tau)), so
     L = N c + sum_i log r(tau_i) + sum_i log <x E_i(x)>,
 
 where <.> averages over the Beta(a, b) priority.  The Beta-exponential
-moment reduces to a Kummer function: <x E> = [a/(a+b)] F with
-F = 1F1(a+1, a+b+1; -w) and w = rho R(tau).  The gradient needs the
-derivatives of log F in a, b and w; the last is minus the ratio
-<x^2 E>/<x E>, which also drives the rate and kernel gradients.  All three
-come out of the same series pass that computes log F (see
-special._log_hyp1f1_neg), each as a positive-weighted sum, and go into
-each unique interval's score, which the gradient sums by multiplicity.
+moment is <x E> = [a/(a+b)] F with F = <exp(-w X)>, X ~ Beta(a+1, b),
+w = rho R(tau): F = 1F1(a+1, a+b+1; -w), computed from the shapes a + 1
+and b, never from their rounded sum.  The gradient needs the derivatives
+of log F in a, b and w; the last is minus the ratio <x^2 E>/<x E>, which
+also drives the rate and kernel gradients.  All three come out of the
+same series pass that computes log F (see special._log_beta_laplace),
+each as a positive-weighted sum, and go into each unique interval's
+score, which the gradient sums by multiplicity.
 Every caller, value-only ones included, runs that one pass under its one
 accuracy check, so log_likelihood and objective raise exactly where
 gradient does and agree bit for bit with the value the fitter's gate,
@@ -33,7 +34,7 @@ import numpy as np
 
 from .io import ObjectiveValue
 from .model import ModelParams, VARIANTS, _decay_matrix, _hyp_argument, _variant_spec
-from .special import _log_hyp1f1_neg
+from .special import _log_beta_laplace
 
 __all__ = [
     "ItiSet",
@@ -141,7 +142,7 @@ def _evaluate(
         raise InfeasibleParamsError("integrated rate R(tau) <= 0 at an interval")
     rho = math.exp(c)
 
-    log_f1, d_a, d_b, ratio = _log_hyp1f1_neg(a + 1.0, a + b + 1.0, w)
+    log_f1, d_a, d_b, ratio = _log_beta_laplace(a + 1.0, b, w)
     loglik = (
         n_data * c
         + log_r_sum
@@ -159,7 +160,10 @@ def _evaluate(
     scores[:, 2] = 1.0 - rho * ratio * big_r
     scores[:, 3:] = decay / r[:, None] - (rho * ratio)[:, None] * decay_int
     # a dot per column, so no entry depends on how many columns there are
-    grad = np.array([cnt @ column for column in scores.T])
+    with np.errstate(over="ignore"):
+        grad = np.array([cnt @ column for column in scores.T])
+    if not np.all(np.isfinite(grad)):
+        raise OverflowError(f"the gradient is past the float range at a={a!r}, b={b!r}")
     grad[3:] -= 2.0 * reg_weight * gamma
     return value, grad, scores
 

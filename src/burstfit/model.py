@@ -35,7 +35,8 @@ __all__ = [
     "iti_density",
 ]
 
-# Slowest decay timescale (seconds) implied by the number of kernel terms.
+# Fastest decay timescale (seconds), and slowest by number of kernel terms.
+_FASTEST_TIMESCALE = 0.050
 _SLOWEST_TIMESCALE = {8: 1.0, 12: 1.5}
 
 # Negative kernel values closer to zero than this are treated as exact zeros.
@@ -77,33 +78,25 @@ class RefractoryKernel:
         return cls((), ())
 
     @classmethod
-    def log_spaced(
-        cls,
-        gamma,
-        fastest_timescale: float = 0.050,
-        slowest_timescale: float | None = None,
-    ) -> "RefractoryKernel":
+    def log_spaced(cls, gamma) -> "RefractoryKernel":
         """Kernel with decay timescales geometrically spaced between two limits.
 
         With 8 amplitudes the timescales run from 50 ms to 1 s, with 12 from
-        50 ms to 1.5 s.  Any other size needs ``slowest_timescale`` spelled
-        out (a single amplitude sits at the fastest timescale).
+        50 ms to 1.5 s; a single amplitude sits at 50 ms.  A bank of any
+        other size is built as RefractoryKernel(gamma, alpha).
         """
         gamma = tuple(float(g) for g in gamma)
         n = len(gamma)
         if n < 2:
-            return cls(gamma, (1.0 / fastest_timescale,) * n)
-        if slowest_timescale is None:
-            slowest_timescale = _SLOWEST_TIMESCALE.get(n)
-            if slowest_timescale is None:
-                raise ValueError(
-                    f"no default timescale span for {n} kernel terms; "
-                    "pass slowest_timescale explicitly"
-                )
-        if not 0.0 < fastest_timescale < slowest_timescale:
-            raise ValueError("need 0 < fastest_timescale < slowest_timescale")
-        a_first = 1.0 / fastest_timescale
-        a_last = 1.0 / slowest_timescale
+            return cls(gamma, (1.0 / _FASTEST_TIMESCALE,) * n)
+        slowest = _SLOWEST_TIMESCALE.get(n)
+        if slowest is None:
+            raise ValueError(
+                f"no log-spaced timescales for {n} kernel terms; "
+                "build RefractoryKernel(gamma, alpha) directly"
+            )
+        a_first = 1.0 / _FASTEST_TIMESCALE
+        a_last = 1.0 / slowest
         step = (a_first / a_last) ** (1.0 / (n - 1))
         alpha = tuple(a_first * step ** (-k) for k in range(n))
         return cls(gamma, alpha)
@@ -293,7 +286,7 @@ def _hyp_argument(c: float, big_r: np.ndarray) -> np.ndarray:
         rho = math.inf
     with np.errstate(over="ignore", invalid="ignore"):
         w = rho * big_r
-    if not np.all(np.isfinite(w)):
+    if rho == math.inf or not np.all(np.isfinite(w)):
         raise OverflowError(f"exp(c) R(tau) is past the float range at c={c!r}")
     return w
 
@@ -307,7 +300,7 @@ def iti_density(params: ModelParams, tau):
     """
     import numpy as np
 
-    from .special import _log_hyp1f1_neg
+    from .special import _log_beta_laplace
 
     t, shape = _as_times(tau, minimum=0.0)
     r = refractory_eval(params.kernel, t)
@@ -315,7 +308,7 @@ def iti_density(params: ModelParams, tau):
         raise ValueError("kernel is negative in range; params infeasible")
     a, b = params.a, params.b
     w = _hyp_argument(params.c, refractory_integral(params.kernel, t))
-    log_f1 = _log_hyp1f1_neg(a + 1.0, a + b + 1.0, w)[0]
+    log_f1 = _log_beta_laplace(a + 1.0, b, w)[0]
     dens = params.rho * r * (a / (a + b)) * np.exp(log_f1)
     return _restore(dens, shape)
 

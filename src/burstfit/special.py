@@ -1,11 +1,12 @@
 """Log-gamma, digamma, and 1F1 with the derivatives of its log.
 
-The interval density and its likelihood reduce to confluent hypergeometric
-evaluations.  This module owns those numerics: log-gamma, digamma, and a
-1F1 evaluator with regime switching.  Every log 1F1 value comes from one
-series pass, a sweep over sorted w that retires rows as they converge,
-which also returns the derivatives of log 1F1 that the likelihood
-gradient needs; a value is returned only if its derivatives settled too.
+The interval density and its likelihood reduce to <exp(-w X)> for
+X ~ Beta(p, q), the confluent hypergeometric 1F1(p, p+q; -w).  This module
+owns those numerics: log-gamma, digamma, and a 1F1 evaluator with regime
+switching.  Every log 1F1 value comes from one series pass over the shapes
+(p, q) as given, a sweep over sorted w that retires rows as they converge,
+which also returns the derivatives of log 1F1 in p, q and w that the
+likelihood gradient needs; a value is returned only if they settled too.
 """
 
 from __future__ import annotations
@@ -75,8 +76,9 @@ def digamma(z: float) -> float:
 # 1F1 evaluation.  Only z <= 0 appears in the density and likelihood; the
 # direct alternating series loses roughly e^{|z|} * eps of precision, which
 # is fatal already near |z| = 12, so for negative arguments we always work
-# through the Kummer transform 1F1(a,b;z) = e^z 1F1(b-a,b;-z) whose series
-# has positive terms, and switch to the asymptotic expansion for large |z|.
+# through the Kummer transform 1F1(p, p+q; -w) = e^-w 1F1(q, p+q; w) whose
+# series has positive terms, and switch to the asymptotic expansion for
+# large w.
 _ASYM_SWITCH = 300.0
 _MAX_SERIES_TERMS = 1800
 _SERIES_STOP = 1e-17
@@ -88,8 +90,8 @@ _SERIES_STOP = 1e-17
 _TERM_BLOCK = 64
 
 
-def _transformed_series(a: float, b: float, w: np.ndarray) -> np.ndarray:
-    """log 1F1(a, b; -w) = log T - w, T = 1F1(b-a, b; w), for 0 <= w < ~300.
+def _transformed_series(p: float, q: float, w: np.ndarray) -> np.ndarray:
+    """log 1F1(p, p+q; -w) = log T - w, T = 1F1(q, p+q; w), for 0 <= w < ~300.
 
     The series needs roughly w + O(sqrt(w)) terms and t_k / T_k grows
     with w, so for ascending w the rows converge from the front.  One
@@ -97,66 +99,69 @@ def _transformed_series(a: float, b: float, w: np.ndarray) -> np.ndarray:
     the fewer than _TERM_BLOCK terms a row takes past its convergence are
     each below half an ulp of its total, so no value depends on w's order.
 
-    The terms t_k = (b-a)_k / (b)_k * w^k / k! are also folded into three
+    The terms t_k = (q)_k / (p+q)_k * w^k / k! are also folded into three
     sums whose weights depend only on k and share one sign: -H_k with
-    H_k = sum_{j<k} 1/(b+j) gives the shift derivative, sum_{j<k}
-    a/((b-a+j)(b+j)) the b derivative at fixed a, and a/(b+k) the ratio
-    a/b * 1F1(a+1, b+1; -w) / 1F1(a, b; -w).  See _log_hyp1f1_neg.
+    H_k = sum_{j<k} 1/(p+q+j) gives the p derivative, sum_{j<k}
+    p/((q+j)(p+q+j)) the q derivative, and p/(p+q+k) the ratio.  Each
+    t_k past k = 0 carries a factor q, so rows stop against T - 1, not T,
+    which is all the q derivative sees at small q.  See _log_beta_laplace.
     """
     # Row 0 is the value, rows 1-3 the derivative sums; `live` is the unretired tail.
     res = live = np.zeros((4, w.size))
-    ap = b - a
     term = np.ones_like(w)
     total = np.ones_like(w)
+    tail = np.zeros_like(w)  # T - 1, the sum convergence is judged against
     j = np.arange(_MAX_SERIES_TERMS + 1.0)
-    inv_b = 1.0 / (b + j)
+    inv_s = 1.0 / (p + q + j)
     weights = np.zeros((3, j.size))
-    weights[0, 1:] = -np.cumsum(inv_b[:-1])
-    weights[1, 1:] = np.cumsum((a * inv_b / (ap + j))[:-1])
-    weights[2] = a * inv_b
+    weights[0, 1:] = -np.cumsum(inv_s[:-1])
+    weights[1, 1:] = np.cumsum((p * inv_s / (q + j))[:-1])
+    weights[2] = p * inv_s
     buf = np.empty((_TERM_BLOCK, w.size))
     buf[0] = term
     for k in range(_MAX_SERIES_TERMS):
-        term = term * w * ((ap + k) / ((b + k) * (k + 1.0)))
+        term = term * w * ((q + k) / ((p + q + k) * (k + 1.0)))
         total += term
+        tail += term
         row = (k + 1) % _TERM_BLOCK
         buf[row] = term
-        done = term[-1] <= _SERIES_STOP * total[-1] and np.all(
-            term <= _SERIES_STOP * total
+        done = term[-1] <= _SERIES_STOP * tail[-1] and np.all(
+            term <= _SERIES_STOP * tail
         )
         if not (done or row == _TERM_BLOCK - 1):
             continue
         live[1:] += weights[:, k + 1 - row : k + 2] @ buf[: row + 1]
-        n = w.size if done else int(np.argmin(term <= _SERIES_STOP * total))
+        n = w.size if done else int(np.argmin(term <= _SERIES_STOP * tail))
         live[0, :n] = np.log(total[:n]) - w[:n]
         live[1:, :n] /= total[:n]
         if done:
             break
-        w, term, total = w[n:], term[n:], total[n:]
+        w, term, total, tail = w[n:], term[n:], total[n:], tail[n:]
         live, buf = live[:, n:], buf[:, n:]
     else:
         raise PrecisionLossError("transformed 1F1 series did not converge")
     return res
 
 
-def _asym_1f1_neg(a: float, b: float, w: np.ndarray) -> np.ndarray:
-    """Asymptotic form of 1F1(a, b; -w) and its log derivatives for large w.
+def _asym_1f1_neg(p: float, q: float, w: np.ndarray) -> np.ndarray:
+    """Asymptotic form of 1F1(p, p+q; -w) and its log derivatives for large w.
 
-    1F1(a,b;-w) = Gamma(b)/Gamma(b-a) * w^-a * S with S = sum_s u_s,
-    u_s = (a)_s (a-b+1)_s / (s! w^s), truncated per row at the smallest
-    term (optimal truncation) or once the terms stop mattering.
+    1F1(p,p+q;-w) = Gamma(p+q)/Gamma(q) * w^-p * S + e^-w with S = sum_s
+    u_s, u_s = (p)_s (1-q)_s / (s! w^s), truncated per row at the smallest
+    term (optimal truncation) or once the terms stop mattering.  The power
+    law carries 1/Gamma(q) ~ q; e^-w, the q -> 0 limit of the recessive
+    term (the point mass at x = 1), outweighs it only at such small q.
 
-    The derivatives of log S are taken term by term: the shift derivative
-    weights u_s by A_s = sum_{j<s} 1/(a+j), the w derivative by -s/w, and
-    the b derivative sums v_s = d u_s / db, carried by its own recurrence
-    because at integer b the u_s terminate while the v_s do not.  These
+    The derivatives of log S are taken term by term: the p derivative
+    weights u_s by A_s = sum_{j<s} 1/(p+j), the w derivative by -s/w, and
+    the q derivative sums v_s = d u_s / dq, carried by its own recurrence
+    because at integer q the u_s terminate while the v_s do not.  These
     sums are truncated on max(|u_s|, |v_s|), independently of the value.
     Raises PrecisionLossError if either truncation's last kept term is
-    still too large relative to S: where a - b + 1 is a non-positive
-    integer the u_s stop early and only the v_s show that the expansion
-    has not settled.
+    still too large relative to S: where 1 - q is a non-positive integer
+    the u_s stop early, and only the v_s show the expansion unsettled.
     """
-    c = a - b + 1.0
+    c = 1.0 - q
     term = np.ones_like(w)
     total = np.ones_like(w)
     last = term
@@ -168,13 +173,13 @@ def _asym_1f1_neg(a: float, b: float, w: np.ndarray) -> np.ndarray:
     d_active = active.copy()
     shift_weight = 0.0
     for s in range(80):
-        nxt = term * ((a + s) * (c + s) / ((s + 1.0) * w))
+        nxt = term * ((p + s) * (c + s) / ((s + 1.0) * w))
         active &= np.abs(nxt) < np.abs(term)
         total = np.where(active, total + nxt, total)
         last = np.where(active, nxt, last)
         active &= np.abs(last) > _SERIES_STOP * np.abs(total)
-        dterm = (dterm * (c + s) - term) * ((a + s) / ((s + 1.0) * w))
-        shift_weight += 1.0 / (a + s)
+        dterm = (dterm * (c + s) - term) * ((p + s) / ((s + 1.0) * w))
+        shift_weight += 1.0 / (p + s)
         mag_nxt = np.maximum(np.abs(nxt), np.abs(dterm))
         d_active &= mag_nxt < mag
         sums += np.where(
@@ -189,45 +194,45 @@ def _asym_1f1_neg(a: float, b: float, w: np.ndarray) -> np.ndarray:
     resid = np.maximum(np.abs(last), mag_last) / np.abs(total)
     if np.any(resid > 1e-9) or np.any(total <= 0.0):
         raise PrecisionLossError(
-            f"asymptotic 1F1 failed for a={a}, b={b}, min w={w.min():g}"
+            f"asymptotic 1F1 failed for p={p}, q={q}, min w={w.min():g}"
         )
     log_w = np.log(w)
-    psi_b = digamma(b)
+    psi_s = digamma(p + q)
+    log_power = np.log(total) + log_gamma(p + q) - log_gamma(q) - p * log_w
+    log_f = np.logaddexp(log_power, -w)
+    share = np.exp(log_power - log_f)
     return np.array(
         [
-            np.log(total) + log_gamma(b) - log_gamma(b - a) - a * log_w,
-            psi_b - log_w + sums[0] / total,
-            psi_b - digamma(b - a) + sums[1] / total,
-            (a + sums[2] / total) / w,
+            log_f,
+            share * (psi_s - log_w + sums[0] / total),
+            share * (psi_s - digamma(q) + sums[1] / total),
+            share * (p + sums[2] / total) / w + np.exp(-w - log_f),
         ]
     )
 
 
-def _log_hyp1f1_neg(a: float, b: float, w: np.ndarray) -> np.ndarray:
-    """log 1F1(a, b; -w) and its log derivatives elementwise, as (4, n) rows.
+def _log_beta_laplace(p: float, q: float, w: np.ndarray) -> np.ndarray:
+    """log <exp(-w X)> for X ~ Beta(p, q), elementwise, as (4, n) rows.
 
-    w is 1-D with w >= 0, and a > 0.  b <= a raises PrecisionLossError
-    before any regime runs: the likelihood passes a + 1 and a + b + 1,
-    which are equal once b is below half an ulp of a + 1, and with b - a
-    lost no regime has a shape gap to work with.  w is sorted once and
-    cut at _ASYM_SWITCH, so each regime gets one ascending slice; a row's
-    value never depends on its neighbours.
+    That average is 1F1(p, p+q; -w) (DLMF 13.4.1).  w is 1-D with w >= 0,
+    and p, q > 0 are taken as given: no shape is rebuilt from another, so
+    a q far below an ulp of p loses nothing.  A q below 2**-1024 raises
+    PrecisionLossError, as 1/q, which d_q carries, overflows.  w is sorted
+    once and cut at _ASYM_SWITCH, so each regime gets one ascending slice;
+    a row's value never depends on its neighbours.
 
-    The rows are (log F, d_shift, d_b, ratio), all from one series pass:
-    d_shift = (d/da + d/db) log F, d_b = d/db log F at fixed a, and
-    ratio = -d/dw log F = a/b * 1F1(a+1, b+1; -w) / 1F1(a, b; -w).  For
-    F = 1F1(p+1, p+q+1; -w) these are the derivatives in p and q, and
-    ratio = <x E>/<E> under Beta(p+1, q) with E = exp(-w x).  In the series
-    regime each is a positive-weighted sum of the value's terms, and in the
-    asymptotic regime a digamma/log w part plus a term-wise derivative of
-    the asymptotic sum, so none is formed as a cancelling difference of
-    generic partials (DLMF 13.2, 13.7).  One accuracy check covers all four
-    rows: a row whose derivatives did not settle raises, value included.
+    The rows are (log F, d_p, d_q, ratio), all from one series pass:
+    d_p and d_q are the derivatives of log F in p and in q, each at the
+    other fixed, and ratio = -d/dw log F = <X E>/<E> with E = exp(-w X).
+    In the series regime each is a positive-weighted sum of the value's
+    terms, and in the asymptotic regime a digamma/log w part plus a
+    term-wise derivative of the asymptotic sum, so none is formed as a
+    cancelling difference of generic partials (DLMF 13.2, 13.7).  One
+    accuracy check covers all four rows: a row whose derivatives did not
+    settle raises, value included.
     """
-    if not b > a:
-        raise PrecisionLossError(
-            f"1F1 needs b > a, got a={a!r}, b={b!r}: the gap b - a is lost to rounding"
-        )
+    if 1.0 / q == math.inf:
+        raise PrecisionLossError(f"the q derivative is past the float range at q={q!r}")
     w = np.asarray(w, dtype=float)
     order = np.argsort(w, kind="stable")
     ws = w[order]
@@ -235,7 +240,7 @@ def _log_hyp1f1_neg(a: float, b: float, w: np.ndarray) -> np.ndarray:
     parts = np.empty((4, w.size))
     for regime, lo, hi in (_transformed_series, 0, cut), (_asym_1f1_neg, cut, w.size):
         if hi > lo:
-            parts[:, order[lo:hi]] = regime(a, b, ws[lo:hi])
+            parts[:, order[lo:hi]] = regime(p, q, ws[lo:hi])
     return parts
 
 
@@ -250,9 +255,10 @@ def kummer_1f1(a: float, b: float, z: float | np.ndarray) -> float | np.ndarray:
     6e-15 relative and the 84 frozen derivative-table values within 3e-14.
     Large shapes fare worse in the asymptotic regime: on a 1152-point grid
     (a in geomspace(1.5, 1000, 16), b - a in {0.1, 0.37, 0.5, 1, 2, 5, 20,
-    100}, -z from 300.5 to 1e4) 831 values are returned, 23 of them off by
-    more than 5e-13, the worst by 1.2e-9 (a = 272.4, b - a = 0.37,
-    z = -400).  Where neither regime settles, PrecisionLossError is raised.
+    100}, -z from 300.5 to 1e4) 831 values are returned, 27 of them with
+    log 1F1 off by more than 5e-13, the worst by 1.1e-9 (a = 272.4,
+    b - a = 0.37, z = -400).  Where neither regime settles,
+    PrecisionLossError is raised.
     """
     a = _require_finite("a", a)
     b = _require_finite("b", b)
@@ -263,5 +269,5 @@ def kummer_1f1(a: float, b: float, z: float | np.ndarray) -> float | np.ndarray:
         raise ValueError("kummer_1f1 requires finite z")
     if np.any(z > 0.0):
         raise ValueError(f"kummer_1f1 requires z <= 0, got z up to {z.max()}")
-    out = np.exp(_log_hyp1f1_neg(a, b, -z.ravel())[0]).reshape(z.shape)
+    out = np.exp(_log_beta_laplace(a, b - a, -z.ravel())[0]).reshape(z.shape)
     return float(out) if out.ndim == 0 else out

@@ -499,6 +499,22 @@ def test_hist_refuses_bins_past_the_row_cap(tmp_path):
     assert not out.exists()
 
 
+def test_hist_refuses_bins_per_decade_past_the_float_range(tmp_path, capsys):
+    """--bins-per-decade 10**400 used to exit with "int too large to
+    convert to float" from the bin count; it is refused naming the flag
+    and the cap, in one error line, and no table is written."""
+    events = tmp_path / "events.txt"
+    assert main(["simulate", "--events", "50", "--seed", "5", "--out", str(events)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "h.txt"
+    assert main(["hist", "--in", str(events), "--bins-per-decade", "1" + "0" * 400,
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: bins_per_decade") and err.count("\n") == 1
+    assert f"cap of {_MAX_TABLE_ROWS} table rows" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("spec", ["0.001:inf:5", "0.001:1e400:5", "0.001:nan:5", "inf:1e400:5"])
 def test_eval_density_grid_bounds_must_be_finite(tmp_path, spec):
     with pytest.raises(SystemExit) as exc:

@@ -396,17 +396,17 @@ def test_histogram_single_value_fallback():
     assert float(np.sum(hist.densities * np.diff(hist.edges))) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_histogram_explicit_range_and_validation():
+def test_histogram_spans_the_data_and_validates_bins_per_decade():
+    """The bins start at the shortest interval and reach the longest.
+    Bins per decade below 1 or past the row cap are refused by name,
+    10**400 included, whose float conversion used to overflow first."""
     data = ItiSet(np.array([0.5, 1.0, 2.0]))
-    hist = log_binned_histogram(data, bins_per_decade=4, bin_range=(0.1, 10.0))
-    assert hist.edges[0] == pytest.approx(0.1)
-    assert hist.edges[-1] >= 10.0
-    with pytest.raises(ValueError):
-        log_binned_histogram(data, bins_per_decade=0)
-    with pytest.raises(ValueError):
-        log_binned_histogram(data, bin_range=(-1.0, 2.0))
-    with pytest.raises(ValueError):
-        log_binned_histogram(data, bin_range=(5.0, 1.0))
+    hist = log_binned_histogram(data, bins_per_decade=4)
+    assert hist.edges[0] == 0.5
+    assert hist.edges[-1] >= 2.0
+    for bad in (0, -3, bio._MAX_TABLE_ROWS + 1, 10**400):
+        with pytest.raises(ValueError, match="bins_per_decade"):
+            log_binned_histogram(data, bins_per_decade=bad)
 
 
 def test_histogram_refuses_bins_past_the_row_cap():

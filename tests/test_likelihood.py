@@ -263,21 +263,88 @@ def test_value_routes_refuse_where_the_gradient_does():
     assert value is None and grad is None
 
 
-def test_b_lost_beside_a_plus_one_is_refused():
-    """At a = 0.7, b = 1e-17 the 1F1 shapes a + 1 and a + b + 1 round to
-    the same number.  Every route refuses naming both shapes, where the
-    gradient used to come back NaN in b; the fitter's gate rejects the
-    probe, which at c = 30 used to escape it as log_gamma's ValueError."""
-    data = ItiSet(np.array([0.5, 3.0, 40.0]))
-    for c in (0.0, 30.0):
-        params = ModelParams(a=0.7, b=1e-17, c=c, variant="M2")
-        for route in (objective, log_likelihood, gradient):
-            with pytest.raises(PrecisionLossError, match="a=1.7, b=1.7"):
-                route(params, data)
-        with pytest.raises(PrecisionLossError, match="a=1.7, b=1.7"):
-            iti_density(params, data.intervals)
-        value, grad, _ = _gate(params, data)
-        assert value is None and grad is None
+_TINY_B_TAUS = np.array([1e-3, 0.5, 3.0, 40.0, 1e6])
+_LOG_10 = math.log(10.0)
+
+# (b, c, log-likelihood, gradient in (a, b, c), density at _TINY_B_TAUS)
+# of M2 at a = 0.7 on the intervals _TINY_B_TAUS.  Frozen from mpmath at
+# 25 + log10((a+b)/b) + 15 digits (derivatives by mpmath.diff, the one in
+# b taken in log b so its step never crosses 0).  At c = log 10 the 40 s
+# interval has w = 400, past the asymptotic switch, where at b = 1e-300
+# the exponential law still outweighs the power law.
+_TINY_B_ROWS = [
+    (1e-08, 0.0, -70.246779521941863, (-17.060391062705556, 199999974.74644258, -1.9480487412697684), (0.99900048556781705, 0.60653065301315763, 0.049787069495856079, 1.7959088195838393e-11, 5.7331325292115855e-19)),
+    (1e-08, _LOG_10, -92.346775967849147, (-24.835832073456389, 299686549.60951669, -5.2679958052639388), (9.9004981966394568, 0.067379477923177773, 2.9852805278989715e-10, 3.4414670838422334e-12, 1.1439085780408021e-19)),
+    (1e-17, 0.0, -106.22290213299323, (-13.62149892866479, 1.0042095089231642e+17, -40.039975515419129), (0.99900049983337498, 0.60653065971263342, 0.049787068367863944, 4.2663133393626507e-18, 5.7331325660647112e-28)),
+    (1e-17, _LOG_10, -139.55856511301112, (-21.689948291651313, 2.0000003180211459e+17, -33.414281018529461), (9.9004983374916825, 0.06737946999085462, 9.3576259447630416e-13, 3.441467106111386e-21, 1.1439085853939386e-28)),
+    (1e-300, 0.0, -757.85870184415689, (-13.60696168308808, 9.9999999999999997e+299, -40.20100170000629), (0.99900049983337499, 0.60653065971263342, 0.049787068367863943, 4.248354255291589e-18, 5.733132566064711e-311)),
+    (1e-300, _LOG_10, -1141.7691725672797, (-15.909547676084799, 9.9999999999999997e+299, -431.71000017000016), (9.9004983374916827, 0.067379469990854612, 9.3576229688401157e-13, 1.9151695967138398e-173, 1.1439085853939386e-311)),
+]
+
+
+@pytest.mark.parametrize("b,c,loglik,grad,dens", _TINY_B_ROWS)
+def test_every_route_answers_with_b_below_an_ulp_of_a_plus_one(b, c, loglik, grad, dens):
+    """Where a + b + 1 rounds to a + 1 every route used to refuse, and at
+    b = 1e-8 lost up to 7.7e-10 of the log-likelihood to a shape gap
+    rebuilt from that sum.  objective, log_likelihood, gradient,
+    iti_density and the fitter's gate (whose shape entries are a d/da and
+    b d/db) now all match mpmath."""
+    params = ModelParams(a=0.7, b=b, c=c, variant="M2")
+    data = ItiSet(_TINY_B_TAUS)
+    close = dict(rtol=1e-10, atol=0.0)
+    np.testing.assert_allclose(log_likelihood(params, data), loglik, **close)
+    np.testing.assert_allclose(objective(params, data).objective, loglik, **close)
+    np.testing.assert_allclose(gradient(params, data), grad, **close)
+    np.testing.assert_allclose(iti_density(params, _TINY_B_TAUS), dens, **close)
+    value, search_grad, at = _gate(params, data)
+    np.testing.assert_allclose(value.objective, loglik, **close)
+    np.testing.assert_allclose(
+        search_grad, [at.a * grad[0], at.b * grad[1], grad[2]], **close
+    )
+
+
+def test_b_at_the_bottom_of_the_float_range_is_refused():
+    """Below 2**-1024, 1/b overflows, and with it the b derivative the
+    1F1 pass returns: every route refuses naming b's value, where the
+    pass would warn of overflow and hand back inf and NaN.  At b = 1e-308
+    1/b is finite, but three power-law intervals sum d/db past the float
+    range, and every route raises OverflowError naming b, where the sum
+    warned of overflow in matmul.  The fitter's gate rejects both."""
+    data = ItiSet(_TINY_B_TAUS)
+    params = ModelParams(a=0.7, b=5e-324, c=0.0, variant="M2")
+    for route in (objective, log_likelihood, gradient):
+        with pytest.raises(PrecisionLossError, match="q=5e-324"):
+            route(params, data)
+    with pytest.raises(PrecisionLossError, match="q=5e-324"):
+        iti_density(params, _TINY_B_TAUS)
+    value, grad, _ = _gate(params, data)
+    assert value is None and grad is None
+    params = ModelParams(a=0.7, b=1e-308, c=0.0, variant="M2")
+    data = ItiSet(np.array([1e6, 2e6, 3e6]))
+    for route in (objective, log_likelihood, gradient):
+        with pytest.raises(OverflowError, match="b=1e-308"):
+            route(params, data)
+    value, grad, _ = _gate(params, data)
+    assert value is None and grad is None
+
+
+def test_b_gradient_matches_central_differences_in_log_b():
+    """M2 at a = 0.7, b = 1e-8 on intervals from 1 ms to 1e6 s, across
+    the crossover from the exponential to the power law: the search
+    gate's b entry, b d/db, against a central difference of the objective
+    in log b.  With b rebuilt from a + b + 1 the objective moved in steps
+    of that sum's ulp, and the two disagreed by 2e-5."""
+    spec = VARIANTS["M2"]
+    data = ItiSet(np.array([1e-3, 0.5, 3.0, 40.0, 400.0, 1e6]))
+    u = _encode(spec, 0.7, 1e-8, 0.0, ())
+    grad = _search_objective(u, "M2", data)[1]
+    h = 1e-4
+    ends = []
+    for step in (h, -h):
+        v = u.copy()
+        v[1] += step
+        ends.append(_search_objective(v, "M2", data)[0].objective)
+    assert grad[1] == pytest.approx((ends[0] - ends[1]) / (2.0 * h), rel=1e-8)
 
 
 def test_rate_times_integrated_rate_past_the_float_range_is_refused():
@@ -294,6 +361,9 @@ def test_rate_times_integrated_rate_past_the_float_range_is_refused():
     # a rate whose exp alone overflows is refused by the same name
     with pytest.raises(OverflowError, match="c=710.0"):
         log_likelihood(ModelParams(a=0.7, b=1.0, c=710.0), data)
+    # an empty grid is refused by the same name, not by exp(c) in rho
+    with pytest.raises(OverflowError, match="c=720.0"):
+        iti_density(ModelParams(a=0.7, b=1.0, c=720.0), np.array([]))
     value, grad, _ = _gate(params, data)
     assert value is None and grad is None
 
@@ -308,7 +378,8 @@ def test_every_route_returns_finite_numbers_or_refuses_by_name():
     700, on intervals from 1 us to 30 years, log_likelihood, gradient and
     iti_density each return finite numbers or raise PrecisionLossError,
     InfeasibleParamsError, or an OverflowError or ValueError that names a
-    parameter; no warning is raised.  112 points a route return numbers."""
+    parameter; no warning is raised.  178 points a route return numbers,
+    66 more than when b was rebuilt from a + b + 1 and lost below an ulp."""
     data = ItiSet(_EDGE_TAUS)
     routes = (
         lambda p: log_likelihood(p, data),
@@ -331,7 +402,7 @@ def test_every_route_returns_finite_numbers_or_refuses_by_name():
                     continue
                 assert np.all(np.isfinite(values)), (a, b, c)
                 finite += 1
-    assert finite >= 3 * 112
+    assert finite >= 3 * 178
 
 
 @pytest.mark.parametrize("fixed,free", [("M1", "M2"), ("M3", "M4")])

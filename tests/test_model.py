@@ -61,15 +61,15 @@ def test_log_spaced_twelve_terms():
 
 
 def test_log_spaced_other_sizes_need_explicit_span():
-    with pytest.raises(ValueError, match="slowest_timescale"):
-        RefractoryKernel.log_spaced(np.zeros(5))
-    k = RefractoryKernel.log_spaced(np.zeros(5), slowest_timescale=0.8)
-    assert k.alpha[0] == pytest.approx(20.0)
-    assert k.alpha[-1] == pytest.approx(1.25)
+    """Only the variants' bank sizes have a timescale span; any other
+    bank is built from its rates, and the error says so."""
+    for n in (2, 5, 9):
+        with pytest.raises(ValueError, match=r"RefractoryKernel\(gamma, alpha\)"):
+            RefractoryKernel.log_spaced(np.zeros(n))
 
 
 def test_log_spaced_single_term_sits_at_fastest_timescale():
-    k = RefractoryKernel.log_spaced([-0.5], fastest_timescale=0.05)
+    k = RefractoryKernel.log_spaced([-0.5])
     assert k.alpha == (20.0,)
 
 
@@ -82,12 +82,10 @@ def test_kernel_validation():
         RefractoryKernel((0.1, 0.2), (1.0, 20.0))  # must decrease
     with pytest.raises(ValueError):
         RefractoryKernel((0.1,), (-3.0,))
-    with pytest.raises(ValueError):
-        RefractoryKernel.log_spaced(np.zeros(3), fastest_timescale=0.5, slowest_timescale=0.1)
 
 
 def test_refractory_eval_single_term():
-    k = RefractoryKernel.log_spaced([-0.5], fastest_timescale=0.05)
+    k = RefractoryKernel.log_spaced([-0.5])
     assert refractory_eval(k, 0.0) == pytest.approx(0.5, abs=1e-15)
     assert refractory_eval(k, 50.0) == pytest.approx(1.0, rel=1e-12)
     got = refractory_eval(k, np.array([0.0, 0.05, 0.1]))
@@ -97,17 +95,17 @@ def test_refractory_eval_single_term():
 
 def test_refractory_eval_negative_values_survive():
     """An infeasible kernel must report its negativity, not hide it."""
-    k = RefractoryKernel.log_spaced([-2.0], fastest_timescale=0.05)
+    k = RefractoryKernel.log_spaced([-2.0])
     assert refractory_eval(k, 0.0) == pytest.approx(-1.0, abs=1e-15)
 
 
 def test_refractory_eval_clamps_rounding_dust():
-    k = RefractoryKernel.log_spaced([-1.0 - 5e-13], fastest_timescale=0.05)
+    k = RefractoryKernel.log_spaced([-1.0 - 5e-13])
     assert refractory_eval(k, 0.0) == 0.0
 
 
 def test_refractory_integral_single_term():
-    k = RefractoryKernel.log_spaced([-0.5], fastest_timescale=0.05)
+    k = RefractoryKernel.log_spaced([-0.5])
     # frozen value of 0.05 - 0.025 (1 - e^-1), cross-checked by direct
     # numerical integration of r below
     assert refractory_integral(k, 0.05) == pytest.approx(0.034196986029286058, rel=1e-14)
@@ -174,7 +172,7 @@ def test_params_variant_inference():
 
 def test_params_kernel_rates_must_match_variant():
     """A kernel of a variant's size on another rate bank is not that variant."""
-    kernel = RefractoryKernel.log_spaced([-0.1] * 8, slowest_timescale=3.0)
+    kernel = RefractoryKernel((-0.1,) * 8, tuple(np.geomspace(20.0, 1.0 / 3.0, 8)))
     assert ModelParams(a=0.7, b=1.0, c=0.0, kernel=kernel).variant == "custom"
     with pytest.raises(ValueError, match="rates"):
         ModelParams(a=0.7, b=1.0, c=0.0, kernel=kernel, variant="M3")

@@ -406,7 +406,7 @@ def test_invert_R_identity_without_kernel():
 
 
 def test_invert_R_frozen_single_term_value():
-    kernel = RefractoryKernel.log_spaced([-0.5], fastest_timescale=0.05)
+    kernel = RefractoryKernel.log_spaced([-0.5])
     assert invert_R(kernel, 0.034196986029286058) == pytest.approx(0.05, rel=1e-9)
 
 

@@ -4,8 +4,9 @@ series pass returns, and the Beta-weighted quadrature oracle the tests
 check it against.
 
 Reference values in _KUMMER_TABLE and _SHAPE_DERIVATIVE_TABLE were
-computed offline with mpmath at 40 significant digits and are frozen here
-as literals.
+computed offline with mpmath at 40 significant digits, those in
+_TINY_B_TABLE at 25 + log10((a+b)/b) + 10 digits, and are frozen here as
+literals.
 """
 
 import math
@@ -16,7 +17,7 @@ import pytest
 from beta_oracle import beta_expectation, log_beta
 from burstfit.special import (
     PrecisionLossError,
-    _log_hyp1f1_neg,
+    _log_beta_laplace,
     digamma,
     kummer_1f1,
     log_gamma,
@@ -217,14 +218,6 @@ def test_kummer_refuses_unsettled_asymptotic_sum(a, b):
         kummer_1f1(a, b, -300.5)
 
 
-def test_series_pass_refuses_a_lost_shape_gap():
-    """b <= a, which the likelihood hands the pass once a + b + 1 rounds
-    to a + 1, is refused naming both shapes before any regime runs."""
-    for a, b in ((1.7, 1.7), (2.0, 1.5)):
-        with pytest.raises(PrecisionLossError, match=f"a={a}, b={b}"):
-            _log_hyp1f1_neg(a, b, np.array([0.5, 400.0]))
-
-
 def test_kummer_monotone_decreasing_in_w():
     w = np.exp(np.linspace(np.log(1e-3), np.log(1e5), 120))
     vals = np.array([kummer_1f1(0.7, 1.7, -wi) for wi in w])
@@ -334,9 +327,50 @@ _SHAPE_DERIVATIVE_TABLE = [
 
 @pytest.mark.parametrize("a,b,w,log_f,d_a,d_b,ratio", _SHAPE_DERIVATIVE_TABLE)
 def test_series_pass_derivatives_frozen_values(a, b, w, log_f, d_a, d_b, ratio):
-    got = _log_hyp1f1_neg(a + 1.0, a + b + 1.0, np.array([w]))
+    got = _log_beta_laplace(a + 1.0, b, np.array([w]))
     assert [float(g[0]) for g in got] == pytest.approx(
         [log_f, d_a, d_b, ratio], rel=1e-10
+    )
+
+
+# The same columns at b = 1e-8, 1e-17 and 1e-300, where a + b + 1 rounds
+# to a + 1 (or nearly): the pass is handed b itself.  Frozen from mpmath
+# at 25 + log10((a+b)/b) + 10 digits, 335 at b = 1e-300; at a fixed 40
+# digits mpmath cannot tell a + 1e-300 from a and returns the b = 0 law.
+# The rows cover both regimes and both laws: at small b, F is the
+# exponential e^-w of the point mass at x = 1 until the power law, which
+# carries a factor of about b, overtakes it (near w = 45 at b = 1e-17,
+# near w = 700 at b = 1e-300).
+_TINY_B_TABLE = [
+    (0.7, 1e-08, 0.5, -0.49999999675985412, -2.0243718569821451e-9, 0.32401458595828947, 0.99999999286397297),
+    (0.7, 1e-08, 50.0, -25.131573601251884, -3.6822893790662364, 100000000.74843226, 0.034736291412152468),
+    (0.7, 1e-08, 299.0, -28.201521299742651, -5.4885205622606988, 100000000.78003259, 0.0057048736333424586),
+    (0.7, 1e-08, 301.0, -28.212892927372574, -5.4952098849792761, 100000000.78007098, 0.0056668388091639239),
+    (0.7, 1e-08, 1000.0, -30.257969251918901, -6.698204684430076, 100000000.78405952, 0.0017017063226438333),
+    (0.7, 1e-08, 1000000.0, -42.002854682037933, -13.606961675155762, 100000000.78576183, 1.700001700006273e-6),
+    (0.7, 1e-17, 0.5, -0.5, -2.0243718851586516e-18, 0.32401459043083096, 0.99999999999999999),
+    (0.7, 1e-17, 50.0, -45.839122710766284, -3.6248682390172039, 98440612841822853.0, 0.049788489718778749),
+    (0.7, 1e-17, 299.0, -48.924787144489388, -5.4885205701592179, 99999999999999994.0, 0.0057048736335356658),
+    (0.7, 1e-17, 301.0, -48.936158772119695, -5.4952098928780223, 99999999999999994.0, 0.0056668388093545516),
+    (0.7, 1e-17, 1000.0, -50.981235096705908, -6.6982046923523721, 99999999999999994.0, 0.0017017063226609137),
+    (0.7, 1e-17, 1000000.0, -62.726120526841963, -13.60696168308808, 99999999999999994.0, 1.70000170000629e-6),
+    (0.7, 1e-300, 0.5, -0.5, -2.0243718851586515e-301, 0.32401459043083097, 1.0),
+    (0.7, 1e-300, 50.0, -50.0, -2.3245466784878006e-281, 6.3127756520001004e+18, 1.0),
+    (0.7, 1e-300, 299.0, -299.0, -2.2168703769724648e-174, 4.039103704968268e+125, 1.0),
+    (0.7, 1e-300, 301.0, -301.0, -1.6215099494932373e-173, 2.9507698179004389e+126, 1.0),
+    (0.7, 1e-300, 1000.0, -702.61281641402084, -6.6982046923523721, 9.9999999999999997e+299, 0.0017017063226609137),
+    (0.7, 1e-300, 1000000.0, -714.35770184415689, -13.60696168308808, 9.9999999999999997e+299, 1.70000170000629e-6),
+]
+
+
+@pytest.mark.parametrize("a,b,w,log_f,d_a,d_b,ratio", _TINY_B_TABLE)
+def test_series_pass_answers_with_b_below_an_ulp_of_a_plus_one(a, b, w, log_f, d_a, d_b, ratio):
+    """The pass used to refuse these, and to lose b - a to rounding well
+    before that; the derivatives in b are sums of terms that each carry a
+    factor of b, so the series must not stop while those terms still count."""
+    got = _log_beta_laplace(a + 1.0, b, np.array([w]))
+    assert [float(g[0]) for g in got] == pytest.approx(
+        [log_f, d_a, d_b, ratio], rel=1e-10, abs=0.0
     )
 
 
@@ -354,10 +388,10 @@ def test_series_pass_row_ignores_its_neighbours(a, b):
         + [np.nextafter(e, 0.0) for e in edges]
     )
     w = np.random.default_rng(11).permutation(w)
-    p, q = a + 1.0, a + b + 1.0
-    batch = _log_hyp1f1_neg(p, q, w)
+    p, q = a + 1.0, b
+    batch = _log_beta_laplace(p, q, w)
     for i, wi in enumerate(w):
-        alone = _log_hyp1f1_neg(p, q, np.array([wi]))
+        alone = _log_beta_laplace(p, q, np.array([wi]))
         assert batch[0][i] == alone[0][0], wi
         for got, want in zip(batch[1:], alone[1:]):
             np.testing.assert_allclose(got[i], want[0], rtol=1e-14, atol=0.0)
