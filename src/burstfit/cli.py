@@ -100,8 +100,8 @@ def _cmd_simulate(args, parser) -> int:
         parser.error("--dt must be positive and finite")
     if (args.events is None) == (args.duration is None):
         parser.error("give exactly one of --events / --duration")
-    if args.rho <= 0.0:
-        parser.error("--rho must be a positive rate")
+    if not 0.0 < args.rho < math.inf:
+        parser.error("--rho must be a positive finite rate")
     if args.seed < 0:
         parser.error("--seed must be >= 0")
     params = _build_params(args, parser)

@@ -350,7 +350,7 @@ def fit(variant: str, data: ItiSet, cfg: FitConfig | None = None) -> FitResult:
     Never raises for a fit that merely fails to converge; the result
     carries a converged flag and a reason string.  Only "gradient
     tolerance" counts as converged; "line search failed" (no improving
-    step even after a fresh curvature map) and "max iterations" do not.
+    step along the search direction) and "max iterations" do not.
     """
     if cfg is None:
         cfg = FitConfig()
@@ -374,11 +374,13 @@ def fit(variant: str, data: ItiSet, cfg: FitConfig | None = None) -> FitResult:
     converged = False
     reason = "max iterations"
     max_proj = spec.n_kernel_terms + 1
-    ascent = np.eye(u.size)
     refresh_at = 0
 
     for it in range(cfg.max_iters):
         scaled = grad / n
+        if it >= refresh_at:
+            ascent = _ascent_map(curv)
+            refresh_at = max(10, it * 2)
         free, direction = _face_step(ascent, scaled, u, basis, off)
         tol = cfg.grad_tolerance
         if np.max(np.abs(free)) < tol and free @ direction < 2.0 * tol * tol:
@@ -386,24 +388,13 @@ def fit(variant: str, data: ItiSet, cfg: FitConfig | None = None) -> FitResult:
             reason = "gradient tolerance"
             break
 
+        peak = float(np.max(np.abs(direction), initial=0.0))
+        if peak > _DIR_CAP:
+            direction *= _DIR_CAP / peak
         prev_u = u
-        refresh = it >= refresh_at
-        while True:
-            if refresh:
-                ascent = _ascent_map(curv)
-                refresh_at = max(10, it * 2)
-                _, direction = _face_step(ascent, scaled, u, basis, off)
-            peak = float(np.max(np.abs(direction), initial=0.0))
-            if peak > _DIR_CAP:
-                direction *= _DIR_CAP / peak
-            accepted, u, value, new_grad, new_curv, used = _backtrack(
-                u, value, direction, variant, data, basis, off, max_proj
-            )
-            if accepted or refresh:
-                break
-            # The map in hand may describe a region the iterate left
-            # several steps ago; rebuild it once before giving up.
-            refresh = True
+        accepted, u, value, new_grad, new_curv, used = _backtrack(
+            u, value, direction, variant, data, basis, off, max_proj
+        )
         if not accepted:
             reason = "line search failed"
             break

@@ -309,7 +309,9 @@ def iti_density(params: ModelParams, tau):
     a, b = params.a, params.b
     w = _hyp_argument(params.c, refractory_integral(params.kernel, t))
     log_f1 = _log_beta_laplace(a + 1.0, b, w)[0]
-    dens = params.rho * r * (a / (a + b)) * np.exp(log_f1)
+    # in logs, so a subnormal 1F1 factor costs no digits; r = 0 gives log 0
+    with np.errstate(divide="ignore"):
+        dens = np.exp(params.c + np.log(r) + (math.log(a) - math.log(a + b)) + log_f1)
     return _restore(dens, shape)
 
 

@@ -172,27 +172,30 @@ def _asym_1f1_neg(p: float, q: float, w: np.ndarray) -> np.ndarray:
     sums = np.zeros((3,) + w.shape)
     d_active = active.copy()
     shift_weight = 0.0
-    for s in range(80):
-        nxt = term * ((p + s) * (c + s) / ((s + 1.0) * w))
-        active &= np.abs(nxt) < np.abs(term)
-        total = np.where(active, total + nxt, total)
-        last = np.where(active, nxt, last)
-        active &= np.abs(last) > _SERIES_STOP * np.abs(total)
-        dterm = (dterm * (c + s) - term) * ((p + s) / ((s + 1.0) * w))
-        shift_weight += 1.0 / (p + s)
-        mag_nxt = np.maximum(np.abs(nxt), np.abs(dterm))
-        d_active &= mag_nxt < mag
-        sums += np.where(
-            d_active, np.array([shift_weight * nxt, dterm, (s + 1.0) * nxt]), 0.0
-        )
-        mag_last = np.where(d_active, mag_nxt, mag_last)
-        d_active &= mag_last > _SERIES_STOP * np.abs(total)
-        mag = mag_nxt
-        term = nxt
-        if not (active.any() or d_active.any()):
-            break
+    # Rows both truncations have stopped keep multiplying their terms and may
+    # overflow; the resid test below refuses any row left inf or NaN.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for s in range(80):
+            nxt = term * ((p + s) * (c + s) / ((s + 1.0) * w))
+            active &= np.abs(nxt) < np.abs(term)
+            total = np.where(active, total + nxt, total)
+            last = np.where(active, nxt, last)
+            active &= np.abs(last) > _SERIES_STOP * np.abs(total)
+            dterm = (dterm * (c + s) - term) * ((p + s) / ((s + 1.0) * w))
+            shift_weight += 1.0 / (p + s)
+            mag_nxt = np.maximum(np.abs(nxt), np.abs(dterm))
+            d_active &= mag_nxt < mag
+            sums += np.where(
+                d_active, np.array([shift_weight * nxt, dterm, (s + 1.0) * nxt]), 0.0
+            )
+            mag_last = np.where(d_active, mag_nxt, mag_last)
+            d_active &= mag_last > _SERIES_STOP * np.abs(total)
+            mag = mag_nxt
+            term = nxt
+            if not (active.any() or d_active.any()):
+                break
     resid = np.maximum(np.abs(last), mag_last) / np.abs(total)
-    if np.any(resid > 1e-9) or np.any(total <= 0.0):
+    if not np.all(resid <= 1e-9) or np.any(total <= 0.0):
         raise PrecisionLossError(
             f"asymptotic 1F1 failed for p={p}, q={q}, min w={w.min():g}"
         )

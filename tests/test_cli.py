@@ -107,16 +107,20 @@ def test_simulate_usage_errors(tmp_path):
 @pytest.mark.parametrize(
     "mode, flag, value",
     [(mode, "--dt", dt) for mode in ("continuous", "discrete") for dt in ("0", "-1", "nan", "inf")]
-    + [("discrete", "--duration", "nan"), ("discrete", "--duration", "inf")],
+    + [("discrete", "--duration", "nan"), ("discrete", "--duration", "inf")]
+    + [("continuous", "--rho", rho) for rho in ("0", "nan", "inf")],
 )
-def test_simulate_bad_grid_or_horizon_is_a_usage_error(tmp_path, mode, flag, value):
-    """A --dt or --duration that is not positive and finite exits 2, like
-    every other bad flag value; a bad --dt does so in either mode."""
+def test_simulate_bad_grid_or_horizon_is_a_usage_error(tmp_path, capsys, mode, flag, value):
+    """A --dt, --duration or --rho that is not positive and finite exits 2
+    naming its flag, like every other bad flag value; a bad --dt does so
+    in either mode.  A nan or inf --rho used to pass the flag check and
+    be refused as c, a value the command line does not have."""
     horizon = [] if flag == "--duration" else ["--events", "10"]
     with pytest.raises(SystemExit) as exc:
         main(["simulate", "--mode", mode, *horizon, flag, value,
               "--out", str(tmp_path / "x.txt")])
     assert exc.value.code == 2
+    assert f"error: {flag} must be " in capsys.readouterr().err
     assert not (tmp_path / "x.txt").exists()
 
 
@@ -496,6 +500,20 @@ def test_hist_refuses_bins_past_the_row_cap(tmp_path):
     assert run.returncode == 1
     assert run.stderr.startswith("error: ") and run.stderr.count("\n") == 1
     assert f"cap of {_MAX_TABLE_ROWS} table rows" in run.stderr
+    assert not out.exists()
+
+
+def test_hist_refuses_a_bin_count_past_the_row_cap(tmp_path, capsys):
+    """--bins-per-decade at the cap over intervals spanning two decades
+    needs twice the cap in bins: the command exits 1 with one error line
+    naming the count, and writes no table."""
+    events = tmp_path / "events.txt"
+    events.write_text("unit=ms\n0\n10\n510\n1510\n")
+    out = tmp_path / "h.txt"
+    assert main(["hist", "--in", str(events), "--bins-per-decade", str(_MAX_TABLE_ROWS),
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: the histogram needs 2000000 bins") and err.count("\n") == 1
     assert not out.exists()
 
 

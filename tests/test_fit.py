@@ -39,14 +39,16 @@ def _heavy_m2_data() -> ItiSet:
 
 
 def _count_passes(monkeypatch) -> list:
-    """Record the variant of every likelihood pass the fitter makes."""
+    """Record every likelihood pass the fitter makes, as the objective
+    value it returned (None for a refused probe)."""
     fit_module = sys.modules[fit.__module__]
     calls = []
     inner = fit_module._search_objective
 
     def counting(*args, **kwargs):
-        calls.append(args[1])
-        return inner(*args, **kwargs)
+        out = inner(*args, **kwargs)
+        calls.append(out[0])
+        return out
 
     monkeypatch.setattr(fit_module, "_search_objective", counting)
     return calls
@@ -358,8 +360,8 @@ def test_fit_max_iters_reason():
 def test_fit_failed_line_search_is_not_convergence(tmp_path):
     """Cold M4 on this M3 kernel data walks up the b ridge (b about 186,
     where the model tends to a Lomax mixture of exponentials) until the
-    1F1 pass refuses the probes around it and no step improves, even
-    after a fresh curvature map: a failed search, which must not be reported as
+    1F1 pass refuses the probes around it and no step along the search
+    direction improves: a failed search, which must not be reported as
     convergence.  (The Poisson M2 case that used to end this way now
     reaches M1, see test_fit_poisson_m2_reaches_m1_cold.)"""
     path = tmp_path / "events.txt"
@@ -369,6 +371,25 @@ def test_fit_failed_line_search_is_not_convergence(tmp_path):
     res = fit("M4", compute_itis(load_timestamps(path)))
     assert res.reason == "line search failed"
     assert not res.converged
+
+
+def test_fit_gives_up_after_one_failed_line_search(tmp_path, monkeypatch):
+    """Cold M4 on seed-100 M3 kernel data ends on the b ridge, "line
+    search failed".  An iteration makes one line search: the halving
+    ladder from the full step down to _ETA_MIN is 28 probes, and the fit
+    makes no pass after it.  A retry with a freshly built curvature map
+    repeated the ladder, 56 passes after the last accepted step, and ended
+    at the same point."""
+    path = tmp_path / "events.txt"
+    assert main(["simulate", "--variant", "M3", "--a", "0.7", "--rho", "8",
+                 "--gamma", "0,0,-0.3,-0.4,-0.26,0,0,0", "--events", "2000",
+                 "--seed", "100", "--out", str(path)]) == 0
+    data = compute_itis(load_timestamps(path))
+    calls = _count_passes(monkeypatch)
+    res = fit("M4", data)
+    assert res.reason == "line search failed"
+    last = max(i for i, value in enumerate(calls) if value is res.objective_trace[-1])
+    assert len(calls) - 1 - last <= 28
 
 
 def test_fit_poisson_m2_reaches_m1_cold():

@@ -411,13 +411,16 @@ def test_histogram_spans_the_data_and_validates_bins_per_decade():
 
 def test_histogram_refuses_bins_past_the_row_cap():
     """One decade at the cap's bins per decade fills the cap exactly; one
-    more bin per decade is refused before any bin is allocated."""
+    more bin per decade, or two decades at the cap's, is refused before
+    any bin is allocated."""
     data = ItiSet(np.array([1.0, 10.0]))
     assert log_binned_histogram(data, bins_per_decade=bio._MAX_TABLE_ROWS).counts.size == (
         bio._MAX_TABLE_ROWS
     )
     with pytest.raises(ValueError, match=f"cap of {bio._MAX_TABLE_ROWS} table rows"):
         log_binned_histogram(data, bins_per_decade=bio._MAX_TABLE_ROWS + 1)
+    with pytest.raises(ValueError, match="needs 2000000 bins"):
+        log_binned_histogram(ItiSet(np.array([0.01, 0.5, 1.0])), bins_per_decade=10**6)
 
 
 def test_fit_log_slope_on_exact_power_law():
@@ -455,6 +458,22 @@ def test_write_atomic(tmp_path):
     assert path.read_text() == "second\n"
     leftovers = [p for p in tmp_path.iterdir() if p.name != "artifact.json"]
     assert leftovers == []
+
+
+def test_write_atomic_leaves_nothing_when_the_content_fails(tmp_path):
+    """A content iterator that raises midway leaves no temp file and the
+    target as it was, and the error reaches the caller."""
+    path = tmp_path / "artifact.json"
+    path.write_text("kept\n")
+
+    def lines():
+        yield "partial\n"
+        raise RuntimeError("content failed")
+
+    with pytest.raises(RuntimeError, match="content failed"):
+        write_atomic(path, lines())
+    assert path.read_text() == "kept\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["artifact.json"]
 
 
 @pytest.mark.parametrize("umask", [0o022, 0o077], ids=["022", "077"])

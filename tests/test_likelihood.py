@@ -405,6 +405,36 @@ def test_every_route_returns_finite_numbers_or_refuses_by_name():
     assert finite >= 3 * 178
 
 
+def test_stopped_asymptotic_rows_are_refused_not_overflowed():
+    """At b = 7.7e7 both truncations of the asymptotic 1F1 sums stop these
+    rows early, and the pass used to go on multiplying their terms until
+    they overflowed: every route raised an overflow RuntimeWarning, which
+    the fitter's gate does not catch, instead of refusing.  A cold M5 fit
+    reaches such a point when its direction cap is off."""
+    params = ModelParams(a=0.7353624116705884, b=77214160.44987537, c=0.0)
+    data = ItiSet([6283.742737235881, 133946238.19687559, 134337045.2479499])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for route in (log_likelihood, gradient):
+            with pytest.raises(PrecisionLossError):
+                route(params, data)
+        with pytest.raises(PrecisionLossError):
+            iti_density(params, data.intervals)
+
+
+def test_integrated_rate_at_or_below_zero_is_infeasible():
+    """A strong fast dip keeps r(tau) positive at 60 ms but drives R(tau)
+    below zero there: every likelihood route refuses the point by name."""
+    kernel = RefractoryKernel.log_spaced([-3.0] + [0.0] * 7)
+    params = ModelParams(a=0.7, b=1.0, c=0.0, kernel=kernel, variant="M3")
+    assert refractory_eval(kernel, 0.06) > 0.0
+    assert refractory_integral(kernel, 0.06) < 0.0
+    data = ItiSet([0.06])
+    for route in (log_likelihood, objective, gradient):
+        with pytest.raises(InfeasibleParamsError, match=r"R\(tau\) <= 0"):
+            route(params, data)
+
+
 @pytest.mark.parametrize("fixed,free", [("M1", "M2"), ("M3", "M4")])
 def test_fixed_b_gradient_is_free_b_gradient_without_b(fixed, free):
     """At b = 1 a fixed-b variant and its free-b sibling describe the same

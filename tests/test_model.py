@@ -300,6 +300,37 @@ def test_marginal_density_frozen_values_with_kernel():
     np.testing.assert_allclose(got, [w for _, w in cases], rtol=1e-12)
 
 
+# (a, b, c, tau, density) of M2 at c = 30, where the 1F1 factor exp(log F)
+# is subnormal, or (a = 0.7, tau = 40 s) below the smallest subnormal while
+# the density is not; frozen from mpmath at 340 digits.
+_SUBNORMAL_F_ROWS = [
+    (0.7, 1e-300, 30.0, 0.5, 2.2385052555401029397e-309),
+    (0.7, 1e-300, 30.0, 3.0, 1.0643905073785423214e-310),
+    (0.7, 1e-300, 30.0, 40.0, 1.3022823077707705679e-312),
+    (1e-300, 1e-300, 30.0, 40.0, 1.2500000000000029556e-302),
+    (1e-300, 1e-300, 30.0, 3e6, 1.6666666666666667085e-307),
+]
+
+
+@pytest.mark.parametrize("a,b,c,tau,want", _SUBNORMAL_F_ROWS)
+def test_marginal_density_keeps_its_digits_past_a_subnormal_1f1(a, b, c, tau, want):
+    """The density is summed in logs, so a subnormal 1F1 factor costs it no
+    digits.  Formed as rho r [a/(a+b)] exp(log F), these rows were off by
+    0.94%, 0.79%, read 0, and were off by 8e-10 and 5.5e-5."""
+    got = iti_density(ModelParams(a=a, b=b, c=c, variant="M2"), tau)
+    assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("route", [iti_density, refractory_eval])
+def test_times_must_be_finite_and_nonnegative(route):
+    kernel = RefractoryKernel.log_spaced([-0.5] + [0.0] * 7)
+    target = ModelParams(a=0.7, b=1.0, c=0.0, kernel=kernel) if route is iti_density else kernel
+    with pytest.raises(ValueError, match="tau must be finite"):
+        route(target, np.array([0.5, np.nan]))
+    with pytest.raises(ValueError, match="tau must be >= 0"):
+        route(target, np.array([0.5, -1.0]))
+
+
 def test_marginal_density_rejects_infeasible_kernel():
     p = ModelParams(a=1.0, b=1.0, c=0.0, kernel=RefractoryKernel.log_spaced([-2.0]))
     with pytest.raises(ValueError, match="infeasible"):
