@@ -217,23 +217,14 @@ def _load_fit_params(path) -> ModelParams:
     return bio.deserialize_fit(Path(path).read_text()).params_star
 
 
-def _cmd_eval_density(args, parser) -> int:
+def _cmd_eval(args, parser) -> int:
+    """eval-density and eval-kernel: args.evaluate(params, grid), tabulated."""
     import numpy as np
 
     params = _load_fit_params(args.fit)
     grid = np.geomspace(*args.tau_grid)
-    _write_table(args.out, grid, iti_density(params, grid))
-    print(f"{grid.size} density values -> {args.out}")
-    return 0
-
-
-def _cmd_eval_kernel(args, parser) -> int:
-    import numpy as np
-
-    params = _load_fit_params(args.fit)
-    grid = np.geomspace(*args.tau_grid)
-    _write_table(args.out, grid, refractory_eval(params.kernel, grid))
-    print(f"{grid.size} kernel values -> {args.out}")
+    _write_table(args.out, grid, args.evaluate(params, grid))
+    print(f"{grid.size} {args.quantity} values -> {args.out}")
     return 0
 
 
@@ -289,13 +280,17 @@ def build_parser() -> argparse.ArgumentParser:
     dens.add_argument("--fit", required=True, help="fit artifact to evaluate")
     dens.add_argument("--tau-grid", type=_parse_grid, required=True, help="start:stop:count (log-spaced)")
     dens.add_argument("--out", required=True)
-    dens.set_defaults(func=_cmd_eval_density)
+    dens.set_defaults(func=_cmd_eval, evaluate=iti_density, quantity="density")
 
     kern = sub.add_parser("eval-kernel", help="rate modulation on a grid")
     kern.add_argument("--fit", required=True, help="fit artifact to evaluate")
     kern.add_argument("--tau-grid", type=_parse_grid, default="0.001:5:200")
     kern.add_argument("--out", required=True)
-    kern.set_defaults(func=_cmd_eval_kernel)
+    kern.set_defaults(
+        func=_cmd_eval,
+        evaluate=lambda params, grid: refractory_eval(params.kernel, grid),
+        quantity="kernel",
+    )
 
     return parser
 

@@ -33,9 +33,9 @@ The kernel basis terms overlap heavily, which leaves the likelihood
 surface with curvatures spread over eight orders of magnitude; a bare
 gradient step would need millions of iterations to cross the resulting
 valley.  The gradient is therefore mapped through the inverse of a
-curvature (the outer product of the per-interval scores every pass
-forms, eigenvalue floored, refreshed on a geometric schedule from the
-point in hand), which is what makes large fits converge in seconds.
+curvature (the outer product of the per-interval scores of the point in
+hand, formed only when the map is rebuilt on a geometric schedule, and
+eigenvalue floored), which is what makes large fits converge in seconds.
 """
 
 from __future__ import annotations
@@ -238,15 +238,15 @@ def _initial_vector(variant: str, data: ItiSet, cfg: FitConfig) -> np.ndarray:
 def _search_objective(
     u: np.ndarray, variant: str, data: ItiSet
 ) -> tuple[ObjectiveValue | None, np.ndarray | None, np.ndarray | None]:
-    """Objective, gradient and curvature at a search point, or three Nones
-    out of the model domain.
+    """Objective, gradient and per-interval scores at a search point, or
+    three Nones out of the model domain.
 
     The fitter's one domain gate: a probe where a shape's exp underflows
     to 0 or overflows, the kernel drives the rate nonpositive, exp(c) R(tau)
     overflows, no 1F1 regime reaches its accuracy, or the objective or
-    gradient is not finite is rejected rather than raised.  By the chain rule the shape entries of the
-    gradient are a d/da and b d/db, and the per-interval scores the
-    curvature is built from are scaled alike.
+    gradient is not finite is rejected rather than raised.  By the chain
+    rule the shape entries of the gradient are a d/da and b d/db, and the
+    shape columns of the scores are scaled alike.
     """
     spec = _variant_spec(variant)
     a, b, c, gamma = _decode(u, spec)
@@ -261,7 +261,7 @@ def _search_objective(
         return None, None, None
     scores[:, 0] *= a
     scores[:, 1] *= b
-    return value, grad, _curvature_matrix(scores, spec, data)
+    return value, grad, scores
 
 
 def _face_step(
@@ -292,35 +292,28 @@ def _face_step(
     return grad, ascent @ grad
 
 
-def _curvature_matrix(scores: np.ndarray, spec: VariantSpec, data: ItiSet) -> np.ndarray:
-    """-(S' diag(cnt) S + 2 reg I_gamma) / N over the search coordinates.
+def _ascent_map(scores: np.ndarray, spec: VariantSpec, data: ItiSet) -> np.ndarray:
+    """Positive definite inverse of (S' diag(cnt) S + 2 reg I_gamma) / N.
 
-    S holds _evaluate's per-interval scores, the shape columns in log
-    shapes, and cnt their multiplicities.  Their weighted outer product
-    is the BHHH (Berndt, Hall, Hall & Hausman 1974) estimate of the
-    log-likelihood's curvature, which near the optimum of a
-    well-specified model matches the Hessian; every pass forms S for its
-    gradient, so the fitter's curvature costs no pass of its own.
+    S holds _search_objective's per-interval scores and cnt their
+    multiplicities.  Their weighted outer product is the BHHH (Berndt,
+    Hall, Hall & Hausman 1974) estimate of the negated curvature over the
+    search coordinates, which near the optimum of a well-specified model
+    matches the Hessian; every pass forms S for its gradient, so a
+    rebuild costs no pass of its own.  Eigenvalues are floored (relative
+    to the stiffest) before inversion, which bounds the step along flat
+    or locally convex directions; the backtracking search takes care of
+    the rest.
     """
     _, cnt = data._unique()
     keep = spec.pack(0, 1, 2, range(3, scores.shape[1])).astype(int)
-    curv = -(scores.T @ (cnt[:, None] * scores))[np.ix_(keep, keep)]
+    info = (scores.T @ (cnt[:, None] * scores))[np.ix_(keep, keep)]
     kernel = np.arange(spec.gamma_offset, keep.size)
-    curv[kernel, kernel] -= 2.0 * spec.reg_weight
-    return curv / data.n
-
-
-def _ascent_map(curvature: np.ndarray) -> np.ndarray:
-    """Positive definite inverse of the negated curvature.
-
-    Eigenvalues are floored (relative to the stiffest) before
-    inversion, which bounds the step along flat or locally convex
-    directions; the backtracking search takes care of the rest.
-    """
-    lam, q = np.linalg.eigh(-curvature)
+    info[kernel, kernel] += 2.0 * spec.reg_weight
+    lam, q = np.linalg.eigh(info / data.n)
     top = float(lam.max())
     if not math.isfinite(top) or top <= 0.0:
-        return np.eye(curvature.shape[0])
+        return np.eye(keep.size)
     lam = np.maximum(lam, _CURV_FLOOR * top)
     return (q / lam) @ q.T
 
@@ -366,7 +359,7 @@ def fit(variant: str, data: ItiSet, cfg: FitConfig | None = None) -> FitResult:
     if repaired is None:
         raise ArithmeticError("constraint repair did not terminate")
     u, n_proj = repaired
-    value, grad, curv = _search_objective(u, variant, data)
+    value, grad, scores = _search_objective(u, variant, data)
     if value is None:
         raise ValueError("initial parameters are outside the model domain")
 
@@ -379,7 +372,7 @@ def fit(variant: str, data: ItiSet, cfg: FitConfig | None = None) -> FitResult:
     for it in range(cfg.max_iters):
         scaled = grad / n
         if it >= refresh_at:
-            ascent = _ascent_map(curv)
+            ascent = _ascent_map(scores, spec, data)
             refresh_at = max(10, it * 2)
         free, direction = _face_step(ascent, scaled, u, basis, off)
         tol = cfg.grad_tolerance
@@ -392,13 +385,13 @@ def fit(variant: str, data: ItiSet, cfg: FitConfig | None = None) -> FitResult:
         if peak > _DIR_CAP:
             direction *= _DIR_CAP / peak
         prev_u = u
-        accepted, u, value, new_grad, new_curv, used = _backtrack(
+        accepted, u, value, new_grad, new_scores, used = _backtrack(
             u, value, direction, variant, data, basis, off, max_proj
         )
         if not accepted:
             reason = "line search failed"
             break
-        grad, curv = new_grad, new_curv
+        grad, scores = new_grad, new_scores
         n_proj += used
         # Secant update keeps the map tracking the local curvature
         # between rebuilds; steps that fail its positivity condition
@@ -434,17 +427,17 @@ def _backtrack(
     improves the objective.
 
     Works in search coordinates (see _search_objective).  Returns
-    (accepted, u, value, grad, curvature, n_projections); a rejected
-    search hands back the incoming point with grad and curvature None.
+    (accepted, u, value, grad, scores, n_projections); a rejected
+    search hands back the incoming point with grad and scores None.
     """
     eta = 1.0
     while True:
         repaired = _repair(u + eta * direction, basis, off, max_proj)
         if repaired is not None:
             cand, used = repaired
-            cand_value, cand_grad, cand_curv = _search_objective(cand, variant, data)
+            cand_value, cand_grad, cand_scores = _search_objective(cand, variant, data)
             if cand_value is not None and cand_value.objective >= value.objective:
-                return True, cand, cand_value, cand_grad, cand_curv, used
+                return True, cand, cand_value, cand_grad, cand_scores, used
         if eta <= _ETA_MIN:
             return False, u, value, None, None, 0
         eta = max(eta / 2.0, _ETA_MIN)

@@ -160,6 +160,9 @@ def _asym_1f1_neg(p: float, q: float, w: np.ndarray) -> np.ndarray:
     Raises PrecisionLossError if either truncation's last kept term is
     still too large relative to S: where 1 - q is a non-positive integer
     the u_s stop early, and only the v_s show the expansion unsettled.
+    The term loop is left as soon as row 0, the smallest w and so the last
+    row to settle, has stopped both truncations unsettled: its kept terms
+    are final, so the pass is refused without summing the other rows on.
     """
     c = 1.0 - q
     term = np.ones_like(w)
@@ -194,6 +197,10 @@ def _asym_1f1_neg(p: float, q: float, w: np.ndarray) -> np.ndarray:
             term = nxt
             if not (active.any() or d_active.any()):
                 break
+            # row 0 settles last; stopped unsettled, it fails the check below
+            if not (active[0] or d_active[0]):
+                if not max(abs(last[0]), mag_last[0]) / abs(total[0]) <= 1e-9:
+                    break
     resid = np.maximum(np.abs(last), mag_last) / np.abs(total)
     if not np.all(resid <= 1e-9) or np.any(total <= 0.0):
         raise PrecisionLossError(
@@ -222,7 +229,9 @@ def _log_beta_laplace(p: float, q: float, w: np.ndarray) -> np.ndarray:
     a q far below an ulp of p loses nothing.  A q below 2**-1024 raises
     PrecisionLossError, as 1/q, which d_q carries, overflows.  w is sorted
     once and cut at _ASYM_SWITCH, so each regime gets one ascending slice;
-    a row's value never depends on its neighbours.
+    a row's value never depends on its neighbours.  The asymptotic slice
+    runs first: it is the one that refuses probes, and a refused pass then
+    never pays for the series slice.
 
     The rows are (log F, d_p, d_q, ratio), all from one series pass:
     d_p and d_q are the derivatives of log F in p and in q, each at the
@@ -241,7 +250,7 @@ def _log_beta_laplace(p: float, q: float, w: np.ndarray) -> np.ndarray:
     ws = w[order]
     cut = int(np.searchsorted(ws, _ASYM_SWITCH))
     parts = np.empty((4, w.size))
-    for regime, lo, hi in (_transformed_series, 0, cut), (_asym_1f1_neg, cut, w.size):
+    for regime, lo, hi in (_asym_1f1_neg, cut, w.size), (_transformed_series, 0, cut):
         if hi > lo:
             parts[:, order[lo:hi]] = regime(p, q, ws[lo:hi])
     return parts

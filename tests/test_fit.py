@@ -9,6 +9,7 @@ import pytest
 
 from burstfit.cli import main
 from burstfit.fit import (
+    _CURV_FLOOR,
     FitConfig,
     FitResult,
     _ascent_map,
@@ -22,7 +23,13 @@ from burstfit.fit import (
 )
 from burstfit.io import compute_itis, load_timestamps
 from burstfit.likelihood import ItiSet, _evaluate, gradient, objective
-from burstfit.model import VARIANTS, ModelParams, RefractoryKernel, refractory_integral
+from burstfit.model import (
+    VARIANTS,
+    ModelParams,
+    RefractoryKernel,
+    _variant_spec,
+    refractory_integral,
+)
 from burstfit.simulate import simulate_continuous
 from oracles import feasible, params_to_vector, vector_to_params
 
@@ -437,7 +444,7 @@ def test_fit_kernel_child_reaches_its_parent_cold(tmp_path):
 
 def test_fit_kernel_curvature_makes_no_passes_of_its_own(tmp_path, monkeypatch):
     """Cold M3 on the seed-121 data above: every likelihood pass after the
-    start is a line search candidate, and the fit takes 35.  Forward-
+    start is a line search candidate, and the fit takes 34.  Forward-
     difference probes, one pass per coordinate at every curvature
     refresh, made it 48."""
     path = tmp_path / "events.txt"
@@ -566,11 +573,12 @@ def test_curvature_comes_from_the_scores_of_the_pass_in_hand(monkeypatch):
     """A pass's per-interval scores are the gradient's own terms: for every
     variant, at a point whose w = rho R(tau) lies on both sides of the 300
     regime switch, their count-weighted sum less the penalty's gradient is
-    gradient().  The search gate returns their outer product as its
-    curvature, so a refresh makes no likelihood pass; at M2's optimum on
-    heavy-tail data that curvature agrees with central differences of the
-    gradient within 2% of its largest entry (0.9%; M1, misspecified on
-    these data, reads 5%)."""
+    gradient().  The search gate returns them, and the ascent map is the
+    inverse of their outer product, so a refresh makes no likelihood pass;
+    at M2's optimum on heavy-tail data, where the map's eigenvalue floor
+    is inactive, the curvature it inverts agrees with central differences
+    of the gradient within 2% of its largest entry (0.9%; M1, misspecified
+    on these data, reads 5%)."""
     data = ItiSet(np.concatenate([np.geomspace(1e-3, 10.0, 40), [0.5, 0.5, 150.0, 2e4, 3e6]]))
     tau, cnt = data._unique()
     for variant, spec in VARIANTS.items():
@@ -589,10 +597,12 @@ def test_curvature_comes_from_the_scores_of_the_pass_in_hand(monkeypatch):
 
     data = _heavy_m2_data()
     u = _initial_vector("M2", data, FitConfig(init_params=fit("M2", data).params_star))
-    _, _, curv = _search_objective(u, "M2", data)
+    _, _, scores = _search_objective(u, "M2", data)
     calls = _count_passes(monkeypatch)
-    _ascent_map(curv)
+    curv = -np.linalg.inv(_ascent_map(scores, _variant_spec("M2"), data))
     assert calls == []
+    lam = np.linalg.eigvalsh(-curv)
+    assert lam.min() > 10.0 * _CURV_FLOOR * lam.max()
     central = np.empty((u.size, u.size))
     for i in range(u.size):
         h = 1e-4 * max(1.0, abs(u[i]))

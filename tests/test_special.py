@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from beta_oracle import beta_expectation, log_beta
+from burstfit import special
 from burstfit.special import (
     PrecisionLossError,
     _log_beta_laplace,
@@ -395,6 +396,23 @@ def test_series_pass_row_ignores_its_neighbours(a, b):
         assert batch[0][i] == alone[0][0], wi
         for got, want in zip(batch[1:], alone[1:]):
             np.testing.assert_allclose(got[i], want[0], rtol=1e-14, atol=0.0)
+
+
+def test_refused_pass_never_runs_the_series_slice(monkeypatch):
+    """At p = 1.7, q = 300 the asymptotic sum at w = 350 does not settle.
+    The asymptotic slice runs first, so the pass is refused before the
+    series slice (w = 0.5 and 30) is summed; it used to be summed first."""
+    calls = []
+    inner = special._transformed_series
+
+    def counting(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(special, "_transformed_series", counting)
+    with pytest.raises(PrecisionLossError, match="asymptotic"):
+        _log_beta_laplace(1.7, 300.0, np.array([0.5, 30.0, 350.0]))
+    assert calls == []
 
 
 # ----------------------------------------------------------------------
