@@ -227,8 +227,8 @@ def _decay_matrix(alpha: tuple[float, ...], t: np.ndarray) -> np.ndarray:
     """exp(-alpha_k tau): one row per time in t, one column per decay rate.
 
     r and R both come from this matrix; a caller that needs both at the
-    same times (the inverter of R) builds it once.  The likelihood's and
-    the constraint grid's kernel bases are this matrix too.
+    same times (the inverter of R, iti_density) builds it once.  The
+    likelihood's and the constraint grid's kernel bases are this matrix too.
     """
     import numpy as np
 
@@ -303,11 +303,12 @@ def iti_density(params: ModelParams, tau):
     from .special import _log_beta_laplace
 
     t, shape = _as_times(tau, minimum=0.0)
-    r = refractory_eval(params.kernel, t)
+    decay = _decay_matrix(params.kernel.alpha, t)
+    r = _rate_from_decay(params.kernel, decay)
     if t.size and r.min() < 0.0:
         raise ValueError("kernel is negative in range; params infeasible")
     a, b = params.a, params.b
-    w = _hyp_argument(params.c, refractory_integral(params.kernel, t))
+    w = _hyp_argument(params.c, _integral_from_decay(params.kernel, t, decay))
     log_f1 = _log_beta_laplace(a + 1.0, b, w)[0]
     # in logs, so a subnormal 1F1 factor costs no digits; r = 0 gives log 0
     with np.errstate(divide="ignore"):

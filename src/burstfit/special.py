@@ -155,53 +155,47 @@ def _asym_1f1_neg(p: float, q: float, w: np.ndarray) -> np.ndarray:
     The derivatives of log S are taken term by term: the p derivative
     weights u_s by A_s = sum_{j<s} 1/(p+j), the w derivative by -s/w, and
     the q derivative sums v_s = d u_s / dq, carried by its own recurrence
-    because at integer q the u_s terminate while the v_s do not.  These
-    sums are truncated on max(|u_s|, |v_s|), independently of the value.
-    Raises PrecisionLossError if either truncation's last kept term is
-    still too large relative to S: where 1 - q is a non-positive integer
-    the u_s stop early, and only the v_s show the expansion unsettled.
-    The term loop is left as soon as row 0, the smallest w and so the last
-    row to settle, has stopped both truncations unsettled: its kept terms
-    are final, so the pass is refused without summing the other rows on.
+    because at integer q the u_s terminate while the v_s do not.  The value
+    and all three sums share one truncation per row, on max(|u_s|, |v_s|):
+    a row stops once that magnitude stops falling or drops below
+    _SERIES_STOP of S, and PrecisionLossError is raised if the last kept
+    magnitude is still above 1e-9 of S.  Where 1 - q is a non-positive
+    integer the u_s are exact zeros past s = q - 1, so the value alone
+    would look settled; the v_s keep the row live and show the expansion
+    unsettled.  The term loop is left as soon as row 0, the smallest w and
+    so the last row to settle, has stopped unsettled: its kept terms are
+    final, so the pass is refused without summing the other rows on.
     """
     c = 1.0 - q
     term = np.ones_like(w)
     total = np.ones_like(w)
-    last = term
-    active = np.ones(w.shape, dtype=bool)
     dterm = np.zeros_like(w)
-    mag = term
     mag_last = term
+    active = np.ones(w.shape, dtype=bool)
     sums = np.zeros((3,) + w.shape)
-    d_active = active.copy()
     shift_weight = 0.0
-    # Rows both truncations have stopped keep multiplying their terms and may
-    # overflow; the resid test below refuses any row left inf or NaN.
+    # Stopped rows keep multiplying their terms and may overflow; the
+    # resid test below refuses any row left inf or NaN.
     with np.errstate(over="ignore", invalid="ignore"):
         for s in range(80):
             nxt = term * ((p + s) * (c + s) / ((s + 1.0) * w))
-            active &= np.abs(nxt) < np.abs(term)
-            total = np.where(active, total + nxt, total)
-            last = np.where(active, nxt, last)
-            active &= np.abs(last) > _SERIES_STOP * np.abs(total)
             dterm = (dterm * (c + s) - term) * ((p + s) / ((s + 1.0) * w))
             shift_weight += 1.0 / (p + s)
-            mag_nxt = np.maximum(np.abs(nxt), np.abs(dterm))
-            d_active &= mag_nxt < mag
+            mag = np.maximum(np.abs(nxt), np.abs(dterm))
+            active &= mag < mag_last
+            total = np.where(active, total + nxt, total)
             sums += np.where(
-                d_active, np.array([shift_weight * nxt, dterm, (s + 1.0) * nxt]), 0.0
+                active, np.array([shift_weight * nxt, dterm, (s + 1.0) * nxt]), 0.0
             )
-            mag_last = np.where(d_active, mag_nxt, mag_last)
-            d_active &= mag_last > _SERIES_STOP * np.abs(total)
-            mag = mag_nxt
+            mag_last = np.where(active, mag, mag_last)
+            active &= mag_last > _SERIES_STOP * np.abs(total)
             term = nxt
-            if not (active.any() or d_active.any()):
+            if not active.any():
                 break
             # row 0 settles last; stopped unsettled, it fails the check below
-            if not (active[0] or d_active[0]):
-                if not max(abs(last[0]), mag_last[0]) / abs(total[0]) <= 1e-9:
-                    break
-    resid = np.maximum(np.abs(last), mag_last) / np.abs(total)
+            if not (active[0] or mag_last[0] / abs(total[0]) <= 1e-9):
+                break
+    resid = mag_last / np.abs(total)
     if not np.all(resid <= 1e-9) or np.any(total <= 0.0):
         raise PrecisionLossError(
             f"asymptotic 1F1 failed for p={p}, q={q}, min w={w.min():g}"
@@ -239,9 +233,10 @@ def _log_beta_laplace(p: float, q: float, w: np.ndarray) -> np.ndarray:
     In the series regime each is a positive-weighted sum of the value's
     terms, and in the asymptotic regime a digamma/log w part plus a
     term-wise derivative of the asymptotic sum, so none is formed as a
-    cancelling difference of generic partials (DLMF 13.2, 13.7).  One
-    accuracy check covers all four rows: a row whose derivatives did not
-    settle raises, value included.
+    cancelling difference of generic partials (DLMF 13.2, 13.7).  Each
+    regime stops a row's value and derivative sums at one truncation and
+    checks them once: a row whose sums did not settle raises, value
+    included.
     """
     if 1.0 / q == math.inf:
         raise PrecisionLossError(f"the q derivative is past the float range at q={q!r}")

@@ -406,7 +406,7 @@ def test_every_route_returns_finite_numbers_or_refuses_by_name():
 
 
 def test_stopped_asymptotic_rows_are_refused_not_overflowed():
-    """At b = 7.7e7 both truncations of the asymptotic 1F1 sums stop these
+    """At b = 7.7e7 the truncation of the asymptotic 1F1 sums stops these
     rows early, and the pass used to go on multiplying their terms until
     they overflowed: every route raised an overflow RuntimeWarning, which
     the fitter's gate does not catch, instead of refusing.  A cold M5 fit

@@ -219,6 +219,24 @@ def test_kummer_refuses_unsettled_asymptotic_sum(a, b):
         kummer_1f1(a, b, -300.5)
 
 
+def test_kummer_large_shape_grid_answer_set():
+    """The large-shape grid of kummer_1f1's docstring: 831 of its 1152
+    points are answered and 321 refused with PrecisionLossError, and every
+    answered point's four rows of the pass are finite."""
+    answered = refused = 0
+    for a in np.geomspace(1.5, 1000.0, 16):
+        for b in a + np.array([0.1, 0.37, 0.5, 1.0, 2.0, 5.0, 20.0, 100.0]):
+            for w in (300.5, 320.0, 350.0, 400.0, 500.0, 700.0, 1e3, 3e3, 1e4):
+                try:
+                    kummer_1f1(a, b, -w)
+                except PrecisionLossError:
+                    refused += 1
+                    continue
+                answered += 1
+                assert np.all(np.isfinite(_log_beta_laplace(a, b - a, np.array([w])))), (a, b, w)
+    assert (answered, refused) == (831, 321)
+
+
 def test_kummer_monotone_decreasing_in_w():
     w = np.exp(np.linspace(np.log(1e-3), np.log(1e5), 120))
     vals = np.array([kummer_1f1(0.7, 1.7, -wi) for wi in w])
@@ -396,6 +414,23 @@ def test_series_pass_row_ignores_its_neighbours(a, b):
         assert batch[0][i] == alone[0][0], wi
         for got, want in zip(batch[1:], alone[1:]):
             np.testing.assert_allclose(got[i], want[0], rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize(
+    "p,q", [(1.7, 1.0), (2.7, 3.19), (1.3, 40.0), (1.6, 0.37), (1.05, 1e-6)]
+)
+def test_asymptotic_row_ignores_its_neighbours(p, q):
+    """Each asymptotic row stops its own truncation, so one call over many
+    w at or above the switch gives every row all four values a call on that
+    row alone gives, bit for bit.  The w run from 300 to 1e9 in a shuffled
+    order, with duplicates."""
+    w = np.concatenate(
+        [[300.0, 300.0, np.nextafter(300.0, np.inf)], [1e3] * 3, np.geomspace(300.0, 1e9, 40)]
+    )
+    w = np.random.default_rng(13).permutation(w)
+    batch = _log_beta_laplace(p, q, w)
+    alone = np.column_stack([_log_beta_laplace(p, q, np.array([wi]))[:, 0] for wi in w])
+    np.testing.assert_array_equal(batch, alone)
 
 
 def test_refused_pass_never_runs_the_series_slice(monkeypatch):
