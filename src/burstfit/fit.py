@@ -159,7 +159,8 @@ def _grid_basis(spec: VariantSpec) -> np.ndarray:
 def _basis_feasible(basis: np.ndarray, gamma: np.ndarray) -> tuple[bool, int | None]:
     """Is the rate 1 + basis @ gamma nonnegative at every row of the basis
     exp(-alpha_k t_i)?  (True, None), or (False, index of the most violated
-    row); no rows, no violation."""
+    row); no rows, no violation.  Unclamped: the constraint keeps its own
+    exact-zero test, not model._rate_from_decay's dust clamp."""
     rate = 1.0 + basis @ gamma
     if rate.min(initial=0.0) >= 0.0:
         return True, None

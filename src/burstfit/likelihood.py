@@ -13,7 +13,8 @@ of log F in a, b and w; the last is minus the ratio <x^2 E>/<x E>, which
 also drives the rate and kernel gradients.  All three come out of the
 same series pass that computes log F (see special._log_beta_laplace),
 each as a positive-weighted sum, and go into each unique interval's
-score, which the gradient sums by multiplicity.
+score, which the gradient sums by multiplicity.  r and R come from
+model's one formula each, so r, R and w are iti_density's bit for bit.
 Every caller, value-only ones included, runs that one pass under its one
 accuracy check, so log_likelihood and objective raise exactly where
 gradient does and agree bit for bit with the value the fitter's gate,
@@ -21,8 +22,9 @@ fit._search_objective, gets from _evaluate.
 
 Everything hypergeometric is carried in log space, so month-long gaps
 (w ~ 1e7 and beyond) lose no precision to underflow.  Interval values are
-aggregated by multiplicity first; millisecond-quantized recordings make
-this a large constant-factor win and it keeps the summation order fixed.
+aggregated by multiplicity first, a large constant-factor win on ms-quantized
+recordings, and summed by numpy's pairwise np.sum, never a BLAS dot: each
+sum has one order, whatever the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -33,7 +35,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .io import ObjectiveValue
-from .model import ModelParams, VARIANTS, _decay_matrix, _hyp_argument, _variant_spec
+from .model import (ModelParams, VARIANTS, _decay_matrix, _hyp_argument, _integral_from_decay,
+                    _rate_from_decay, _variant_spec)
 from .special import _log_beta_laplace
 
 __all__ = [
@@ -96,7 +99,7 @@ class ItiSet:
         return got
 
     def _basis(self, alpha: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray]:
-        """exp(-alpha_k tau_i) and (1 - exp(-alpha_k tau_i))/alpha_k."""
+        """exp(-alpha_k tau) and, for the gamma scores, (1 - exp(-alpha_k tau))/alpha_k."""
         cache = self._cache
         got = cache.get(alpha)
         if got is None:
@@ -129,13 +132,11 @@ def _evaluate(
     n_data = float(data.n)
     # with no kernel terms the basis has no columns, so r is 1 and R is tau
     decay, decay_int = data._basis(alpha)
-    r = 1.0 + decay @ gamma
+    r = _rate_from_decay(gamma, decay)
     if r.min() <= 0.0:
-        raise InfeasibleParamsError(
-            "rate modulation r(tau) <= 0 at an observed interval"
-        )
-    big_r = tau + decay_int @ gamma
-    log_r_sum = float(cnt @ np.log(r))
+        raise InfeasibleParamsError("rate modulation r(tau) <= 0 at an observed interval")
+    big_r = _integral_from_decay(gamma, np.asarray(alpha), tau, decay)
+    log_r_sum = float(np.sum(cnt * np.log(r)))
 
     w = _hyp_argument(c, big_r)
     if w.min() <= 0.0:
@@ -147,7 +148,7 @@ def _evaluate(
         n_data * c
         + log_r_sum
         + n_data * (math.log(a) - math.log(a + b))
-        + float(cnt @ log_f1)
+        + float(np.sum(cnt * log_f1))
     )
     spec = VARIANTS.get(variant)
     reg_weight = spec.reg_weight if spec is not None else 0.0
@@ -155,13 +156,13 @@ def _evaluate(
     value = ObjectiveValue(loglik, penalty, loglik - penalty)
 
     scores = np.empty((tau.size, 3 + gamma.size), order="F")
-    scores[:, 0] = d_a + (1.0 / a - 1.0 / (a + b))
+    scores[:, 0] = d_a + b / (a + b) / a
     scores[:, 1] = d_b - 1.0 / (a + b)
     scores[:, 2] = 1.0 - rho * ratio * big_r
     scores[:, 3:] = decay / r[:, None] - (rho * ratio)[:, None] * decay_int
-    # a dot per column, so no entry depends on how many columns there are
+    # one np.sum per column, so M1's entries equal M3's at gamma = 0 bit for bit
     with np.errstate(over="ignore"):
-        grad = np.array([cnt @ column for column in scores.T])
+        grad = np.array([np.sum(cnt * column) for column in scores.T])
     if not np.all(np.isfinite(grad)):
         raise OverflowError(f"the gradient is past the float range at a={a!r}, b={b!r}")
     grad[3:] -= 2.0 * reg_weight * gamma
@@ -170,9 +171,7 @@ def _evaluate(
 
 def _params_evaluate(params: ModelParams, data: ItiSet) -> tuple:
     gamma = np.asarray(params.kernel.gamma, dtype=float)
-    return _evaluate(
-        params.a, params.b, params.c, gamma, params.kernel.alpha, params.variant, data
-    )
+    return _evaluate(params.a, params.b, params.c, gamma, params.kernel.alpha, params.variant, data)
 
 
 def log_likelihood(params: ModelParams, data: ItiSet) -> float:

@@ -226,9 +226,8 @@ def _restore(values: np.ndarray, shape) -> float | np.ndarray:
 def _decay_matrix(alpha: tuple[float, ...], t: np.ndarray) -> np.ndarray:
     """exp(-alpha_k tau): one row per time in t, one column per decay rate.
 
-    r and R both come from this matrix; a caller that needs both at the
-    same times (the inverter of R, iti_density) builds it once.  The
-    likelihood's and the constraint grid's kernel bases are this matrix too.
+    r and R come from it by one formula each, _rate_from_decay and
+    _integral_from_decay; a caller that needs both builds it once.
     """
     import numpy as np
 
@@ -236,23 +235,18 @@ def _decay_matrix(alpha: tuple[float, ...], t: np.ndarray) -> np.ndarray:
     return np.exp(decay, out=decay)
 
 
-def _rate_from_decay(kernel: RefractoryKernel, decay: np.ndarray) -> np.ndarray:
-    """r at the times whose decay matrix is given, dust clamped to 0."""
-    import numpy as np
-
-    out = 1.0 + decay @ np.asarray(kernel.gamma)
+def _rate_from_decay(gamma: np.ndarray, decay: np.ndarray) -> np.ndarray:
+    """r = 1 + decay @ gamma from the times' decay matrix, dust clamped to 0."""
+    out = 1.0 + decay @ gamma
     out[(out < 0.0) & (out >= -_KERNEL_DUST)] = 0.0
     return out
 
 
 def _integral_from_decay(
-    kernel: RefractoryKernel, t: np.ndarray, decay: np.ndarray
+    gamma: np.ndarray, alpha: np.ndarray, t: np.ndarray, decay: np.ndarray
 ) -> np.ndarray:
-    """R at the times t from their decay matrix."""
-    import numpy as np
-
-    g = np.asarray(kernel.gamma)
-    return t + (1.0 - decay) @ (g / np.asarray(kernel.alpha))
+    """R = t + (1 - decay) @ (gamma/alpha) at the times t from their decay matrix."""
+    return t + (1.0 - decay) @ (gamma / alpha)
 
 
 def refractory_eval(kernel: RefractoryKernel, tau):
@@ -262,14 +256,19 @@ def refractory_eval(kernel: RefractoryKernel, tau):
     negative is returned untouched so constraint handling can see the
     violation instead of a silently repaired kernel.
     """
+    import numpy as np
+
     t, shape = _as_times(tau, minimum=0.0)
-    return _restore(_rate_from_decay(kernel, _decay_matrix(kernel.alpha, t)), shape)
+    return _restore(_rate_from_decay(np.asarray(kernel.gamma), _decay_matrix(kernel.alpha, t)), shape)
 
 
 def refractory_integral(kernel: RefractoryKernel, tau):
     """R(tau) = tau + sum_k (gamma_k/alpha_k)(1 - exp(-alpha_k tau))."""
+    import numpy as np
+
     t, shape = _as_times(tau, minimum=0.0)
-    return _restore(_integral_from_decay(kernel, t, _decay_matrix(kernel.alpha, t)), shape)
+    gamma, alpha = np.asarray(kernel.gamma), np.asarray(kernel.alpha)
+    return _restore(_integral_from_decay(gamma, alpha, t, _decay_matrix(alpha, t)), shape)
 
 
 def _hyp_argument(c: float, big_r: np.ndarray) -> np.ndarray:
@@ -303,12 +302,13 @@ def iti_density(params: ModelParams, tau):
     from .special import _log_beta_laplace
 
     t, shape = _as_times(tau, minimum=0.0)
-    decay = _decay_matrix(params.kernel.alpha, t)
-    r = _rate_from_decay(params.kernel, decay)
+    gamma, alpha = np.asarray(params.kernel.gamma), np.asarray(params.kernel.alpha)
+    decay = _decay_matrix(alpha, t)
+    r = _rate_from_decay(gamma, decay)
     if t.size and r.min() < 0.0:
         raise ValueError("kernel is negative in range; params infeasible")
     a, b = params.a, params.b
-    w = _hyp_argument(params.c, _integral_from_decay(params.kernel, t, decay))
+    w = _hyp_argument(params.c, _integral_from_decay(gamma, alpha, t, decay))
     log_f1 = _log_beta_laplace(a + 1.0, b, w)[0]
     # in logs, so a subnormal 1F1 factor costs no digits; r = 0 gives log 0
     with np.errstate(divide="ignore"):

@@ -359,11 +359,11 @@ def invert_R(kernel: RefractoryKernel, target):
         start = np.where(
             tb <= table[-1], np.interp(tb, table, grid), tb - (slack_up - slack_down)
         )
-        tau[i : i + _BLOCK] = _newton(kernel, tb, start, slack_up, slack_down)
+        tau[i : i + _BLOCK] = _newton(g, al, tb, start, slack_up, slack_down)
     return _restore(tau, shape)
 
 
-def _newton(kernel, t, start, slack_up, slack_down):
+def _newton(gamma, alpha, t, start, slack_up, slack_down):
     """invert_R's safeguarded Newton on one block of targets."""
     lo = np.clip(t - slack_up, 0.0, None)
     hi = t + slack_down
@@ -375,8 +375,8 @@ def _newton(kernel, t, start, slack_up, slack_down):
         # one decay matrix per round gives R here and r below; it is
         # dropped before the next round builds its own
         at = tau[active]
-        decay = _decay_matrix(kernel.alpha, at)
-        resid = _integral_from_decay(kernel, at, decay) - t[active]
+        decay = _decay_matrix(alpha, at)
+        resid = _integral_from_decay(gamma, alpha, at, decay) - t[active]
         keep = np.abs(resid) > tol[active]
         if not keep.any():
             return tau
@@ -386,7 +386,7 @@ def _newton(kernel, t, start, slack_up, slack_down):
         # r from the kept rows' own matrix: a BLAS product may round a
         # row differently by its position, so slicing r of all rows would
         # not give r at these times bit for bit
-        deriv = _rate_from_decay(kernel, decay[keep])
+        deriv = _rate_from_decay(gamma, decay[keep])
         del decay
         above = resid >= 0.0
         hi[active[above]] = at[above]

@@ -2,11 +2,15 @@
 feasibility machinery, convergence behaviour and the fit contract."""
 
 import math
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import burstfit
 from burstfit.cli import main
 from burstfit.fit import (
     _CURV_FLOOR,
@@ -444,7 +448,7 @@ def test_fit_kernel_child_reaches_its_parent_cold(tmp_path):
 
 def test_fit_kernel_curvature_makes_no_passes_of_its_own(tmp_path, monkeypatch):
     """Cold M3 on the seed-121 data above: every likelihood pass after the
-    start is a line search candidate, and the fit takes 34.  Forward-
+    start is a line search candidate, and the fit takes 35.  Forward-
     difference probes, one pass per coordinate at every curvature
     refresh, made it 48."""
     path = tmp_path / "events.txt"
@@ -692,3 +696,38 @@ def test_fit_scale_covariance_without_kernel():
     assert res_scaled.params_star.a == pytest.approx(res_base.params_star.a, abs=1e-3)
     c_shift = res_scaled.params_star.c - res_base.params_star.c
     assert c_shift == pytest.approx(-math.log(2.0), abs=1e-3)
+
+
+_THREAD_CHILD = """
+import math
+import numpy as np
+from burstfit.fit import fit
+from burstfit.io import serialize_fit
+from burstfit.likelihood import ItiSet
+from burstfit.model import ModelParams, RefractoryKernel
+from burstfit.simulate import simulate_continuous
+gamma = (0.0, 0.0, -0.30, -0.40, -0.26, 0.0, 0.0, 0.0)
+truth = ModelParams(a=0.7, b=1.0, c=math.log(8.0), kernel=RefractoryKernel.log_spaced(gamma))
+taus = np.round(simulate_continuous(truth, n_events=150_000, seed=31) * 1000.0) / 1000.0
+data = ItiSet(taus[taus > 0])
+for variant in ("M3", "M4"):
+    print(serialize_fit(fit(variant, data)), end="")
+"""
+
+
+def test_fit_artifacts_do_not_depend_on_the_blas_thread_count():
+    """The criterion-3 truth, 150k ms-rounded events (13,633 unique
+    intervals), fitted with M3 and M4 in children at one and at two BLAS
+    threads: the artifacts are equal in bytes.  With the likelihood's
+    data-length sums as BLAS dots, OpenBLAS split them across threads and
+    the M3 artifacts differed."""
+    src = str(Path(burstfit.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+        outs.append(subprocess.run([sys.executable, "-c", _THREAD_CHILD], env=env,
+                                   capture_output=True, text=True, check=True).stdout)
+    assert outs[0].count('"format"') == 2
+    assert outs[0] == outs[1]

@@ -303,6 +303,27 @@ def test_every_route_answers_with_b_below_an_ulp_of_a_plus_one(b, c, loglik, gra
     )
 
 
+# (a, b, c, log-likelihood, gradient in (a, b, c)) of M2 on the intervals
+# _TINY_B_TAUS, where b is far below an ulp of a.  Frozen from mpmath as
+# _TINY_B_ROWS are.
+_TINY_B_A_SCORE_ROWS = [
+    (0.7, 1e-300, -700.0, -3500.0, (1.0204081632653063e-299, -7.1428571428571433, 5.0)),
+    (1e3, 1e-17, -30.0, -150.0000000935803, (4.9999999066065802e-23, -0.0049999999065131865, 4.9999999064196997)),
+]
+
+
+@pytest.mark.parametrize("a,b,c,loglik,grad", _TINY_B_A_SCORE_ROWS)
+def test_a_score_keeps_its_digits_with_b_far_below_an_ulp_of_a(a, b, c, loglik, grad):
+    """The a score's b/(a(a+b)) is summed as b/(a+b)/a.  Formed as
+    1/a - 1/(a+b) it lost every digit: the a entry read 0 at the first
+    row and -9.3e-31, the wrong sign, at the second."""
+    params = ModelParams(a=a, b=b, c=c, variant="M2")
+    data = ItiSet(_TINY_B_TAUS)
+    close = dict(rtol=1e-10, atol=0.0)
+    np.testing.assert_allclose(log_likelihood(params, data), loglik, **close)
+    np.testing.assert_allclose(gradient(params, data), grad, **close)
+
+
 def test_b_at_the_bottom_of_the_float_range_is_refused():
     """Below 2**-1024, 1/b overflows, and with it the b derivative the
     1F1 pass returns: every route refuses naming b's value, where the
