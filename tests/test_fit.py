@@ -447,17 +447,30 @@ def test_fit_kernel_child_reaches_its_parent_cold(tmp_path):
 
 
 def test_fit_kernel_curvature_makes_no_passes_of_its_own(tmp_path, monkeypatch):
-    """Cold M3 on the seed-121 data above: every likelihood pass after the
-    start is a line search candidate, and the fit takes 35.  Forward-
-    difference probes, one pass per coordinate at every curvature
-    refresh, made it 48."""
+    """Cold M3 on the seed-121 data above: the curvature map is built from
+    the scores of a pass already made, so no likelihood pass runs while
+    _ascent_map does, and every pass after the start is a line search
+    candidate.  The fit takes 31.  Forward-difference probes, one pass per
+    coordinate at every curvature refresh, made it 48."""
     path = tmp_path / "events.txt"
     assert main(["simulate", "--variant", "M3", "--a", "0.7", "--rho", "8",
                  "--gamma", "0,0,-0.3,-0.4,-0.26,0,0,0", "--events", "2000",
                  "--seed", "121", "--out", str(path)]) == 0
     data = compute_itis(load_timestamps(path))
     calls = _count_passes(monkeypatch)
+    fit_module = sys.modules[fit.__module__]
+    inner = fit_module._ascent_map
+    during = []
+
+    def watched(*args):
+        before = len(calls)
+        out = inner(*args)
+        during.append(len(calls) - before)
+        return out
+
+    monkeypatch.setattr(fit_module, "_ascent_map", watched)
     assert fit("M3", data).converged
+    assert during and not any(during), during
     assert len(calls) <= 36
 
 
