@@ -16,18 +16,21 @@ rate on a fixed grid of times (default_constraint_grid, 1 ms to 5 s):
 constraint is a halfspace in the kernel slots, which the search
 coordinates share with the packed vector, so a violated iterate is
 repaired by orthogonal projection onto the most violated hyperplane
-(repeated if needed).
+(repeated if needed), at the start and for every line-search candidate
+alike, with one cap on the projections, _MAX_PROJ.
 
 Each step is the full curvature-mapped (quasi-Newton) step within the
 face of the walls (grid constraints at zero rate) the iterate sits on:
 a wall the gradient pushes against holds the step, one it pulls away
 from is released, and what the walls leave of the gradient is what the
 stop test reads, both its largest entry and the gain the curvature map
-predicts from it.  The line search starts at that full step and halves
-on decrease.  The raw gradient is scaled by 1/N so the curvature map
-means the same thing across data sizes.  A projected step is allowed
-to lower the objective (it restores feasibility); only the gradient test
-ends a run as converged.
+predicts from it.  The line search walks one ladder, _STEPS: the full
+step, then halvings down to _ETA_MIN, 28 candidates in all.  It takes
+the first one, repaired where needed, that does not lower the objective;
+a search whose ladder runs out ends the fit "line search failed", and
+only the gradient test ends a run as converged.  The raw gradient is
+scaled by 1/N so the curvature map means the same thing across data
+sizes.
 
 The kernel basis terms overlap heavily, which leaves the likelihood
 surface with curvatures spread over eight orders of magnitude; a bare
@@ -58,6 +61,11 @@ __all__ = [
 ]
 
 _ETA_MIN = 1e-8
+# the line search's step ladder: the full step, halved down to _ETA_MIN
+_STEPS = tuple(max(0.5**k, _ETA_MIN) for k in range(28))
+# projections _repair may spend on one point, the start or a line-search
+# candidate, before giving up: a safety net, not a step rule
+_MAX_PROJ = 1000
 # slack below which a grid constraint counts as active, so that the step
 # is taken within its face
 _ACTIVE_SLACK = 1e-9
@@ -172,7 +180,9 @@ def _repair(theta: np.ndarray, basis: np.ndarray, off: int, cap: int) -> tuple[n
 
     Returns (theta, projections used), or None once cap projections have
     not restored feasibility.  Alternating halfspace projections converge
-    here because gamma = 0 is strictly interior.
+    here because gamma = 0 is strictly interior.  The fitter passes one
+    cap, _MAX_PROJ, for its start and for each line-search candidate; a
+    candidate refused by the cap counts as a failed rung of the ladder.
     """
     used = 0
     while True:
@@ -327,7 +337,7 @@ def _secant_update(ascent: np.ndarray, s: np.ndarray, y: np.ndarray) -> np.ndarr
     else leaves the map untouched.
     """
     sy = float(s @ y)
-    if not math.isfinite(sy) or sy <= 1e-12 * float(np.linalg.norm(s) * np.linalg.norm(y)):
+    if not 0.0 < sy < math.inf:
         return ascent
     rho = 1.0 / sy
     hy = ascent @ y
@@ -354,9 +364,8 @@ def fit(variant: str, data: ItiSet, cfg: FitConfig | None = None) -> FitResult:
     n = data.n
 
     # the search point u shares its kernel slots with the packed vector,
-    # so repairs and faces act on it directly.  A cap this high is a
-    # safety net, not an expected path.
-    repaired = _repair(_initial_vector(variant, data, cfg), basis, off, 1000)
+    # so repairs and faces act on it directly
+    repaired = _repair(_initial_vector(variant, data, cfg), basis, off, _MAX_PROJ)
     if repaired is None:
         raise ArithmeticError("constraint repair did not terminate")
     u, n_proj = repaired
@@ -367,7 +376,6 @@ def fit(variant: str, data: ItiSet, cfg: FitConfig | None = None) -> FitResult:
     trace = [value]
     converged = False
     reason = "max iterations"
-    max_proj = spec.n_kernel_terms + 1
     refresh_at = 0
 
     for it in range(cfg.max_iters):
@@ -385,19 +393,23 @@ def fit(variant: str, data: ItiSet, cfg: FitConfig | None = None) -> FitResult:
         peak = float(np.max(np.abs(direction), initial=0.0))
         if peak > _DIR_CAP:
             direction *= _DIR_CAP / peak
-        prev_u = u
-        accepted, u, value, new_grad, new_scores, used = _backtrack(
-            u, value, direction, variant, data, basis, off, max_proj
-        )
-        if not accepted:
+        for eta in _STEPS:
+            repaired = _repair(u + eta * direction, basis, off, _MAX_PROJ)
+            if repaired is None:
+                continue
+            cand, used = repaired
+            cand_value, cand_grad, cand_scores = _search_objective(cand, variant, data)
+            if cand_value is not None and cand_value.objective >= value.objective:
+                break
+        else:
             reason = "line search failed"
             break
-        grad, scores = new_grad, new_scores
         n_proj += used
         # Secant update keeps the map tracking the local curvature
         # between rebuilds; steps that fail its positivity condition
         # (projected, or crossing a convex patch) are skipped.
-        ascent = _secant_update(ascent, u - prev_u, scaled - grad / n)
+        ascent = _secant_update(ascent, cand - u, scaled - cand_grad / n)
+        u, value, grad, scores = cand, cand_value, cand_grad, cand_scores
         trace.append(value)
 
     a, b, c, gamma = _decode(u, spec)
@@ -413,32 +425,3 @@ def fit(variant: str, data: ItiSet, cfg: FitConfig | None = None) -> FitResult:
         data_digest=data.digest,
     )
 
-
-def _backtrack(
-    u: np.ndarray,
-    value: ObjectiveValue,
-    direction: np.ndarray,
-    variant: str,
-    data: ItiSet,
-    basis: np.ndarray,
-    off: int,
-    max_proj: int,
-):
-    """Halve the step from the full one until a feasible candidate
-    improves the objective.
-
-    Works in search coordinates (see _search_objective).  Returns
-    (accepted, u, value, grad, scores, n_projections); a rejected
-    search hands back the incoming point with grad and scores None.
-    """
-    eta = 1.0
-    while True:
-        repaired = _repair(u + eta * direction, basis, off, max_proj)
-        if repaired is not None:
-            cand, used = repaired
-            cand_value, cand_grad, cand_scores = _search_objective(cand, variant, data)
-            if cand_value is not None and cand_value.objective >= value.objective:
-                return True, cand, cand_value, cand_grad, cand_scores, used
-        if eta <= _ETA_MIN:
-            return False, u, value, None, None, 0
-        eta = max(eta / 2.0, _ETA_MIN)

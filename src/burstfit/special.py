@@ -148,6 +148,53 @@ def _transformed_series(p: float, q: float, w: np.ndarray) -> np.ndarray:
     return res
 
 
+# From this q on, the Gamma ratio Gamma(p+q)/Gamma(q) and the digamma gap
+# psi(p+q) - psi(q) of the asymptotic regime come from Stirling's series
+# (_gamma_ratio).  It sits above every q (at most 199.4) at which cold
+# M1-M5 fits of simulated M3 kernel data, heavy-tail M2 data and the
+# acceptance tests' criterion-3 data had an asymptotic pass answered, so
+# none of those fits changes.
+_STIRLING_Q = 256.0
+
+
+def _gamma_ratio(p: float, q: float) -> tuple[float, float, float]:
+    """(lead, tail, gap) with log Gamma(p+q)/Gamma(q) = lead - tail and
+    psi(p+q) - psi(q) = gap.
+
+    Below _STIRLING_Q, lead and tail are log_gamma(p + q) and log_gamma(q),
+    and gap the difference of their digammas.  Each pair is two nearly
+    equal numbers of size q log q, so their difference loses the digits
+    they share, and at q >> p the sum p + q rounds p away: at q = 1e12
+    log F was off by up to 2e-3.  lead and tail are handed back apart, not
+    subtracted, so that below _STIRLING_Q log F rounds as it always has.
+    From _STIRLING_Q on, both come from p and q apart (DLMF 5.11.1,
+    5.11.2), with tail = 0:
+
+        lead = (q - 1/2) log1p(p/q) + p log(q+p) - p + S(q+p) - S(q),
+        gap = log1p(p/q) + p / (2 q (q+p)) - T(q+p) + T(q),
+
+    with S(z) = 1/(12z) - 1/(360z^3) + 1/(1260z^5) and T(z) = 1/(12z^2) -
+    1/(120z^4) + 1/(252z^6) the Stirling tails of log Gamma and psi; at
+    z >= 256 the terms they leave out are below 1e-20 of the ratio and of
+    the gap.
+    """
+    if q < _STIRLING_Q:
+        return log_gamma(p + q), log_gamma(q), digamma(p + q) - digamma(q)
+
+    def tails(x: float) -> tuple[float, float]:
+        inv2 = 1.0 / (x * x)
+        return (
+            (1.0 / 12.0 - inv2 * (1.0 / 360.0 - inv2 / 1260.0)) / x,
+            inv2 * (1.0 / 12.0 - inv2 * (1.0 / 120.0 - inv2 / 252.0)),
+        )
+
+    z = q + p
+    (s_z, t_z), (s_q, t_q) = tails(z), tails(q)
+    shift = math.log1p(p / q)
+    lead = (q - 0.5) * shift + p * math.log(z) - p + (s_z - s_q)
+    return lead, 0.0, shift + p / (2.0 * q * z) - (t_z - t_q)
+
+
 def _asym_1f1_neg(p: float, q: float, w: np.ndarray) -> np.ndarray:
     """Asymptotic form of 1F1(p, p+q; -w) and its log derivatives for large w.
 
@@ -207,14 +254,15 @@ def _asym_1f1_neg(p: float, q: float, w: np.ndarray) -> np.ndarray:
         )
     log_w = np.log(w)
     psi_s = digamma(p + q)
-    log_power = np.log(total) + log_gamma(p + q) - log_gamma(q) - p * log_w
+    lead, tail, gap = _gamma_ratio(p, q)
+    log_power = np.log(total) + lead - tail - p * log_w
     log_f = np.logaddexp(log_power, -w)
     share = np.exp(log_power - log_f)
     return np.array(
         [
             log_f,
             share * (psi_s - log_w + sums[0] / total),
-            share * (psi_s - digamma(q) + sums[1] / total),
+            share * (gap + sums[1] / total),
             share * (p + sums[2] / total) / w + np.exp(-w - log_f),
         ]
     )
@@ -264,12 +312,17 @@ def kummer_1f1(a: float, b: float, z: float | np.ndarray) -> float | np.ndarray:
     is implemented; any z > 0 raises ValueError.
 
     Against 40-digit mpmath, the 28 frozen values of the tests are within
-    6e-15 relative and the 84 frozen derivative-table values within 3e-14.
-    Large shapes fare worse in the asymptotic regime: on a 1152-point grid
-    (a in geomspace(1.5, 1000, 16), b - a in {0.1, 0.37, 0.5, 1, 2, 5, 20,
-    100}, -z from 300.5 to 1e4) 831 values are returned, 27 of them with
-    log 1F1 off by more than 5e-13, the worst by 1.1e-9 (a = 272.4,
-    b - a = 0.37, z = -400).  Where neither regime settles,
+    5.3e-15 relative, and the four values of each of the 84 frozen
+    derivative-table rows within 4.3e-15.  Large a fares worse in the
+    asymptotic regime: on a 1152-point grid (a in geomspace(1.5, 1000,
+    16), b - a in {0.1, 0.37, 0.5, 1, 2, 5, 20, 100}, -z from 300.5 to
+    1e4) 831 values are returned, 27 of them with log 1F1 off by more than
+    5e-13, the worst by 1.1e-9 (a = 272.4, b - a = 0.37, z = -400).  Large
+    b - a keeps its digits: from b - a = 256 on, the Gamma ratio comes
+    from Stirling's series, and on 31 frozen rows with b - a from 1e3 to
+    8.4e15 and -z from 10(b - a) up, log 1F1 is within 3e-15 of
+    max(1, |log 1F1|) (it was off by 2e-3 at b - a = 1e12 when the ratio
+    was a difference of log-gammas).  Where neither regime settles,
     PrecisionLossError is raised.
     """
     a = _require_finite("a", a)

@@ -14,6 +14,7 @@ import burstfit
 from burstfit.cli import main
 from burstfit.fit import (
     _CURV_FLOOR,
+    _MAX_PROJ,
     FitConfig,
     FitResult,
     _ascent_map,
@@ -22,6 +23,7 @@ from burstfit.fit import (
     _initial_vector,
     _repair,
     _search_objective,
+    _secant_update,
     default_constraint_grid,
     fit,
 )
@@ -195,7 +197,7 @@ def _repaired(vec, variant):
     """The fitter's repair of a packed vector on the default grid's basis."""
     spec = VARIANTS[variant]
     basis = _grid_basis(spec)
-    return _repair(vec, basis, spec.gamma_offset, spec.n_kernel_terms + 1)
+    return _repair(vec, basis, spec.gamma_offset, _MAX_PROJ)
 
 
 def test_project_restores_single_constraint():
@@ -403,6 +405,31 @@ def test_fit_gives_up_after_one_failed_line_search(tmp_path, monkeypatch):
     assert len(calls) - 1 - last <= 28
 
 
+# Cold M1-M3 objectives on the seed 100-102 data of
+# test_fit_m1_m3_optima_hold: each fit ends on the gradient test.
+_SEED_OPTIMA = {
+    100: {"M1": -2091.296020328962, "M2": -2068.8816971253937, "M3": -1988.748118446188},
+    101: {"M1": -2028.2549861676343, "M2": -2015.9011729973531, "M3": -1935.3646457365958},
+    102: {"M1": -2285.148140018521, "M2": -2264.2359073657517, "M3": -2165.474796119818},
+}
+
+
+@pytest.mark.parametrize("seed", sorted(_SEED_OPTIMA))
+def test_fit_m1_m3_optima_hold(tmp_path, seed):
+    """The M1-M3 optima are single, smooth maxima: a change to the step
+    rules or to the last bits of the likelihood may change the path and
+    the pass count, but not where these fits end (within 1e-6 nats)."""
+    path = tmp_path / "events.txt"
+    assert main(["simulate", "--variant", "M3", "--a", "0.7", "--rho", "8",
+                 "--gamma", "0,0,-0.3,-0.4,-0.26,0,0,0", "--events", "2000",
+                 "--seed", str(seed), "--out", str(path)]) == 0
+    data = compute_itis(load_timestamps(path))
+    for variant, want in _SEED_OPTIMA[seed].items():
+        res = fit(variant, data)
+        assert res.reason == "gradient tolerance", variant
+        assert res.objective == pytest.approx(want, rel=0.0, abs=1e-6), variant
+
+
 def test_fit_poisson_m2_reaches_m1_cold():
     """Poisson intervals fitted cold with M2 used to drive b towards zero
     and end "line search failed", 858 nats below M1, which M2 contains.
@@ -584,6 +611,43 @@ def test_seed_jitter_is_deterministic_in_search_coordinates():
     start = ModelParams(a=0.9, b=1.3, c=0.2)
     given = _initial_vector("M2", data, FitConfig(seed=4, init_params=start))
     np.testing.assert_allclose(given, [math.log(0.9), math.log(1.3), 0.2], rtol=1e-15)
+
+
+def _spd_map(rng, n):
+    q = rng.normal(size=(n, n))
+    h = q @ q.T + 0.5 * np.eye(n)
+    return 0.5 * (h + h.T)
+
+
+def test_secant_update_meets_the_secant_condition():
+    """Where 0 < s.y < inf the updated map is symmetric, positive definite
+    and maps y to s (Nocedal & Wright, 2nd ed., section 6.1)."""
+    rng = np.random.default_rng(40)
+    for _ in range(20):
+        ascent = _spd_map(rng, 6)
+        s, y = rng.normal(size=6), rng.normal(size=6)
+        if s @ y < 0.0:
+            y = -y
+        out = _secant_update(ascent, s, y)
+        np.testing.assert_array_equal(out, out.T)
+        assert np.linalg.eigvalsh(out).min() > 0.0
+        assert np.linalg.norm(out @ y - s) <= 1e-12 * np.linalg.norm(s)
+
+
+def test_secant_update_skips_a_step_without_positive_curvature():
+    """s.y <= 0, NaN or +-inf: the map is handed back untouched."""
+    rng = np.random.default_rng(41)
+    ascent = _spd_map(rng, 4)
+    y = np.array([1.0, -2.0, 0.5, 3.0])
+    cases = [
+        np.array([2.0, 1.0, 0.0, 0.0]),  # s.y = 0
+        -y,  # s.y < 0
+        np.array([np.nan, 0.0, 0.0, 0.0]),
+        np.array([np.inf, 0.0, 1.0, 1.0]),  # s.y = +inf
+        np.array([-np.inf, 0.0, 1.0, 1.0]),  # s.y = -inf
+    ]
+    for s in cases:
+        assert _secant_update(ascent, s, y) is ascent, s
 
 
 def test_curvature_comes_from_the_scores_of_the_pass_in_hand(monkeypatch):

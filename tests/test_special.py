@@ -5,8 +5,8 @@ check it against.
 
 Reference values in _KUMMER_TABLE and _SHAPE_DERIVATIVE_TABLE were
 computed offline with mpmath at 40 significant digits, those in
-_TINY_B_TABLE at 25 + log10((a+b)/b) + 10 digits, and are frozen here as
-literals.
+_TINY_B_TABLE at 25 + log10((a+b)/b) + 10 digits, those in
+_LARGE_Q_TABLE at 50 digits, and are frozen here as literals.
 """
 
 import math
@@ -392,6 +392,58 @@ def test_series_pass_answers_with_b_below_an_ulp_of_a_plus_one(a, b, w, log_f, d
     assert [float(g[0]) for g in got] == pytest.approx(
         [log_f, d_a, d_b, ratio], rel=1e-10, abs=0.0
     )
+
+
+# (p, q, w, log F, d/dq log F) for F = 1F1(p, p+q; -w) at large q, where
+# the asymptotic regime takes the Gamma ratio from Stirling's series.
+# Frozen from mpmath's hyp1f1 at 50 digits (d_q by mpmath.diff), agreeing
+# to at least 42 digits with 70.  log_gamma(p + q) - log_gamma(q) put log F
+# off by 1.1e-12 at q = 1e3, 1.8e-3 at 1e12 and 36.7 at the last row, a
+# point a fit reached with its direction cap removed; d_q was off by 5e-13
+# relative at 1e3 and by 100% at 1e15.
+_LARGE_Q_TABLE = [
+    (1.7, 1e3, 1e4, -4.0756916043305933, 0.0015448304435966183),
+    (1.7, 1e3, 1e5, -7.8450935095085346, 0.0016825734052890182),
+    (1.7, 1e3, 1e6, -11.744286666703518, 0.0016977071699654556),
+    (1.7, 1e6, 1e7, -4.0764212331789366, 1.5454539208870179e-6),
+    (1.7, 1e6, 1e8, -7.8457042670236733, 1.6831677214449858e-6),
+    (1.7, 1e6, 1e9, -11.744882528140101, 1.6983011032981918e-6),
+    (1.7, 1e9, 1e10, -4.0764219630266513, 1.5454545448299774e-9),
+    (1.7, 1e9, 1e11, -7.8457048780185342, 1.683168316236296e-9),
+    (1.7, 1e9, 1e12, -11.744883124239179, 1.6983016977066943e-9),
+    (1.7, 1e12, 1e13, -4.0764219637564992, 1.5454545454539208e-12),
+    (1.7, 1e12, 1e14, -7.8457048786295293, 1.6831683168310877e-12),
+    (1.7, 1e12, 1e15, -11.744883124835278, 1.6983016983011033e-12),
+    (1.7, 1e15, 1e16, -4.0764219637572291, 1.5454545454545448e-15),
+    (1.7, 1e15, 1e17, -7.8457048786301402, 1.6831683168316825e-15),
+    (1.7, 1e15, 1e18, -11.744883124835874, 1.6983016983016977e-15),
+    (30.0, 1e3, 3e4, -102.58834763189697, 0.028605143993792184),
+    (30.0, 1e3, 1e5, -138.02257954214361, 0.029276292796161045),
+    (30.0, 1e3, 1e6, -206.83182939254406, 0.029543399608947818),
+    (30.0, 1e6, 3e7, -103.01918065496071, 2.9031822589199641e-5),
+    (30.0, 1e6, 1e8, -138.45318025806925, 2.9702535257962497e-5),
+    (30.0, 1e6, 1e9, -207.2622083542281, 2.9969594978091697e-5),
+    (30.0, 1e9, 3e10, -103.01961569907052, 2.9032257629032267e-8),
+    (30.0, 1e9, 1e11, -138.45361506998634, 2.970296986198209e-8),
+    (30.0, 1e9, 1e12, -207.26264294442712, 2.9970029535029486e-8),
+    (30.0, 1e12, 3e13, -103.0196161341189, 2.9032258064080645e-11),
+    (30.0, 1e12, 1e14, -138.45361550480253, 2.9702970296594655e-11),
+    (30.0, 1e12, 1e15, -207.26264337902159, 2.997002996959497e-11),
+    (30.0, 1e15, 3e16, -103.01961613455395, 2.9032258064515694e-14),
+    (30.0, 1e15, 1e17, -138.45361550523735, 2.9702970297029268e-14),
+    (30.0, 1e15, 1e18, -207.26264337945618, 2.9970029970029535e-14),
+    (1.00076, 8.36e15, 2.70e55, -91.042336695445422, 1.1970813397129188e-16),
+]
+
+
+@pytest.mark.parametrize("p,q,w,log_f,d_q", _LARGE_Q_TABLE)
+def test_asymptotic_pass_keeps_its_digits_at_large_q(p, q, w, log_f, d_q):
+    """log F within 1e-12 of max(1, |log F|), and never above 0, as F is
+    an average of exp(-w X); d_q within 1e-12 relative, as it is small."""
+    got = _log_beta_laplace(p, q, np.array([w]))[:, 0]
+    assert got[0] <= 0.0
+    assert abs(got[0] - log_f) <= 1e-12 * max(1.0, abs(log_f))
+    assert got[2] == pytest.approx(d_q, rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("a,b", [(0.7, 1.0), (1.7, 3.19), (0.3, 40.0)])
