@@ -23,7 +23,8 @@ kernel has decayed, and each round builds one kernel decay matrix and
 takes R and r from it.  Newton runs one block of _BLOCK targets at a
 time, so its working memory is O(_BLOCK x K) for K kernel terms plus
 O(n) vectors for n targets, and a block's roots do not depend on the
-other blocks.
+other blocks.  Each sampler judges r >= 0 on the table it samples from:
+the chain on its bin table, ``invert_R`` on its table of R.
 
 Timestamps are int64 milliseconds; a simulation whose events would lie
 beyond 2**62 ms is refused rather than wrapped.
@@ -46,7 +47,6 @@ from .model import (
     _rate_from_decay,
     _restore,
     refractory_eval,
-    refractory_integral,
 )
 
 __all__ = [
@@ -118,16 +118,6 @@ def _kernel_support_bins(kernel: RefractoryKernel, dt: float) -> int:
         return 0
     tau = math.log(total / _KERNEL_TAIL_EPS) / min(kernel.alpha)
     return max(1, math.ceil(tau / dt))
-
-
-def _check_feasible(kernel: RefractoryKernel) -> None:
-    """Reject kernels that go negative on a dense grid (R would not be
-    invertible)."""
-    if kernel.n == 0:  # the grid's span needs a slowest decay rate
-        return
-    grid = np.geomspace(1e-5, 20.0 / min(kernel.alpha), 600)
-    if refractory_eval(kernel, grid).min() < 0.0 or refractory_eval(kernel, 0.0) < 0.0:
-        raise ValueError("kernel is negative somewhere; params infeasible")
 
 
 def _thinned_jumps(x, envelope, r_table, r_max, beyond, rng):
@@ -305,7 +295,6 @@ def simulate_continuous(params: ModelParams, n_events: int, seed) -> np.ndarray:
     """
     if n_events < 1:
         raise ValueError("n_events must be >= 1")
-    _check_feasible(params.kernel)
     rng = np.random.default_rng(seed)
     x = rng.beta(params.a, params.b, size=n_events)
     # a Beta draw can underflow to exactly 0 for small shapes
@@ -330,7 +319,9 @@ def invert_R(kernel: RefractoryKernel, target):
     decay matrix for both R and r.  Accepts tau once |R(tau) - target|
     <= 1e-10 max(1, target).  A feasible kernel has r >= 0, and r is a
     nonzero analytic function of tau, so R is strictly increasing: it has
-    no plateau and the root is unique.
+    no plateau and the root is unique.  The table's decay matrix also
+    gives r on the table's grid, and a kernel with r < 0 anywhere there
+    is refused with ValueError, as R would not be invertible.
 
     The table and the bracket's slack are built once per call; Newton then
     runs on one block of _BLOCK targets at a time, so a round's decay
@@ -352,7 +343,10 @@ def invert_R(kernel: RefractoryKernel, target):
     grid = np.concatenate(
         ([0.0], np.geomspace(1e-6, _INVERSE_SPAN / min(kernel.alpha), _INVERSE_GRID))
     )
-    table = refractory_integral(kernel, grid)
+    decay = _decay_matrix(al, grid)
+    if _rate_from_decay(g, decay).min() < 0.0:
+        raise ValueError("kernel is negative somewhere; params infeasible")
+    table = _integral_from_decay(g, al, grid, decay)
     tau = np.empty_like(t)
     for i in range(0, t.size, _BLOCK):
         tb = t[i : i + _BLOCK]

@@ -2,7 +2,8 @@
 
 No command, fit, sampler or benchmark calls these, so they live beside
 the tests rather than in ``burstfit``: the rate-nonnegativity check on a
-grid of times, the packed-vector codec criterion 2 takes its central
+grid of times, the continuous sampler's former 601-point feasibility
+rule, the packed-vector codec criterion 2 takes its central
 differences in, the chain's intervals at full grid resolution
 (criterion 5), the log-binned slope estimator of criterion 1, and the
 power-law tail that bounds criterion 6's remaining mass.  Each is built
@@ -24,6 +25,7 @@ from burstfit.model import (
     _decay_matrix,
     _restore,
     _variant_spec,
+    refractory_eval,
 )
 from burstfit.simulate import SimConfig, _run_chain
 from burstfit.special import log_gamma
@@ -36,6 +38,14 @@ def feasible(kernel: RefractoryKernel, grid) -> tuple[bool, int | None]:
     """
     grid = np.asarray(grid, dtype=float)
     return _basis_feasible(_decay_matrix(kernel.alpha, grid), np.asarray(kernel.gamma))
+
+
+def continuous_grid_feasible(kernel: RefractoryKernel) -> bool:
+    """The feasibility rule simulate_continuous applied before invert_R
+    judged r >= 0 on its own table: r at 0 and at 600 log points from
+    1e-5 s to 20 / min alpha, dust clamped."""
+    grid = np.geomspace(1e-5, 20.0 / min(kernel.alpha), 600)
+    return not (refractory_eval(kernel, grid).min() < 0.0 or refractory_eval(kernel, 0.0) < 0.0)
 
 
 def params_to_vector(params: ModelParams) -> np.ndarray:

@@ -405,6 +405,20 @@ def test_fit_gives_up_after_one_failed_line_search(tmp_path, monkeypatch):
     assert len(calls) - 1 - last <= 28
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 12: cold M4 on seed 100 stalls on the b ridge")
+def test_fit_kernel_child_leaves_the_b_ridge_cold(tmp_path):
+    """Cold M4 on the seed-100 data of the test above should end on the
+    gradient test, not stalled on the b ridge at b = 182.4 after 292
+    passes."""
+    path = tmp_path / "events.txt"
+    assert main(["simulate", "--variant", "M3", "--a", "0.7", "--rho", "8",
+                 "--gamma", "0,0,-0.3,-0.4,-0.26,0,0,0", "--events", "2000",
+                 "--seed", "100", "--out", str(path)]) == 0
+    res = fit("M4", compute_itis(load_timestamps(path)))
+    assert res.reason != "line search failed"
+
+
 # Cold M1-M3 objectives on the seed 100-102 data of
 # test_fit_m1_m3_optima_hold: each fit ends on the gradient test.
 _SEED_OPTIMA = {
@@ -473,12 +487,28 @@ def test_fit_kernel_child_reaches_its_parent_cold(tmp_path):
     assert m4.objective >= m3.objective - 0.5
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 1: cold M4 ends below cold M3 on seed 103")
+def test_fit_kernel_child_reaches_its_parent_cold_on_seed_103(tmp_path):
+    """Nesting from cold starts: M4 contains M3, so cold M4 should end no
+    lower than cold M3.  On seed 103 it ends at -1971.0352 against M3's
+    -1970.5826."""
+    path = tmp_path / "events.txt"
+    assert main(["simulate", "--variant", "M3", "--a", "0.7", "--rho", "8",
+                 "--gamma", "0,0,-0.3,-0.4,-0.26,0,0,0", "--events", "2000",
+                 "--seed", "103", "--out", str(path)]) == 0
+    data = compute_itis(load_timestamps(path))
+    assert fit("M4", data).objective >= fit("M3", data).objective - 1e-6
+
+
 def test_fit_kernel_curvature_makes_no_passes_of_its_own(tmp_path, monkeypatch):
     """Cold M3 on the seed-121 data above: the curvature map is built from
     the scores of a pass already made, so no likelihood pass runs while
     _ascent_map does, and every pass after the start is a line search
-    candidate.  The fit takes 31.  Forward-difference probes, one pass per
-    coordinate at every curvature refresh, made it 48."""
+    candidate.  The fit takes 31 passes; forward-difference probes, one
+    pass per coordinate at every curvature refresh, made it 48.  The count
+    is not bounded here: it took 30 to 37 under last-bit variants of the
+    likelihood, and the property it stood for is asserted directly."""
     path = tmp_path / "events.txt"
     assert main(["simulate", "--variant", "M3", "--a", "0.7", "--rho", "8",
                  "--gamma", "0,0,-0.3,-0.4,-0.26,0,0,0", "--events", "2000",
@@ -498,7 +528,6 @@ def test_fit_kernel_curvature_makes_no_passes_of_its_own(tmp_path, monkeypatch):
     monkeypatch.setattr(fit_module, "_ascent_map", watched)
     assert fit("M3", data).converged
     assert during and not any(during), during
-    assert len(calls) <= 36
 
 
 @pytest.mark.parametrize("seed", [108, 111])

@@ -105,6 +105,7 @@ def test_each_module_imports_alone(name):
         ("burstfit.simulate", "discrete_intervals"),
         ("burstfit.io", "fit_log_slope"),
         ("burstfit.fit", "feasible"),
+        ("burstfit.simulate", "_check_feasible"),
     ],
 )
 def test_removed_helpers_stay_removed(module, name):

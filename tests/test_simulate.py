@@ -28,7 +28,7 @@ from burstfit.simulate import (
     simulate_discrete,
 )
 from burstfit.special import kummer_1f1
-from oracles import discrete_intervals
+from oracles import continuous_grid_feasible, discrete_intervals
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -403,6 +403,35 @@ def test_discrete_and_continuous_samplers_agree():
 
 def test_invert_R_identity_without_kernel():
     assert invert_R(RefractoryKernel.none(), 3.7) == pytest.approx(3.7, rel=1e-12)
+
+
+def test_invert_R_refuses_a_kernel_negative_on_its_table():
+    """gamma = -2 at 50 ms gives r(0) = -1, so R falls before it rises and
+    has no inverse."""
+    with pytest.raises(ValueError, match="infeasible"):
+        invert_R(RefractoryKernel.log_spaced([-2.0]), 0.01)
+
+
+def test_invert_R_refuses_every_bank_the_dense_grid_refuses():
+    """invert_R judges r >= 0 on its own table, not on the 601 points the
+    continuous sampler once checked; it must refuse every bank that rule
+    refused.  Per bank, z_k ~ N(0, 1) and u ~ U(-0.25, 0.75), and
+    gamma = z - mean(z) + (u - 1)/n, so r(0) = u: about a quarter of the
+    banks are negative at 0, and some others dip below 0 further on."""
+    rng = np.random.default_rng(41)
+    for n in (8, 12):
+        refused = inside = 0
+        for _ in range(300):
+            z = rng.normal(0.0, 1.0, n)
+            u = rng.uniform(-0.25, 0.75)
+            kernel = RefractoryKernel.log_spaced(z - z.mean() + (u - 1.0) / n)
+            if continuous_grid_feasible(kernel):
+                continue
+            refused += 1
+            inside += refractory_eval(kernel, 0.0) >= 0.0
+            with pytest.raises(ValueError, match="infeasible"):
+                invert_R(kernel, 1.0)
+        assert 0 < refused < 300 and inside > 0, (n, refused, inside)
 
 
 def test_invert_R_frozen_single_term_value():
