@@ -17,7 +17,9 @@ constraint is a halfspace in the kernel slots, which the search
 coordinates share with the packed vector, so a violated iterate is
 repaired by orthogonal projection onto the most violated hyperplane
 (repeated if needed), at the start and for every line-search candidate
-alike, with one cap on the projections, _MAX_PROJ.
+alike, with one cap on the projections, _MAX_PROJ.  _repair forms the
+grid rate once per point and hands it on as the point's slack, from
+which the step reads the walls the point sits on.
 
 Each step is the full curvature-mapped (quasi-Newton) step within the
 face of the walls (grid constraints at zero rate) the iterate sits on:
@@ -77,7 +79,9 @@ _CURV_FLOOR = 1e-8
 # this a curvature solve is extrapolating far outside its own region
 _DIR_CAP = 10.0
 
-_CONFIG_KEYS = ("max_iters", "grad_tol", "seed")
+# config file key: (FitConfig field, parser of its value)
+_CONFIG_KEYS = {"max_iters": ("max_iters", int), "grad_tol": ("grad_tolerance", float),
+                "seed": ("seed", int)}
 
 
 def default_constraint_grid() -> np.ndarray:
@@ -139,14 +143,10 @@ class FitConfig:
                         + ", ".join(_CONFIG_KEYS)
                     )
                 raw[key] = value.strip()
-        kwargs: dict = {}
+        # every key is checked above before any value is parsed here
         try:
-            if "max_iters" in raw:
-                kwargs["max_iters"] = int(raw["max_iters"])
-            if "grad_tol" in raw:
-                kwargs["grad_tolerance"] = float(raw["grad_tol"])
-            if "seed" in raw:
-                kwargs["seed"] = int(raw["seed"])
+            kwargs = {field: parse(raw[key])
+                      for key, (field, parse) in _CONFIG_KEYS.items() if key in raw}
         except ValueError as exc:
             raise ValueError(f"{path}: bad numeric value ({exc})") from None
         return cls(**kwargs)
@@ -164,35 +164,31 @@ def _grid_basis(spec: VariantSpec) -> np.ndarray:
     return _decay_matrix(spec.alpha, np.concatenate(([0.0], default_constraint_grid())))
 
 
-def _basis_feasible(basis: np.ndarray, gamma: np.ndarray) -> tuple[bool, int | None]:
-    """Is the rate 1 + basis @ gamma nonnegative at every row of the basis
-    exp(-alpha_k t_i)?  (True, None), or (False, index of the most violated
-    row); no rows, no violation.  Unclamped: the constraint keeps its own
-    exact-zero test, not model._rate_from_decay's dust clamp."""
-    rate = 1.0 + basis @ gamma
-    if rate.min(initial=0.0) >= 0.0:
-        return True, None
-    return False, int(np.argmin(rate))
-
-
-def _repair(theta: np.ndarray, basis: np.ndarray, off: int, cap: int) -> tuple[np.ndarray, int] | None:
+def _repair(
+    theta: np.ndarray, basis: np.ndarray, off: int
+) -> tuple[np.ndarray, np.ndarray, int] | None:
     """Project onto most-violated hyperplanes until all are satisfied.
 
-    Returns (theta, projections used), or None once cap projections have
-    not restored feasibility.  Alternating halfspace projections converge
-    here because gamma = 0 is strictly interior.  The fitter passes one
-    cap, _MAX_PROJ, for its start and for each line-search candidate; a
-    candidate refused by the cap counts as a failed rung of the ladder.
+    Returns (theta, slack, projections used), slack the rate at every
+    basis row, all nonnegative: the walls _face_step reads, computed
+    here alone and unclamped (an exact-zero test, not the dust clamp of
+    model._rate_from_decay).  Returns None, the one refusal of a repair,
+    once _MAX_PROJ projections have not restored feasibility: a refused
+    start ends the fit, a refused candidate is a failed rung of the
+    ladder.  Alternating halfspace projections converge here because
+    gamma = 0 is strictly interior.
     """
     used = 0
     while True:
-        ok, worst = _basis_feasible(basis, theta[off:])
-        if ok:
-            return theta, used
-        if used == cap:
-            return None
-        w = basis[worst]
         gamma = theta[off:]
+        slack = 1.0 + basis @ gamma
+        if slack.min(initial=0.0) >= 0.0:
+            return theta, slack, used
+        if used == _MAX_PROJ:
+            return None
+        w = basis[int(np.argmin(slack))]
+        # the row's own dot product, not slack's entry, which the matrix
+        # product rounds otherwise: the fits keep their last bits
         excess = 1.0 + float(w @ gamma)
         theta = theta.copy()
         theta[off:] = gamma - (excess / float(w @ w)) * w
@@ -276,22 +272,23 @@ def _search_objective(
 
 
 def _face_step(
-    ascent: np.ndarray, grad: np.ndarray, theta: np.ndarray, basis: np.ndarray, off: int
+    ascent: np.ndarray, grad: np.ndarray, slack: np.ndarray, basis: np.ndarray, off: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """The quasi-Newton step within the face of the active walls.
 
     Maximizes g.d - d.H^-1.d / 2 subject to A d >= 0, with H the ascent
-    map and A the rows of the walls the iterate sits on.  Holding every
-    wall gives multipliers mu = -(A H A')^-1 A H g; the wall with the most
-    negative one is pulled away from, not pushed against, so it is
-    released and the rest solved again.  Returns (free, direction), with
-    free = g + A' mu, the gradient the walls leave (zero at a boundary
-    optimum), and direction = H free, which keeps A d = 0 on the walls
-    held.
+    map and A the rows of the walls the iterate sits on: those where its
+    slack, the grid rate _repair returned with it, is at most
+    _ACTIVE_SLACK.  Holding every wall gives multipliers
+    mu = -(A H A')^-1 A H g; the wall with the most negative one is pulled
+    away from, not pushed against, so it is released and the rest solved
+    again.  Returns (free, direction), with free = g + A' mu, the
+    gradient the walls leave (zero at a boundary optimum), and direction
+    = H free, which keeps A d = 0 on the walls held.
     """
-    rows = basis[1.0 + basis @ theta[off:] <= _ACTIVE_SLACK]
+    rows = basis[slack <= _ACTIVE_SLACK]
     while rows.shape[0]:
-        a = np.zeros((rows.shape[0], theta.size))
+        a = np.zeros((rows.shape[0], grad.size))
         a[:, off:] = rows
         ha = ascent @ a.T
         mu = -np.linalg.lstsq(a @ ha, ha.T @ grad, rcond=None)[0]
@@ -365,10 +362,10 @@ def fit(variant: str, data: ItiSet, cfg: FitConfig | None = None) -> FitResult:
 
     # the search point u shares its kernel slots with the packed vector,
     # so repairs and faces act on it directly
-    repaired = _repair(_initial_vector(variant, data, cfg), basis, off, _MAX_PROJ)
+    repaired = _repair(_initial_vector(variant, data, cfg), basis, off)
     if repaired is None:
         raise ArithmeticError("constraint repair did not terminate")
-    u, n_proj = repaired
+    u, slack, n_proj = repaired
     value, grad, scores = _search_objective(u, variant, data)
     if value is None:
         raise ValueError("initial parameters are outside the model domain")
@@ -383,7 +380,7 @@ def fit(variant: str, data: ItiSet, cfg: FitConfig | None = None) -> FitResult:
         if it >= refresh_at:
             ascent = _ascent_map(scores, spec, data)
             refresh_at = max(10, it * 2)
-        free, direction = _face_step(ascent, scaled, u, basis, off)
+        free, direction = _face_step(ascent, scaled, slack, basis, off)
         tol = cfg.grad_tolerance
         if np.max(np.abs(free)) < tol and free @ direction < 2.0 * tol * tol:
             converged = True
@@ -394,10 +391,10 @@ def fit(variant: str, data: ItiSet, cfg: FitConfig | None = None) -> FitResult:
         if peak > _DIR_CAP:
             direction *= _DIR_CAP / peak
         for eta in _STEPS:
-            repaired = _repair(u + eta * direction, basis, off, _MAX_PROJ)
+            repaired = _repair(u + eta * direction, basis, off)
             if repaired is None:
                 continue
-            cand, used = repaired
+            cand, cand_slack, used = repaired
             cand_value, cand_grad, cand_scores = _search_objective(cand, variant, data)
             if cand_value is not None and cand_value.objective >= value.objective:
                 break
@@ -409,7 +406,7 @@ def fit(variant: str, data: ItiSet, cfg: FitConfig | None = None) -> FitResult:
         # between rebuilds; steps that fail its positivity condition
         # (projected, or crossing a convex patch) are skipped.
         ascent = _secant_update(ascent, cand - u, scaled - cand_grad / n)
-        u, value, grad, scores = cand, cand_value, cand_grad, cand_scores
+        u, slack, value, grad, scores = cand, cand_slack, cand_value, cand_grad, cand_scores
         trace.append(value)
 
     a, b, c, gamma = _decode(u, spec)

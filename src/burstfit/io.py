@@ -32,7 +32,6 @@ import math
 import os
 import stat
 import sys
-import tempfile
 from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
@@ -163,13 +162,14 @@ def _is_header(raw: bytes) -> bool:
 # of its own bytes and of its own line count, so ingest memory beyond the
 # int64 result does not grow with the file.
 _PARSE_BLOCK = 1 << 20
-# Widest line the grammar takes.  Horner's rule folds at most 18 digit
-# bytes within int64 (57 * (10**18 - 1) / 9 < 2**63), so a 19-digit line
-# folds its last 18 and adds its top digit times 10**18, up to 2**63 - 1.
+# Widest line the grammar takes.  Horner's rule folds a line's digit
+# bytes in uint64, which wraps mod 2**64, and then subtracts what its "0"
+# bytes added, mod 2**64 too.  The result is the value mod 2**64, and 19
+# digits stay below 10**19 < 2**64, so it is the value itself: one that
+# passes 2**63 - 1 reads as a negative int64.
 _MAX_DIGITS = 19
-_TOP9_REST_MAX = 2**63 - 1 - 9 * 10**18
-# What w bytes of "0" add to the value of w digit bytes under Horner's rule
-_ZERO_BYTES = [48 * (10**w - 1) // 9 for w in range(_MAX_DIGITS)]
+# What w bytes of "0" add to the value of w digit bytes, mod 2**64
+_ZERO_BYTES = [48 * (10**w - 1) // 9 % 2**64 for w in range(_MAX_DIGITS + 1)]
 
 
 def _digit_lines(b: np.ndarray) -> np.ndarray | int:
@@ -202,26 +202,20 @@ def _digit_lines(b: np.ndarray) -> np.ndarray | int:
         widths[crlf] -= 1
     starts = ends - widths
     del ends
-    over = widths > _MAX_DIGITS
-    values = np.empty(widths.size, np.int64)
+    values = np.zeros(widths.size, np.int64)
     counts = np.bincount(widths)
+    ten = np.uint64(10)  # a uint64 scalar keeps numpy 1.x's arithmetic in uint64
     for w in np.flatnonzero(counts[1 : _MAX_DIGITS + 1]) + 1:
         rows = np.flatnonzero(widths == w)
         pos = starts[rows]
-        if w == _MAX_DIGITS:
-            top = b[pos].astype(np.int64) - 48
+        acc = b[pos].astype(np.uint64)
+        for _ in range(w - 1):
             pos += 1
-        fold = min(w, _MAX_DIGITS - 1)
-        acc = b[pos].astype(np.int64)
-        for _ in range(fold - 1):
-            pos += 1
-            acc *= 10
+            acc *= ten
             acc += b[pos]
-        acc -= _ZERO_BYTES[fold]
-        if w == _MAX_DIGITS:
-            over[rows] = (top == 9) & (acc > _TOP9_REST_MAX)
-            acc += top * 10**18
-        values[rows] = acc
+        acc -= np.uint64(_ZERO_BYTES[w])
+        values[rows] = acc.view(np.int64)
+    over = (widths > _MAX_DIGITS) | (values < 0)
     if over.any():
         return int(starts[np.argmax(over)])
     return values[widths > 0] if counts[0] else values
@@ -390,29 +384,29 @@ def log_binned_histogram(data: ItiSet, bins_per_decade: int = 8) -> LogBinnedHis
     return LogBinnedHistogram(edges=edges, counts=counts, densities=densities, n_total=n_total)
 
 
-def _open_mode(path: Path) -> int:
-    """The mode open(path, "w") leaves: the existing file's, else 0666
-    less the umask.  mkstemp alone would leave 0600."""
-    try:
-        return stat.S_IMODE(os.stat(path).st_mode)
-    except FileNotFoundError:
-        mask = os.umask(0)
-        os.umask(mask)
-        return 0o666 & ~mask
-
-
 def write_atomic(path, content: str | Iterable[str]) -> None:
     """Write via a temp file and rename, so readers never see partials.
 
     content is one string, or an iterable of strings written in order;
     an iterable is consumed as it is written, so a generator streams a
-    large file without holding its whole text.
+    large file without holding its whole text.  The file gets the mode
+    open(path, "w") leaves: an existing target's, else 0666 less the
+    umask, which the kernel applies when the temp file is created.
     """
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
+    while True:
+        tmp = path.with_name(f".{path.name}.{os.urandom(6).hex()}")
+        try:
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            break
+        except FileExistsError:
+            continue
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            os.chmod(tmp, _open_mode(path))
+            try:
+                os.chmod(tmp, stat.S_IMODE(os.stat(path).st_mode))
+            except FileNotFoundError:
+                pass
             fh.writelines([content] if isinstance(content, str) else content)
         os.replace(tmp, path)
     except BaseException:

@@ -2,22 +2,24 @@
 
 No command, fit, sampler or benchmark calls these, so they live beside
 the tests rather than in ``burstfit``: the rate-nonnegativity check on a
-grid of times, the continuous sampler's former 601-point feasibility
-rule, the packed-vector codec criterion 2 takes its central
-differences in, the chain's intervals at full grid resolution
-(criterion 5), the log-binned slope estimator of criterion 1, and the
-power-law tail that bounds criterion 6's remaining mass.  Each is built
-on the package's own private pieces, so it computes what the package
-would.
+grid of times, a line-by-line parse of the timestamp grammar, the
+continuous sampler's former 601-point feasibility rule, the
+packed-vector codec criterion 2 takes its central differences in, the
+chain's intervals at full grid resolution (criterion 5), the log-binned
+slope estimator of criterion 1, and the power-law tail that bounds
+criterion 6's remaining mass.  Where one is built on the package's own
+private pieces, it computes what the package would.
 """
 
 from __future__ import annotations
 
+import re
+from io import BytesIO
+
 import numpy as np
 
 from beta_oracle import log_beta
-from burstfit.fit import _basis_feasible
-from burstfit.io import LogBinnedHistogram
+from burstfit.io import EventTrain, LogBinnedHistogram
 from burstfit.model import (
     ModelParams,
     RefractoryKernel,
@@ -34,10 +36,15 @@ from burstfit.special import log_gamma
 def feasible(kernel: RefractoryKernel, grid) -> tuple[bool, int | None]:
     """Is the rate nonnegative at every grid time?
 
-    Returns (True, None) or (False, index of the most violated point).
+    Returns (True, None) or (False, index of the most violated point);
+    no grid time, no violation.  The rate is formed here, unclamped, not
+    taken from the fitter's repair that the tests check against it.
     """
-    grid = np.asarray(grid, dtype=float)
-    return _basis_feasible(_decay_matrix(kernel.alpha, grid), np.asarray(kernel.gamma))
+    basis = _decay_matrix(kernel.alpha, np.asarray(grid, dtype=float))
+    rate = 1.0 + basis @ np.asarray(kernel.gamma)
+    if rate.min(initial=0.0) >= 0.0:
+        return True, None
+    return False, int(np.argmin(rate))
 
 
 def continuous_grid_feasible(kernel: RefractoryKernel) -> bool:
@@ -46,6 +53,29 @@ def continuous_grid_feasible(kernel: RefractoryKernel) -> bool:
     1e-5 s to 20 / min alpha, dust clamped."""
     grid = np.geomspace(1e-5, 20.0 / min(kernel.alpha), 600)
     return not (refractory_eval(kernel, grid).min() < 0.0 or refractory_eval(kernel, 0.0) < 0.0)
+
+
+def load_timestamps_by_line(blob: bytes) -> EventTrain:
+    """Reference parse of the timestamp grammar, one line at a time: a
+    ``unit=ms`` header on line 1, then lines of 1 to 19 ASCII digits below
+    2**63, each perhaps ending in "\\r\\n", and empty lines, then
+    np.unique.  The bulk parse must agree with it on every input."""
+    values = []
+    for lineno, raw in enumerate(BytesIO(blob), start=1):
+        # a "\r" belongs to the line end only directly before its "\n"
+        line = raw[:-2] if raw.endswith(b"\r\n") else raw.removesuffix(b"\n")
+        header = raw.decode("utf-8", errors="replace").strip().replace(" ", "") == "unit=ms"
+        if not line or (lineno == 1 and header):
+            continue
+        if not (re.fullmatch(rb"[0-9]{1,19}", line) and int(line) < 2**63):
+            text = line.decode("utf-8", errors="replace")
+            raise ValueError(
+                f"line {lineno}: expected an integer millisecond timestamp, got {text!r}"
+            )
+        values.append(int(line))
+    if not values:
+        raise ValueError("timestamp stream contains no events")
+    return EventTrain(np.unique(np.asarray(values, dtype=np.int64)))
 
 
 def params_to_vector(params: ModelParams) -> np.ndarray:

@@ -14,7 +14,6 @@ import burstfit
 from burstfit.cli import main
 from burstfit.fit import (
     _CURV_FLOOR,
-    _MAX_PROJ,
     FitConfig,
     FitResult,
     _ascent_map,
@@ -194,10 +193,14 @@ def test_feasible_on_an_empty_grid():
 
 
 def _repaired(vec, variant):
-    """The fitter's repair of a packed vector on the default grid's basis."""
+    """The fitter's repair of a packed vector on the default grid's basis,
+    as (vector, projections used); the slack it returns is the repaired
+    vector's rate on the grid."""
     spec = VARIANTS[variant]
     basis = _grid_basis(spec)
-    return _repair(vec, basis, spec.gamma_offset, _MAX_PROJ)
+    theta, slack, used = _repair(vec, basis, spec.gamma_offset)
+    np.testing.assert_array_equal(slack, 1.0 + basis @ theta[spec.gamma_offset:])
+    return theta, used
 
 
 def test_project_restores_single_constraint():
@@ -243,18 +246,21 @@ def test_face_step_holds_pushed_walls_and_releases_pulled_ones():
     a[off:] = basis[0]
     g = rng.normal(size=4)
 
-    free, direction = _face_step(ascent, g, np.array([0.3, -0.2, 0.0, 0.0]), basis, off)
+    def slack(theta):
+        return 1.0 + basis @ theta[off:]
+
+    free, direction = _face_step(ascent, g, slack(np.array([0.3, -0.2, 0.0, 0.0])), basis, off)
     np.testing.assert_array_equal(free, g)
     np.testing.assert_allclose(direction, ascent @ g)
 
     theta = np.array([0.3, -0.2, -1.0, 0.0])
     push = g if a @ ascent @ g < 0.0 else -g
-    free, direction = _face_step(ascent, push, theta, basis, off)
+    free, direction = _face_step(ascent, push, slack(theta), basis, off)
     assert a @ direction >= -1e-12
     assert push @ direction > 0.0
     np.testing.assert_allclose(direction, ascent @ free)
 
-    free, direction = _face_step(ascent, -push, theta, basis, off)
+    free, direction = _face_step(ascent, -push, slack(theta), basis, off)
     np.testing.assert_allclose(free, -push)
     np.testing.assert_allclose(direction, ascent @ -push)
 

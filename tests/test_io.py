@@ -5,10 +5,8 @@ import json
 import logging
 import math
 import os
-import re
 import stat
 import tracemalloc
-from io import BytesIO
 
 import numpy as np
 import pytest
@@ -29,7 +27,7 @@ from burstfit.likelihood import ItiSet, ObjectiveValue
 from burstfit.model import ModelParams, RefractoryKernel
 from burstfit.selection import compare
 from burstfit.simulate import EventTrain, SimConfig, simulate_discrete
-from oracles import fit_log_slope
+from oracles import fit_log_slope, load_timestamps_by_line
 
 
 # ----------------------------------------------------------------------
@@ -121,29 +119,6 @@ def test_ingestion_is_idempotent(tmp_path):
     np.testing.assert_array_equal(again.timestamps_ms, train.timestamps_ms)
 
 
-def _line_loop_oracle(blob: bytes) -> EventTrain:
-    """Reference parse of the timestamp grammar, one line at a time: a
-    ``unit=ms`` header on line 1, then lines of 1 to 19 ASCII digits below
-    2**63, each perhaps ending in "\\r\\n", and empty lines, then
-    np.unique.  The bulk parse must agree with it on every input."""
-    values = []
-    for lineno, raw in enumerate(BytesIO(blob), start=1):
-        # a "\r" belongs to the line end only directly before its "\n"
-        line = raw[:-2] if raw.endswith(b"\r\n") else raw.removesuffix(b"\n")
-        header = raw.decode("utf-8", errors="replace").strip().replace(" ", "") == "unit=ms"
-        if not line or (lineno == 1 and header):
-            continue
-        if not (re.fullmatch(rb"[0-9]{1,19}", line) and int(line) < 2**63):
-            text = line.decode("utf-8", errors="replace")
-            raise ValueError(
-                f"line {lineno}: expected an integer millisecond timestamp, got {text!r}"
-            )
-        values.append(int(line))
-    if not values:
-        raise ValueError("timestamp stream contains no events")
-    return EventTrain(np.unique(np.asarray(values, dtype=np.int64)))
-
-
 def _outcome(parse, source):
     try:
         return parse(source).timestamps_ms.tolist()
@@ -188,7 +163,7 @@ _PARSE_CASES = {
 def test_bulk_parse_matches_line_loop(tmp_path, blob):
     """The bulk parse gives the reference parse's train, or its exact
     error, from bytes and from a file alike."""
-    want = _outcome(_line_loop_oracle, blob)
+    want = _outcome(load_timestamps_by_line, blob)
     path = tmp_path / "train.txt"
     path.write_bytes(blob)
     assert _outcome(load_timestamps, blob) == want
@@ -230,9 +205,63 @@ def test_first_bad_line_across_parse_blocks(monkeypatch, block, case):
     in one block."""
     blob, lineno = case
     monkeypatch.setattr(bio, "_PARSE_BLOCK", block)
-    want = _outcome(_line_loop_oracle, blob)
+    want = _outcome(load_timestamps_by_line, blob)
     assert want[0] is ValueError and want[1].startswith(f"line {lineno}: ")
     assert _outcome(load_timestamps, blob) == want
+
+
+# past 19 digits' int64 range: 19 digits above 2**63 - 1, and 20 digits
+_PAST_INT64 = (10**19 - 1, 10**19, 2**64 - 1, 2**64)
+
+
+def _random_line(rng) -> bytes:
+    """One line body: empty; 1 to 19 random digits, leading zeros and
+    all; a value within 1000 of 2**63 - 1 or of a power of ten up to
+    10**18, zero-padded to as many as 21 digits; or one within 1000 of an
+    edge of _PAST_INT64."""
+    u = rng.random()
+    if u < 0.15:
+        return b""
+    if u < 0.6:
+        return bytes(rng.integers(48, 58, rng.integers(1, 20)).astype(np.uint8))
+    if u < 0.95:
+        edge = 2**63 - 1 if u < 0.75 else 10 ** int(rng.integers(19))
+    else:
+        edge = _PAST_INT64[rng.integers(len(_PAST_INT64))]
+    text = str(max(0, edge + int(rng.integers(-1000, 1001))))
+    return text.zfill(int(rng.integers(1, 22))).encode()
+
+
+def _random_blob(rng) -> bytes:
+    """Up to 12 lines after a unit=ms header or not, each ending in LF or
+    CRLF; in about a third of the blobs the trailing line ends are cut,
+    and in about a third one byte is replaced by any byte at all."""
+    lines = [b"unit=ms"] if rng.random() < 0.3 else []
+    lines += [_random_line(rng) for _ in range(rng.integers(13))]
+    blob = b"".join(line + (b"\r\n" if rng.random() < 0.3 else b"\n") for line in lines)
+    if blob and rng.random() < 0.3:
+        blob = blob.rstrip(b"\r\n")
+    if blob and rng.random() < 0.3:
+        at = int(rng.integers(len(blob)))
+        blob = blob[:at] + bytes([int(rng.integers(256))]) + blob[at + 1 :]
+    return blob
+
+
+@pytest.mark.parametrize("block", [1, 4, 16])
+def test_bulk_parse_matches_the_line_parse_on_random_blobs(monkeypatch, block):
+    """Differential ingest: on 400 seeded random blobs around the grammar's
+    edges, with parse blocks of a few bytes so that lines straddle them,
+    the bulk parse gives the line-by-line parse's train, or its error's
+    line number and text."""
+    monkeypatch.setattr(bio, "_PARSE_BLOCK", block)
+    rng = np.random.default_rng(4200 + block)
+    outcomes = set()
+    for _ in range(400):
+        blob = _random_blob(rng)
+        want = _outcome(load_timestamps_by_line, blob)
+        assert _outcome(load_timestamps, blob) == want, blob
+        outcomes.add(want[0] if isinstance(want, tuple) else list)
+    assert outcomes == {ValueError, list}
 
 
 def test_bulk_parse_counts_duplicates(caplog):
@@ -495,6 +524,31 @@ def test_write_atomic_gives_the_mode_open_would(tmp_path, umask):
         os.umask(old)
     assert stat.S_IMODE(path.stat().st_mode) == 0o640
     assert path.read_text() == "y\n"
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077], ids=["022", "077"])
+def test_write_atomic_leaves_the_umask_alone(tmp_path, monkeypatch, umask):
+    """The modes above hold with os.umask unusable: write_atomic never
+    reads the umask by setting it, which would briefly give every file
+    another thread creates mode 0666."""
+    old = os.umask(umask)
+
+    def refuse(mask):
+        raise AssertionError("os.umask called")
+
+    monkeypatch.setattr(os, "umask", refuse)
+    try:
+        path = tmp_path / "sim.txt"
+        write_atomic(path, "x\n")
+        assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~umask
+        path.chmod(0o640)
+        write_atomic(path, ["y", "\n"])
+        assert stat.S_IMODE(path.stat().st_mode) == 0o640
+    finally:
+        monkeypatch.undo()
+        os.umask(old)
+    assert path.read_text() == "y\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["sim.txt"]
 
 
 # ----------------------------------------------------------------------

@@ -106,6 +106,8 @@ def test_each_module_imports_alone(name):
         ("burstfit.io", "fit_log_slope"),
         ("burstfit.fit", "feasible"),
         ("burstfit.simulate", "_check_feasible"),
+        ("burstfit.fit", "_basis_feasible"),
+        ("burstfit.io", "_open_mode"),
     ],
 )
 def test_removed_helpers_stay_removed(module, name):
