@@ -104,19 +104,18 @@ def _cmd_simulate(args, parser) -> int:
         parser.error("--rho must be a positive finite rate")
     if args.seed < 0:
         parser.error("--seed must be >= 0")
+    if args.mode == "continuous" and args.events is None:
+        parser.error("continuous mode generates by --events, not --duration")
     params = _build_params(args, parser)
-    from .simulate import SimConfig, _train_from_intervals, simulate_continuous, simulate_discrete
+    from .simulate import _train_from_intervals, simulate_continuous, simulate_discrete
 
     if args.mode == "continuous":
-        if args.events is None:
-            parser.error("continuous mode generates by --events, not --duration")
         intervals = simulate_continuous(params, n_events=args.events, seed=args.seed)
         train = _train_from_intervals(intervals)
     else:
-        cfg = SimConfig(
-            seed=args.seed, dt=args.dt, n_events=args.events, duration=args.duration
+        train = simulate_discrete(
+            params, seed=args.seed, n_events=args.events, duration=args.duration, dt=args.dt
         )
-        train = simulate_discrete(params, cfg)
         if train.n_events < 2:
             raise RuntimeError(f"simulated {train.n_events} events, fewer than 2; nothing written")
 

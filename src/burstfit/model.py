@@ -204,16 +204,16 @@ class ModelParams:
         return math.exp(self.c)
 
 
-def _as_times(tau, minimum: float):
-    """Flatten tau to a validated float vector, remembering the input shape."""
+def _as_times(tau):
+    """Flatten tau to a vector of finite times >= 0, remembering its shape."""
     import numpy as np
 
     shape = np.shape(tau)
     t = np.asarray(tau, dtype=float).ravel()
     if not np.all(np.isfinite(t)):
         raise ValueError("tau must be finite")
-    if t.size and t.min() < minimum:
-        raise ValueError(f"tau must be >= {minimum}")
+    if t.size and t.min() < 0.0:
+        raise ValueError("tau must be >= 0")
     return t, shape
 
 
@@ -258,7 +258,7 @@ def refractory_eval(kernel: RefractoryKernel, tau):
     """
     import numpy as np
 
-    t, shape = _as_times(tau, minimum=0.0)
+    t, shape = _as_times(tau)
     return _restore(_rate_from_decay(np.asarray(kernel.gamma), _decay_matrix(kernel.alpha, t)), shape)
 
 
@@ -266,7 +266,7 @@ def refractory_integral(kernel: RefractoryKernel, tau):
     """R(tau) = tau + sum_k (gamma_k/alpha_k)(1 - exp(-alpha_k tau))."""
     import numpy as np
 
-    t, shape = _as_times(tau, minimum=0.0)
+    t, shape = _as_times(tau)
     gamma, alpha = np.asarray(kernel.gamma), np.asarray(kernel.alpha)
     return _restore(_integral_from_decay(gamma, alpha, t, _decay_matrix(alpha, t)), shape)
 
@@ -295,20 +295,22 @@ def iti_density(params: ModelParams, tau):
 
     Closed form: p(tau) = rho r(tau) [a/(a+b)] 1F1(a+1, a+b+1; -rho R(tau)).
     At tau = 0 the hypergeometric factor is 1 and the formula equals the
-    right limit rho r(0) a/(a+b), so zero needs no special casing.
+    right limit rho r(0) a/(a+b), so zero needs no special casing.  r < 0
+    or R < 0 at a requested tau raises ValueError.
     """
     import numpy as np
 
     from .special import _log_beta_laplace
 
-    t, shape = _as_times(tau, minimum=0.0)
+    t, shape = _as_times(tau)
     gamma, alpha = np.asarray(params.kernel.gamma), np.asarray(params.kernel.alpha)
     decay = _decay_matrix(alpha, t)
     r = _rate_from_decay(gamma, decay)
-    if t.size and r.min() < 0.0:
-        raise ValueError("kernel is negative in range; params infeasible")
+    big_r = _integral_from_decay(gamma, alpha, t, decay)
+    if t.size and min(r.min(), big_r.min()) < 0.0:
+        raise ValueError("kernel or its integral R(tau) is negative in range; params infeasible")
     a, b = params.a, params.b
-    w = _hyp_argument(params.c, _integral_from_decay(gamma, alpha, t, decay))
+    w = _hyp_argument(params.c, big_r)
     log_f1 = _log_beta_laplace(a + 1.0, b, w)[0]
     # in logs, so a subnormal 1F1 factor costs no digits; r = 0 gives log 0
     with np.errstate(divide="ignore"):

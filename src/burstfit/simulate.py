@@ -2,20 +2,22 @@
 
 Two routes produce event data:
 
-* ``simulate_discrete`` runs the latent chain on a time grid of width dt.
-  Per bin, an event fires with probability rho r(tau) dt whenever the
-  pending priority x exceeds the competing priority y; firing redraws x,
-  any other bin redraws y uniformly.  The implementation skips empty bins
-  by geometric jumps with thinning, which leaves the sampled law exactly
-  that of the bin-by-bin chain while running in time linear in the event
-  count.  It draws a block of events at a time from three independent
-  numpy streams (priorities x, competing priorities y, and the uniforms
-  of the first bin, the jumps and the thinning), so no Python code runs
-  per event except for the rare first-bin fires.
+* ``simulate_discrete(params, seed=s, n_events=n)``, or ``duration=``
+  seconds in place of ``n_events``, runs the latent chain on a time grid
+  of width ``dt`` (1 ms unless given).  Per bin, an event fires with
+  probability rho r(tau) dt whenever the pending priority x exceeds the
+  competing priority y; firing redraws x, any other bin redraws y
+  uniformly.  The implementation skips empty bins by geometric jumps
+  with thinning, which leaves the sampled law exactly that of the
+  bin-by-bin chain while running in time linear in the event count.  It
+  draws a block of events at a time from three independent numpy
+  streams (priorities x, competing priorities y, and the uniforms of the
+  first bin, the jumps and the thinning), so no Python code runs per
+  event except for the rare first-bin fires.
 
-* ``simulate_continuous`` draws intervals directly by time rescaling: with
-  x ~ Beta(a, b) and eps a unit exponential, the interval solves
-  rho x R(tau) = eps.
+* ``simulate_continuous(params, n_events, seed)`` draws intervals
+  directly by time rescaling: with x ~ Beta(a, b) and eps a unit
+  exponential, the interval solves rho x R(tau) = eps.
 
 ``invert_R`` is the bracketed root finder backing the second route.  It
 starts Newton from a tabulated inverse of R, which is exact once the
@@ -34,7 +36,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,7 +51,6 @@ from .model import (
 )
 
 __all__ = [
-    "SimConfig",
     "simulate_discrete",
     "simulate_continuous",
     "invert_R",
@@ -83,32 +83,21 @@ _INVERSE_GRID = 1024
 _INVERSE_SPAN = 40.0
 
 
-@dataclass(frozen=True)
-class SimConfig:
-    """Simulation horizon and grid for the discrete sampler.
-
-    Exactly one of ``n_events`` (stop after that many recorded events) and
-    ``duration`` (stop at that many seconds past warm-up) must be given.
-    The bin-probability validity bound involves the model's rate, so it is
-    checked when a simulation starts, not here.
-    """
-
-    seed: int
-    dt: float = 1e-3
-    n_events: int | None = None
-    duration: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if not 0.0 < self.dt < math.inf:
-            raise ValueError(f"dt must be positive and finite, got {self.dt}")
-        if (self.n_events is None) == (self.duration is None):
-            raise ValueError("give exactly one of n_events and duration")
-        if self.n_events is not None and self.n_events < 1:
-            raise ValueError("n_events must be >= 1")
-        if self.duration is not None and not 0.0 < self.duration < math.inf:
-            raise ValueError(f"duration must be positive and finite, got {self.duration}")
+def _check_settings(seed, n_events=None, duration=None, dt=1e-3) -> None:
+    """The one rule both samplers check their draw settings by, before any
+    draw: an integer seed >= 0, exactly one horizon, n_events >= 1, and dt
+    and duration positive and finite.  The bin-probability bound involves
+    the model's rate, so the chain checks it when it starts."""
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    if not 0.0 < dt < math.inf:
+        raise ValueError(f"dt must be positive and finite, got {dt}")
+    if (n_events is None) == (duration is None):
+        raise ValueError("give exactly one of n_events and duration")
+    if n_events is not None and n_events < 1:
+        raise ValueError("n_events must be >= 1")
+    if duration is not None and not 0.0 < duration < math.inf:
+        raise ValueError(f"duration must be positive and finite, got {duration}")
 
 
 def _kernel_support_bins(kernel: RefractoryKernel, dt: float) -> int:
@@ -147,7 +136,7 @@ def _thinned_jumps(x, envelope, r_table, r_max, beyond, rng):
     return k
 
 
-def _run_chain(params: ModelParams, cfg: SimConfig) -> np.ndarray:
+def _run_chain(params: ModelParams, *, seed, n_events=None, duration=None, dt=1e-3) -> np.ndarray:
     """Bin indices (int64, relative to the end of warm-up) of chain events.
 
     The chain is exact.  The bin right after an event keeps the competing
@@ -168,9 +157,9 @@ def _run_chain(params: ModelParams, cfg: SimConfig) -> np.ndarray:
     same seed and dt; runs with another dt share each event's x but not
     its jumps.
     """
+    _check_settings(seed, n_events, duration, dt)
     rho = params.rho
     kernel = params.kernel
-    dt = cfg.dt
 
     r_ceiling = 1.0 + sum(max(g, 0.0) for g in kernel.gamma)
     if dt * rho * r_ceiling > _BIN_PROB_LIMIT * (1.0 + 1e-12):
@@ -199,17 +188,16 @@ def _run_chain(params: ModelParams, cfg: SimConfig) -> np.ndarray:
     warm_bins = math.ceil(10.0 / rho / dt)
     limit = min(_MAX_BINS, warm_bins + math.floor(_SPAN_LIMIT_MS / (dt * 1000.0)))
     end = limit
-    if cfg.duration is not None:
-        end = warm_bins + math.floor(cfg.duration / dt + 1e-9)
+    if duration is not None:
+        end = warm_bins + math.floor(duration / dt + 1e-9)
     if warm_bins >= limit or end > limit:
         raise ValueError(_SPAN_ERROR)
     beyond = 2.0 * _MAX_BINS
 
     rng_x, rng_y, rng_t = (
-        np.random.default_rng(s) for s in np.random.SeedSequence(cfg.seed).spawn(3)
+        np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(3)
     )
     envelope = rho * r_max * dt
-    want = cfg.n_events
     y = rng_y.random()
     pos = 0
     found: list[np.ndarray] = []
@@ -236,29 +224,33 @@ def _run_chain(params: ModelParams, cfg: SimConfig) -> np.ndarray:
         n = int(np.searchsorted(ends, end, side="right"))
         ends = ends[:n]
         kept = ends[ends >= warm_bins] - warm_bins
-        if want is not None and n_found + kept.size >= want:
-            found.append(kept[: want - n_found])
+        if n_events is not None and n_found + kept.size >= n_events:
+            found.append(kept[: n_events - n_found])
             break
         found.append(kept)
         n_found += kept.size
         if n < _BLOCK:
-            if cfg.duration is None:
+            if duration is None:
                 raise ValueError(_SPAN_ERROR)
             break
         pos = int(ends[-1])
     return np.concatenate(found)
 
 
-def simulate_discrete(params: ModelParams, cfg: SimConfig) -> EventTrain:
+def simulate_discrete(
+    params: ModelParams, *, seed, n_events=None, duration=None, dt=1e-3
+) -> EventTrain:
     """Run the discrete chain and return events as a millisecond train.
 
-    Bins are rounded to whole milliseconds; should two events land in the
-    same millisecond (possible only for dt below 1 ms), the duplicate is
-    dropped with a warning.  The chain's own bin indices, from
-    _run_chain, keep the intervals at full grid resolution.
+    The chain stops after ``n_events`` recorded events or at ``duration``
+    seconds past warm-up, whichever is given.  Bins are rounded to whole
+    milliseconds; should two events land in the same millisecond
+    (possible only for dt below 1 ms), the duplicate is dropped with a
+    warning.  The chain's own bin indices, from _run_chain, keep the
+    intervals at full grid resolution.
     """
-    bins = _run_chain(params, cfg)
-    ms = np.rint(bins * (cfg.dt * 1000.0)).astype(np.int64)
+    bins = _run_chain(params, seed=seed, n_events=n_events, duration=duration, dt=dt)
+    ms = np.rint(bins * (dt * 1000.0)).astype(np.int64)
     if ms.size:
         keep = np.ones(ms.size, dtype=bool)
         keep[1:] = np.diff(ms) > 0
@@ -293,8 +285,7 @@ def simulate_continuous(params: ModelParams, n_events: int, seed) -> np.ndarray:
     Equal seeds give bit-identical output.  An interval past the float
     range (a tiny shape a with a tiny rate) raises the span-limit error.
     """
-    if n_events < 1:
-        raise ValueError("n_events must be >= 1")
+    _check_settings(seed, n_events)
     rng = np.random.default_rng(seed)
     x = rng.beta(params.a, params.b, size=n_events)
     # a Beta draw can underflow to exactly 0 for small shapes

@@ -29,7 +29,7 @@ from burstfit.model import (
     _variant_spec,
     refractory_eval,
 )
-from burstfit.simulate import SimConfig, _run_chain
+from burstfit.simulate import _run_chain
 from burstfit.special import log_gamma
 
 
@@ -98,9 +98,11 @@ def vector_to_params(vec, variant: str) -> ModelParams:
     return ModelParams(float(vec[0]), b, float(vec[off - 1]), kernel, variant)
 
 
-def discrete_intervals(params: ModelParams, cfg: SimConfig) -> np.ndarray:
+def discrete_intervals(
+    params: ModelParams, *, seed, n_events=None, duration=None, dt=1e-3
+) -> np.ndarray:
     """Inter-event intervals of the discrete chain, exact multiples of dt."""
-    return np.diff(_run_chain(params, cfg)) * cfg.dt
+    return np.diff(_run_chain(params, seed=seed, n_events=n_events, duration=duration, dt=dt)) * dt
 
 
 def fit_log_slope(hist: LogBinnedHistogram, tau_min: float, tau_max: float) -> float:
@@ -121,7 +123,7 @@ def iti_tail_asymptote(params: ModelParams, tau):
     Returns [Gamma(a+1) / (B(a, b) rho^a)] tau^-(a+1); the log-log slope is
     exactly -(a + 1).
     """
-    t, shape = _as_times(tau, minimum=0.0)
+    t, shape = _as_times(tau)
     if t.size and t.min() <= 0.0:
         raise ValueError("tail asymptote needs tau > 0")
     a, b = params.a, params.b

@@ -20,7 +20,7 @@ from burstfit.fit import FitConfig, default_constraint_grid, fit
 from burstfit.likelihood import ItiSet, gradient, objective
 from burstfit.model import ModelParams, RefractoryKernel, iti_density, refractory_eval
 from burstfit.selection import compare
-from burstfit.simulate import SimConfig, simulate_continuous
+from burstfit.simulate import simulate_continuous
 from oracles import (
     discrete_intervals,
     feasible,
@@ -162,7 +162,7 @@ def test_criterion_5_discrete_continuous_equivalence():
     the chain's discretization error scales linearly in the bin width."""
     params = ModelParams(a=0.61, b=1.0, c=math.log(9.3))
     cont = simulate_continuous(params, n_events=200_000, seed=51)
-    disc = discrete_intervals(params, SimConfig(seed=52, dt=0.5e-3, n_events=200_001))
+    disc = discrete_intervals(params, seed=52, dt=0.5e-3, n_events=200_001)
     n, m = cont.size, disc.size
     both = np.sort(np.concatenate([cont, disc]))
     cdf_c = np.searchsorted(np.sort(cont), both, side="right") / n
@@ -173,7 +173,7 @@ def test_criterion_5_discrete_continuous_equivalence():
 
     ks_by_dt = {}
     for dt in (4e-3, 2e-3, 1e-3):
-        draws = np.sort(discrete_intervals(params, SimConfig(seed=53, dt=dt, n_events=200_001)))
+        draws = np.sort(discrete_intervals(params, seed=53, dt=dt, n_events=200_001))
         grid = np.unique(draws)
         hi = np.searchsorted(draws, grid, side="right") / draws.size
         lo = np.searchsorted(draws, grid, side="left") / draws.size

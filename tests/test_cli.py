@@ -24,7 +24,7 @@ from burstfit.io import (
     serialize_fit,
 )
 from burstfit.likelihood import ItiSet, ObjectiveValue
-from burstfit.model import ModelParams, refractory_eval
+from burstfit.model import ModelParams, RefractoryKernel, refractory_eval
 
 
 def _truth_artifact(path, params: ModelParams, data) -> None:
@@ -555,6 +555,19 @@ def test_eval_density_refuses_unsettled_shape(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_eval_density_refuses_negative_integrated_rate(tmp_path, capsys):
+    """A kernel whose R(tau) is negative at a grid time fails the command
+    and writes no table, where it used to write NaN or a finite density."""
+    truth = tmp_path / "truth.json"
+    params = ModelParams(a=0.7, b=1.0, c=math.log(5.0), kernel=RefractoryKernel((-50.0,), (20.0,)))
+    _truth_artifact(truth, params, ItiSet(np.array([0.2, 5.0])))
+    out = tmp_path / "d.txt"
+    rc = main(["eval-density", "--fit", str(truth), "--tau-grid", "0.2:5:2", "--out", str(out)])
+    assert rc == 1
+    assert "R(tau) is negative" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_import_leaves_process_pool_unloaded():
     """Only compare --jobs > 1 uses the process pool, so importing the CLI,
     which every command does, must not import it."""
@@ -579,6 +592,7 @@ _COMMAND_MODULES = {
     "--help": {"cli", "io", "model"},
     "compare --help": {"cli", "io", "model"},
     "usage error": {"cli", "io", "model"},
+    "simulate usage error": {"cli", "io", "model"},
 }
 
 
@@ -604,6 +618,7 @@ def test_each_command_loads_only_its_modules(tmp_path):
         "--help": (["--help"], 0),
         "compare --help": (["compare", "--help"], 0),
         "usage error": (["eval-density", "--fit", str(fitted), "--tau-grid", "5:1:10", *out], 2),
+        "simulate usage error": (["simulate", "--mode", "continuous", "--duration", "10", *out], 2),
     }
     assert set(commands) == set(_COMMAND_MODULES)
     src = str(Path(burstfit.__file__).resolve().parents[1])

@@ -26,7 +26,7 @@ from burstfit.io import (
 from burstfit.likelihood import ItiSet, ObjectiveValue
 from burstfit.model import ModelParams, RefractoryKernel
 from burstfit.selection import compare
-from burstfit.simulate import EventTrain, SimConfig, simulate_discrete
+from burstfit.simulate import EventTrain, simulate_discrete
 from oracles import fit_log_slope, load_timestamps_by_line
 
 
@@ -384,7 +384,7 @@ def test_compute_itis_needs_two_events():
 
 def test_emitted_train_reloads_to_same_intervals(tmp_path):
     params = ModelParams(a=1.2, b=1.0, c=math.log(3.0))
-    train = simulate_discrete(params, SimConfig(seed=31, n_events=500))
+    train = simulate_discrete(params, seed=31, n_events=500)
     path = tmp_path / "sim.txt"
     save_timestamps(train, path)
     reloaded = load_timestamps(path)

@@ -337,6 +337,21 @@ def test_marginal_density_rejects_infeasible_kernel():
         iti_density(p, np.geomspace(1e-3, 1.0, 50))
 
 
+def test_marginal_density_refuses_negative_integrated_rate():
+    """Where r is negative below tau but not at it, R(tau) can be negative:
+    here r(0.2) = 0.084 and R(0.2) = -2.25.  The density refuses, as the
+    likelihood does, where it used to take 1F1 at a negative argument and
+    return NaN alone or 1921 /s beside a second tau.  R = 0 at tau = 0 is
+    no violation."""
+    p = ModelParams(a=0.7, b=1.0, c=math.log(5.0), kernel=RefractoryKernel((-50.0,), (20.0,)))
+    assert refractory_eval(p.kernel, 0.2) > 0.0
+    for tau in ([0.2], [0.2, 5.0]):
+        with pytest.raises(ValueError, match="integral R\\(tau\\) is negative"):
+            iti_density(p, tau)
+    unit = ModelParams(a=0.7, b=1.0, c=0.0, kernel=RefractoryKernel.log_spaced([-1.0] + [0.0] * 7))
+    assert iti_density(unit, 0.0) == 0.0
+
+
 def test_marginal_density_refuses_unsettled_large_shape():
     """At a = 999, b = 1 and tau = 300.5 the density needs 1F1(1000, 1001;
     -300.5), where the asymptotic expansion has not settled; it raises

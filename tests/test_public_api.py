@@ -33,7 +33,7 @@ MODULES = (
 PUBLIC_NAMES = (
     "BIC_PREFERENCE_MARGIN", "ComparisonMatrix", "EventTrain", "FitConfig", "FitResult",
     "InfeasibleParamsError", "ItiSet", "LogBinnedHistogram", "ModelParams", "ObjectiveValue",
-    "PrecisionLossError", "RefractoryKernel", "SimConfig", "VARIANTS", "bic", "compare",
+    "PrecisionLossError", "RefractoryKernel", "VARIANTS", "bic", "compare",
     "compute_itis", "default_constraint_grid", "deserialize_fit", "digamma", "fit",
     "gradient", "invert_R", "iti_density", "kummer_1f1", "load_timestamps",
     "log_binned_histogram", "log_gamma", "log_likelihood", "objective", "refractory_eval",
@@ -108,6 +108,7 @@ def test_each_module_imports_alone(name):
         ("burstfit.simulate", "_check_feasible"),
         ("burstfit.fit", "_basis_feasible"),
         ("burstfit.io", "_open_mode"),
+        ("burstfit.simulate", "SimConfig"),
     ],
 )
 def test_removed_helpers_stay_removed(module, name):

@@ -22,7 +22,6 @@ from burstfit.model import (
 )
 from burstfit.simulate import (
     EventTrain,
-    SimConfig,
     invert_R,
     simulate_continuous,
     simulate_discrete,
@@ -102,7 +101,7 @@ def _naive_chain_intervals(params: ModelParams, dt: float, n_events: int, seed) 
 
 
 # ----------------------------------------------------------------------
-# EventTrain / SimConfig
+# EventTrain and the samplers' draw settings
 # ----------------------------------------------------------------------
 
 
@@ -148,29 +147,42 @@ class TestEventTrain:
 
 
 class TestSimConfig:
+    """The seed, horizon and grid both samplers take as arguments, checked
+    by one rule before anything is drawn (a frozen ``SimConfig`` record
+    held them once)."""
+
+    P = ModelParams(a=1.0, b=1.0, c=0.0)
+
     def test_exactly_one_horizon(self):
-        with pytest.raises(ValueError):
-            SimConfig(seed=0)
-        with pytest.raises(ValueError):
-            SimConfig(seed=0, n_events=10, duration=5.0)
-        assert SimConfig(seed=0, n_events=10).n_events == 10
-        assert SimConfig(seed=0, duration=5.0).duration == 5.0
+        with pytest.raises(ValueError, match="exactly one of n_events and duration"):
+            simulate_discrete(self.P, seed=0)
+        with pytest.raises(ValueError, match="exactly one of n_events and duration"):
+            simulate_discrete(self.P, seed=0, n_events=10, duration=5.0)
+        assert simulate_discrete(self.P, seed=0, n_events=10).n_events == 10
+        timed = simulate_discrete(self.P, seed=0, duration=60.0).timestamps_ms
+        assert timed.size and timed[-1] <= 60_000
 
     def test_value_validation(self):
-        with pytest.raises(ValueError):
-            SimConfig(seed=0, dt=0.0, n_events=1)
-        with pytest.raises(ValueError):
-            SimConfig(seed=0, dt=-1e-3, n_events=1)
-        with pytest.raises(ValueError):
-            SimConfig(seed=0, n_events=0)
-        with pytest.raises(ValueError):
-            SimConfig(seed=0, duration=-2.0)
+        with pytest.raises(ValueError, match="dt must be positive"):
+            simulate_discrete(self.P, seed=0, dt=0.0, n_events=1)
+        with pytest.raises(ValueError, match="dt must be positive"):
+            simulate_discrete(self.P, seed=0, dt=-1e-3, n_events=1)
+        for sample in (simulate_discrete, simulate_continuous):
+            with pytest.raises(ValueError, match="n_events must be >= 1"):
+                sample(self.P, n_events=0, seed=0)
+        with pytest.raises(ValueError, match="duration must be positive"):
+            simulate_discrete(self.P, seed=0, duration=-2.0)
 
     def test_seed_must_be_nonnegative(self):
         """A negative seed is refused by name here, not by the random
-        generator once the chain starts."""
+        generator once the chain starts; a numpy integer seed draws what
+        the same Python int does."""
         with pytest.raises(ValueError, match="seed must be >= 0"):
-            SimConfig(seed=-1, n_events=10)
+            simulate_discrete(self.P, seed=-1, n_events=10)
+        np.testing.assert_array_equal(
+            simulate_discrete(self.P, seed=np.int64(4), n_events=10).timestamps_ms,
+            simulate_discrete(self.P, seed=4, n_events=10).timestamps_ms,
+        )
 
     @pytest.mark.parametrize("field", ["dt", "duration"])
     @pytest.mark.parametrize("value", [math.inf, math.nan])
@@ -179,7 +191,22 @@ class TestSimConfig:
         an infinite dt is, not by the chain's integer conversion."""
         kwargs = {"dt": 1e-3, "duration": 5.0, field: value}
         with pytest.raises(ValueError, match=f"{field} must be positive and finite"):
-            SimConfig(seed=0, **kwargs)
+            simulate_discrete(self.P, seed=0, **kwargs)
+
+
+@pytest.mark.parametrize("sample", [simulate_discrete, simulate_continuous])
+@pytest.mark.parametrize("seed", [None, 2.5, -1])
+def test_both_samplers_refuse_a_seed_by_one_rule(sample, seed, monkeypatch):
+    """No seed, a float seed and a negative seed raise the same error from
+    either sampler before it draws: the continuous sampler used to draw
+    unseeded for None and fail inside numpy for 2.5."""
+
+    def drew(*args, **kwargs):
+        raise AssertionError("the sampler drew")
+
+    monkeypatch.setattr(np.random, "default_rng", drew)
+    with pytest.raises(ValueError, match=f"seed must be >= 0, got {seed}"):
+        sample(TestSimConfig.P, n_events=10, seed=seed)
 
 
 # ----------------------------------------------------------------------
@@ -190,28 +217,27 @@ class TestSimConfig:
 def test_bin_probability_bound_enforced():
     p = ModelParams(a=1.0, b=1.0, c=math.log(200.0))
     with pytest.raises(ValueError, match="dt too coarse"):
-        simulate_discrete(p, SimConfig(seed=0, dt=1e-3, n_events=10))
+        simulate_discrete(p, seed=0, dt=1e-3, n_events=10)
     # r_max > 1 counts against the bound too
     p_excite = ModelParams(
         a=1.0, b=1.0, c=math.log(90.0), kernel=RefractoryKernel.log_spaced([1.5])
     )
     with pytest.raises(ValueError, match="dt too coarse"):
-        simulate_discrete(p_excite, SimConfig(seed=0, dt=1e-3, n_events=10))
+        simulate_discrete(p_excite, seed=0, dt=1e-3, n_events=10)
 
 
 def test_discrete_rejects_infeasible_kernel():
     p = ModelParams(a=1.0, b=1.0, c=0.0, kernel=RefractoryKernel.log_spaced([-2.0]))
     with pytest.raises(ValueError, match="negative"):
-        discrete_intervals(p, SimConfig(seed=0, dt=1e-3, n_events=10))
+        discrete_intervals(p, seed=0, dt=1e-3, n_events=10)
 
 
 def test_discrete_determinism():
     p = ModelParams(a=0.7, b=1.0, c=math.log(5.0))
-    cfg = SimConfig(seed=321, dt=1e-3, n_events=500)
-    first = simulate_discrete(p, cfg)
-    second = simulate_discrete(p, cfg)
+    first = simulate_discrete(p, seed=321, dt=1e-3, n_events=500)
+    second = simulate_discrete(p, seed=321, dt=1e-3, n_events=500)
     np.testing.assert_array_equal(first.timestamps_ms, second.timestamps_ms)
-    other = simulate_discrete(p, SimConfig(seed=322, dt=1e-3, n_events=500))
+    other = simulate_discrete(p, seed=322, dt=1e-3, n_events=500)
     assert not np.array_equal(first.timestamps_ms, other.timestamps_ms)
 
 
@@ -220,7 +246,7 @@ def test_discrete_draw_order_is_frozen():
     one M3 seed, and the last of a run that spans more than one block of
     events."""
     p = ModelParams(a=0.7, b=1.0, c=math.log(8.0), kernel=RefractoryKernel.log_spaced(_TEST_GAMMA))
-    train = simulate_discrete(p, SimConfig(seed=121, n_events=20_000))
+    train = simulate_discrete(p, seed=121, n_events=20_000)
     np.testing.assert_array_equal(
         train.timestamps_ms[:8], [840, 956, 985, 1499, 1578, 2188, 2370, 2964]
     )
@@ -229,7 +255,7 @@ def test_discrete_draw_order_is_frozen():
 
 def test_discrete_intervals_are_grid_multiples():
     p = ModelParams(a=0.7, b=1.0, c=math.log(5.0))
-    iv = discrete_intervals(p, SimConfig(seed=8, dt=2e-3, n_events=800))
+    iv = discrete_intervals(p, seed=8, dt=2e-3, n_events=800)
     assert iv.size == 799
     assert np.all(iv > 0.0)
     multiples = iv / 2e-3
@@ -238,9 +264,9 @@ def test_discrete_intervals_are_grid_multiples():
 
 def test_event_count_and_duration_horizons():
     p = ModelParams(a=1.0, b=1.0, c=0.0)
-    train = simulate_discrete(p, SimConfig(seed=3, dt=1e-3, n_events=50))
+    train = simulate_discrete(p, seed=3, dt=1e-3, n_events=50)
     assert train.n_events == 50
-    by_time = simulate_discrete(p, SimConfig(seed=3, dt=1e-3, duration=300.0))
+    by_time = simulate_discrete(p, seed=3, dt=1e-3, duration=300.0)
     assert 0 < by_time.n_events
     assert by_time.timestamps_ms[-1] <= 300_000
 
@@ -255,12 +281,12 @@ def test_duration_past_the_span_limit_is_refused_before_drawing(monkeypatch):
     monkeypatch.setattr(simulate, "_thinned_jumps", drew)
     p = ModelParams(a=0.7, b=1.0, c=math.log(5.0))
     with pytest.raises(ValueError, match="int64 millisecond span limit"):
-        simulate_discrete(p, SimConfig(seed=0, duration=1e300))
+        simulate_discrete(p, seed=0, duration=1e300)
 
 
 def test_tiny_duration_gives_empty_train():
     p = ModelParams(a=1.0, b=1.0, c=0.0)
-    train = simulate_discrete(p, SimConfig(seed=12, dt=1e-3, duration=1e-3))
+    train = simulate_discrete(p, seed=12, dt=1e-3, duration=1e-3)
     assert train.n_events == 0
     assert train.intervals_seconds().size == 0
 
@@ -269,7 +295,7 @@ def test_millisecond_collisions_drop_with_warning():
     # sub-millisecond bins and a brisk rate force some same-ms pairs
     p = ModelParams(a=5.0, b=1.0, c=math.log(50.0))
     with pytest.warns(UserWarning, match="collided"):
-        train = simulate_discrete(p, SimConfig(seed=7, dt=2.5e-4, n_events=2000))
+        train = simulate_discrete(p, seed=7, dt=2.5e-4, n_events=2000)
     assert np.all(np.diff(train.timestamps_ms) > 0)
     assert train.n_events < 2000
 
@@ -278,7 +304,7 @@ def test_discrete_law_matches_naive_reference_with_kernel():
     """Geometric-jump sampler vs the literal per-bin loop, two-sample KS."""
     p = ModelParams(a=2.5, b=1.0, c=math.log(5.0), kernel=RefractoryKernel.log_spaced(_TEST_GAMMA))
     naive = _naive_chain_intervals(p, 2e-3, 3000, seed=10)
-    fast = discrete_intervals(p, SimConfig(seed=11, dt=2e-3, n_events=3000))
+    fast = discrete_intervals(p, seed=11, dt=2e-3, n_events=3000)
     ks = _ks_two_sample(naive, fast)
     assert ks < _ks_crit_two_sample(3000, 3000), ks
 
@@ -286,7 +312,7 @@ def test_discrete_law_matches_naive_reference_with_kernel():
 def test_discrete_law_matches_naive_reference_no_kernel():
     p = ModelParams(a=2.5, b=1.0, c=math.log(5.0))
     naive = _naive_chain_intervals(p, 2e-3, 3000, seed=5)
-    fast = discrete_intervals(p, SimConfig(seed=6, dt=2e-3, n_events=3000))
+    fast = discrete_intervals(p, seed=6, dt=2e-3, n_events=3000)
     ks = _ks_two_sample(naive, fast)
     assert ks < _ks_crit_two_sample(3000, 3000), ks
 
@@ -302,7 +328,7 @@ def test_discrete_law_matches_naive_reference_at_bin_limit():
     dt = 2e-3
     p = ModelParams(a=10.0, b=20.0, c=math.log(50.0))
     naive = _naive_chain_intervals(p, dt, 30_000, seed=20)
-    fast = discrete_intervals(p, SimConfig(seed=21, dt=dt, n_events=30_000))
+    fast = discrete_intervals(p, seed=21, dt=dt, n_events=30_000)
     one_naive, one_fast = np.isclose(naive, dt), np.isclose(fast, dt)
     assert 0.08 < one_naive.mean() < 0.1 and 0.08 < one_fast.mean() < 0.1
     ks = _ks_two_sample(naive, fast)
@@ -315,7 +341,7 @@ def test_discrete_law_matches_naive_reference_at_bin_limit():
 def test_discrete_long_run_matches_analytic_distribution():
     """A million-second run lands within KS 0.01 of the marginal density."""
     p = ModelParams(a=1.0, b=1.0, c=0.0)
-    train = simulate_discrete(p, SimConfig(seed=42, dt=1e-3, duration=1e6))
+    train = simulate_discrete(p, seed=42, dt=1e-3, duration=1e6)
     assert train.n_events > 50_000
     taus = train.intervals_seconds()
     ks = _ks_to_cdf(taus, lambda g: 1.0 - kummer_1f1(1.0, 2.0, -g))
@@ -390,7 +416,7 @@ def test_continuous_refractory_short_interval_deficit():
 
 def test_discrete_and_continuous_samplers_agree():
     p = ModelParams(a=2.5, b=1.0, c=math.log(5.0), kernel=RefractoryKernel.log_spaced(_TEST_GAMMA))
-    d = discrete_intervals(p, SimConfig(seed=100, dt=1e-3, n_events=10_000))
+    d = discrete_intervals(p, seed=100, dt=1e-3, n_events=10_000)
     c = simulate_continuous(p, 10_000, seed=101)
     ks = _ks_two_sample(d, c)
     assert ks < _ks_crit_two_sample(10_000, 10_000), ks
@@ -521,8 +547,8 @@ def test_discrete_run_is_a_prefix_of_longer_runs():
     """Blocks have a fixed size, so a shorter run with the same seed, by
     count or by duration, is the start of a longer one."""
     p = ModelParams(a=0.7, b=1.0, c=math.log(8.0), kernel=RefractoryKernel.log_spaced(_TEST_GAMMA))
-    long_run = simulate_discrete(p, SimConfig(seed=5, n_events=40_000)).timestamps_ms
-    short = simulate_discrete(p, SimConfig(seed=5, n_events=100)).timestamps_ms
+    long_run = simulate_discrete(p, seed=5, n_events=40_000).timestamps_ms
+    short = simulate_discrete(p, seed=5, n_events=100).timestamps_ms
     np.testing.assert_array_equal(short, long_run[:100])
-    timed = simulate_discrete(p, SimConfig(seed=5, duration=long_run[30_000] / 1000.0))
+    timed = simulate_discrete(p, seed=5, duration=long_run[30_000] / 1000.0)
     np.testing.assert_array_equal(timed.timestamps_ms, long_run[:30_001])
