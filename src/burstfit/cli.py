@@ -188,7 +188,7 @@ def _cmd_compare(args, parser) -> int:
         print(f"BIC[{name}] = {matrix.bic[name]:.2f}")
     best = min(matrix.bic, key=matrix.bic.get)
     rivals = [n for n in matrix.bic if n != best]
-    beaten = [n for n in rivals if matrix.preference[(best, n)] == "i_favored"]
+    beaten = [n for n in rivals if matrix.favored(best, n) == "i_favored"]
     if rivals and len(beaten) == len(rivals):
         print(f"favored: {best}")
     else:

@@ -541,8 +541,8 @@ def serialize_comparison(matrix: ComparisonMatrix) -> str:
         "version": 1,
         "bic": dict(matrix.bic),
         "preference": [
-            {"i": i, "j": j, "verdict": verdict}
-            for (i, j), verdict in sorted(matrix.preference.items())
+            {"i": i, "j": j, "verdict": matrix.favored(i, j)}
+            for i in sorted(matrix.bic) for j in sorted(matrix.bic) if i != j
         ],
     }
     return json.dumps(doc, indent=2) + "\n"

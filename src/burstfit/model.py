@@ -204,6 +204,13 @@ class ModelParams:
         return math.exp(self.c)
 
 
+def _is_int(value) -> bool:
+    """A Python or numpy integer; not a bool, which would pass as 0 or 1."""
+    import numpy as np
+
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _as_times(tau):
     """Flatten tau to a vector of finite times >= 0, remembering its shape."""
     import numpy as np

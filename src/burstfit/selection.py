@@ -1,7 +1,8 @@
 """Bayesian information criterion and pairwise variant preference.
 
-A variant is preferred over another when its BIC is lower by more than
-the margin; inside the margin neither is favored.
+A comparison holds only the BICs.  A variant is preferred over another
+when its BIC is lower by more than the margin ("very strong" evidence to
+Kass & Raftery); inside the margin neither is favored.
 """
 
 from __future__ import annotations
@@ -34,25 +35,29 @@ def bic(objective_at_optimum: float, n_params: int, n_data: int) -> float:
 
 @dataclass(frozen=True)
 class ComparisonMatrix:
-    """BIC per variant plus the pairwise preference relation.
+    """BIC per variant; the pairwise preference follows from it.
 
-    preference maps each ordered pair (i, j), i != j, to one of
-    "i_favored", "j_favored", or "no_preference"; it is antisymmetric by
-    construction.
+    favored(i, j) answers "i_favored", "j_favored" or "no_preference" by
+    the margin rule on delta(i, j), so it is antisymmetric exactly, and
+    favored(i, i) is "no_preference".  An unknown name raises KeyError.
     """
 
     bic: dict[str, float]
-    preference: dict[tuple[str, str], str]
 
     def favored(self, variant_i: str, variant_j: str) -> str:
-        return self.preference[(variant_i, variant_j)]
+        d = self.delta(variant_i, variant_j)
+        if d < -BIC_PREFERENCE_MARGIN:
+            return "i_favored"
+        if d > BIC_PREFERENCE_MARGIN:
+            return "j_favored"
+        return "no_preference"
 
     def delta(self, variant_i: str, variant_j: str) -> float:
         return self.bic[variant_i] - self.bic[variant_j]
 
 
 def compare(results: dict[str, "FitResult"]) -> ComparisonMatrix:
-    """Pairwise BIC preferences across fits of the same interval set.
+    """The BICs of fits of the same interval set, to compare pairwise.
 
     Results fitted on different data (judged by the recorded digest and
     count) are rejected; BIC differences are meaningless across data.
@@ -67,18 +72,4 @@ def compare(results: dict[str, "FitResult"]) -> ComparisonMatrix:
                 f"fits {first_name!r} and {name!r} were made on different data "
                 f"({first.data_digest}/{first.n_data} vs {res.data_digest}/{res.n_data})"
             )
-    bics = {name: float(res.bic) for name, res in items}
-    preference: dict[tuple[str, str], str] = {}
-    for name_i, bic_i in bics.items():
-        for name_j, bic_j in bics.items():
-            if name_i == name_j:
-                continue
-            d = bic_i - bic_j
-            if d < -BIC_PREFERENCE_MARGIN:
-                verdict = "i_favored"
-            elif d > BIC_PREFERENCE_MARGIN:
-                verdict = "j_favored"
-            else:
-                verdict = "no_preference"
-            preference[(name_i, name_j)] = verdict
-    return ComparisonMatrix(bic=bics, preference=preference)
+    return ComparisonMatrix(bic={name: float(res.bic) for name, res in items})

@@ -45,6 +45,7 @@ from .model import (
     RefractoryKernel,
     _decay_matrix,
     _integral_from_decay,
+    _is_int,
     _rate_from_decay,
     _restore,
     refractory_eval,
@@ -85,17 +86,17 @@ _INVERSE_SPAN = 40.0
 
 def _check_settings(seed, n_events=None, duration=None, dt=1e-3) -> None:
     """The one rule both samplers check their draw settings by, before any
-    draw: an integer seed >= 0, exactly one horizon, n_events >= 1, and dt
-    and duration positive and finite.  The bin-probability bound involves
-    the model's rate, so the chain checks it when it starts."""
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
+    draw: an integer seed >= 0, exactly one horizon, an integer n_events >= 1,
+    and dt and duration positive and finite.  The bin-probability bound
+    involves the model's rate, so the chain checks it when it starts."""
+    if not _is_int(seed) or seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     if not 0.0 < dt < math.inf:
         raise ValueError(f"dt must be positive and finite, got {dt}")
     if (n_events is None) == (duration is None):
         raise ValueError("give exactly one of n_events and duration")
-    if n_events is not None and n_events < 1:
-        raise ValueError("n_events must be >= 1")
+    if n_events is not None and (not _is_int(n_events) or n_events < 1):
+        raise ValueError(f"n_events must be >= 1, got {n_events}")
     if duration is not None and not 0.0 < duration < math.inf:
         raise ValueError(f"duration must be positive and finite, got {duration}")
 

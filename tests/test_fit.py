@@ -113,6 +113,18 @@ def test_fit_config_refuses_a_negative_seed(tmp_path):
     assert FitConfig(seed=0).seed == 0
 
 
+@pytest.mark.parametrize("field", ["max_iters", "seed"])
+@pytest.mark.parametrize("bad", [2.5, True])
+def test_fit_config_takes_integer_counts_only(field, bad):
+    """A float max_iters or seed is refused where it is set, by name, not
+    inside fit(); a bool would run as 1."""
+    with pytest.raises(ValueError, match=f"{field} must be >= [01], got {bad}"):
+        FitConfig(**{field: bad})
+    # numpy integers are integers
+    cfg = FitConfig(**{field: np.int64(3)})
+    assert getattr(cfg, field) == 3
+
+
 def test_fit_config_from_file(tmp_path):
     path = tmp_path / "fit.cfg"
     path.write_text(

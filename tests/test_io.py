@@ -787,3 +787,87 @@ def test_serialize_comparison_shape():
     verdicts = {(row["i"], row["j"]): row["verdict"] for row in doc["preference"]}
     assert verdicts[("M2", "M1")] == "i_favored"
     assert verdicts[("M1", "M2")] == "j_favored"
+
+
+def test_serialize_comparison_text_at_the_margin():
+    """The whole comparison document, for BIC gaps exactly at the margin
+    (no preference), just past it and inside it: "bic" keeps the order
+    the fits came in, "preference" runs over the ordered pairs sorted by
+    name."""
+    bics = {"M3": 1010.0000001, "M1": 1000.0, "M4": 1004.5, "M2": 1010.0}
+    matrix = compare({name: dataclasses.replace(_synthetic_result(), bic=value)
+                      for name, value in bics.items()})
+    assert serialize_comparison(matrix) == """\
+{
+  "format": "burstfit-comparison",
+  "version": 1,
+  "bic": {
+    "M3": 1010.0000001,
+    "M1": 1000.0,
+    "M4": 1004.5,
+    "M2": 1010.0
+  },
+  "preference": [
+    {
+      "i": "M1",
+      "j": "M2",
+      "verdict": "no_preference"
+    },
+    {
+      "i": "M1",
+      "j": "M3",
+      "verdict": "i_favored"
+    },
+    {
+      "i": "M1",
+      "j": "M4",
+      "verdict": "no_preference"
+    },
+    {
+      "i": "M2",
+      "j": "M1",
+      "verdict": "no_preference"
+    },
+    {
+      "i": "M2",
+      "j": "M3",
+      "verdict": "no_preference"
+    },
+    {
+      "i": "M2",
+      "j": "M4",
+      "verdict": "no_preference"
+    },
+    {
+      "i": "M3",
+      "j": "M1",
+      "verdict": "j_favored"
+    },
+    {
+      "i": "M3",
+      "j": "M2",
+      "verdict": "no_preference"
+    },
+    {
+      "i": "M3",
+      "j": "M4",
+      "verdict": "no_preference"
+    },
+    {
+      "i": "M4",
+      "j": "M1",
+      "verdict": "no_preference"
+    },
+    {
+      "i": "M4",
+      "j": "M2",
+      "verdict": "no_preference"
+    },
+    {
+      "i": "M4",
+      "j": "M3",
+      "verdict": "no_preference"
+    }
+  ]
+}
+"""

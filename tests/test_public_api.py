@@ -16,6 +16,7 @@ import burstfit
 
 from burstfit.io import FitResult, LogBinnedHistogram
 from burstfit.model import RefractoryKernel, VariantSpec
+from burstfit.selection import ComparisonMatrix
 from test_readme import _library_example
 
 MODULES = (
@@ -125,10 +126,13 @@ def test_removed_helpers_stay_removed(module, name):
         (LogBinnedHistogram, "widths"),
         (FitResult, "log_likelihood"),
         (VariantSpec, "unpack"),
+        (ComparisonMatrix, "preference"),
     ],
 )
 def test_removed_members_stay_removed(cls, name):
+    # a dataclass field without a default is no class attribute
     assert not hasattr(cls, name)
+    assert name not in getattr(cls, "__dataclass_fields__", {})
 
 
 def _references(tree: ast.Module) -> set[str]:

@@ -1,5 +1,6 @@
 """Tests for BIC computation and pairwise variant preference."""
 
+import dataclasses
 import math
 
 import pytest
@@ -69,13 +70,24 @@ def test_compare_no_preference_band():
     assert matrix.favored("B", "A") == "no_preference"
 
 
+def test_favored_follows_the_bics_alone():
+    matrix = compare({"A": _result(-1000.0, 2), "B": _result(-900.0, 2)})
+    # a variant against itself has delta 0
+    assert matrix.favored("A", "A") == "no_preference"
+    with pytest.raises(KeyError):
+        matrix.favored("A", "C")
+    assert [f.name for f in dataclasses.fields(matrix)] == ["bic"]
+
+
 def test_compare_is_antisymmetric_on_a_grid():
     objectives = [-1000.0, -996.0, -950.0, -900.0]
     results = {f"V{i}": _result(obj, 2 + i) for i, obj in enumerate(objectives)}
     matrix = compare(results)
     flip = {"i_favored": "j_favored", "j_favored": "i_favored", "no_preference": "no_preference"}
-    for (i, j), verdict in matrix.preference.items():
-        assert matrix.preference[(j, i)] == flip[verdict]
+    for i in matrix.bic:
+        for j in matrix.bic:
+            if i != j:
+                assert matrix.favored(j, i) == flip[matrix.favored(i, j)]
 
 
 def test_compare_rejects_results_from_different_data():

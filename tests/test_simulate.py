@@ -194,19 +194,33 @@ class TestSimConfig:
             simulate_discrete(self.P, seed=0, **kwargs)
 
 
-@pytest.mark.parametrize("sample", [simulate_discrete, simulate_continuous])
-@pytest.mark.parametrize("seed", [None, 2.5, -1])
-def test_both_samplers_refuse_a_seed_by_one_rule(sample, seed, monkeypatch):
-    """No seed, a float seed and a negative seed raise the same error from
-    either sampler before it draws: the continuous sampler used to draw
-    unseeded for None and fail inside numpy for 2.5."""
-
+def _refuse_draws(monkeypatch):
     def drew(*args, **kwargs):
         raise AssertionError("the sampler drew")
 
     monkeypatch.setattr(np.random, "default_rng", drew)
+
+
+@pytest.mark.parametrize("sample", [simulate_discrete, simulate_continuous])
+@pytest.mark.parametrize("seed", [None, 2.5, -1, True])
+def test_both_samplers_refuse_a_seed_by_one_rule(sample, seed, monkeypatch):
+    """No seed, a float seed, a negative seed and a bool seed raise the
+    same error from either sampler before it draws: the continuous sampler
+    used to draw unseeded for None and fail inside numpy for 2.5, and
+    both drew True as seed 1."""
+    _refuse_draws(monkeypatch)
     with pytest.raises(ValueError, match=f"seed must be >= 0, got {seed}"):
         sample(TestSimConfig.P, n_events=10, seed=seed)
+
+
+@pytest.mark.parametrize("sample", [simulate_discrete, simulate_continuous])
+@pytest.mark.parametrize("n_events", [2.5, True])
+def test_both_samplers_refuse_a_non_integer_count_by_one_rule(sample, n_events, monkeypatch):
+    """A float or bool count is refused before any draw: it used to fail
+    inside numpy (the chain after drawing a block) or run as 1 event."""
+    _refuse_draws(monkeypatch)
+    with pytest.raises(ValueError, match=f"n_events must be >= 1, got {n_events}"):
+        sample(TestSimConfig.P, n_events=n_events, seed=0)
 
 
 # ----------------------------------------------------------------------
