@@ -212,15 +212,11 @@ def _cmd_hist(args, parser) -> int:
     return 0
 
 
-def _load_fit_params(path) -> ModelParams:
-    return bio.deserialize_fit(Path(path).read_text()).params_star
-
-
 def _cmd_eval(args, parser) -> int:
     """eval-density and eval-kernel: args.evaluate(params, grid), tabulated."""
     import numpy as np
 
-    params = _load_fit_params(args.fit)
+    params = bio.deserialize_fit(Path(args.fit).read_text()).params_star
     grid = np.geomspace(*args.tau_grid)
     _write_table(args.out, grid, args.evaluate(params, grid))
     print(f"{grid.size} {args.quantity} values -> {args.out}")

@@ -52,7 +52,7 @@ import numpy as np
 
 from .io import FitResult, ObjectiveValue
 from .likelihood import InfeasibleParamsError, ItiSet, _evaluate
-from .model import ModelParams, RefractoryKernel, VariantSpec, _decay_matrix, _is_int, _variant_spec
+from .model import ModelParams, RefractoryKernel, VariantSpec, _decay_matrix, _is_int, _is_real, _variant_spec
 from .selection import bic
 from .special import PrecisionLossError
 
@@ -108,7 +108,8 @@ class FitConfig:
     kernel, nor to init_params); it exists so multistart studies can be
     scripted without any hidden randomness.  init_params overrides the
     starting point entirely (it is projected to feasibility first if
-    needed).  max_iters and seed must be integers, not floats or bools.
+    needed).  max_iters and seed must be integers, not floats or bools;
+    grad_tolerance a real number, not a bool or a string.
     """
 
     max_iters: int = 5000
@@ -117,7 +118,7 @@ class FitConfig:
     init_params: ModelParams | None = None
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.grad_tolerance < math.inf:
+        if not _is_real(self.grad_tolerance) or not 0.0 < self.grad_tolerance < math.inf:
             raise ValueError("grad_tolerance must be positive and finite")
         if not _is_int(self.max_iters) or self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")

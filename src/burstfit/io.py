@@ -62,6 +62,13 @@ __all__ = [
 _FIT_FORMAT = "burstfit-fit"
 _FIT_VERSION = 1
 
+# The fit document's scalar fields, in file order between "params" and
+# "objective_trace": each a FitResult field, with the _KINDS entry its JSON
+# value must match.  serialize_fit and deserialize_fit both use this table.
+_FIT_FIELDS = {"converged": "true or false", "reason": "a string",
+               "n_projections": "an integer >= 0", "bic": "a number",
+               "n_data": "an integer >= 0", "data_digest": "a string"}
+
 
 @dataclass(frozen=True, eq=False)
 class EventTrain:
@@ -433,12 +440,7 @@ def serialize_fit(result: FitResult) -> str:
             "gamma": list(p.kernel.gamma),
             "alpha": list(p.kernel.alpha),
         },
-        "converged": result.converged,
-        "reason": result.reason,
-        "n_projections": result.n_projections,
-        "bic": result.bic,
-        "n_data": result.n_data,
-        "data_digest": result.data_digest,
+        **{name: getattr(result, name) for name in _FIT_FIELDS},
         "objective_trace": [
             [v.log_likelihood, v.penalty, v.objective] for v in result.objective_trace
         ],
@@ -520,16 +522,10 @@ def deserialize_fit(text: str | bytes) -> FitResult:
         variant=_typed(doc, "variant", "a string"),
     )
     rows = _typed(doc, "objective_trace", "a non-empty list of rows")
-    return FitResult(
-        params_star=params,
-        objective_trace=tuple(_trace_row(i, row) for i, row in enumerate(rows)),
-        converged=_typed(doc, "converged", "true or false"),
-        reason=_typed(doc, "reason", "a string"),
-        n_projections=_typed(doc, "n_projections", "an integer >= 0"),
-        bic=float(_typed(doc, "bic", "a number")),
-        n_data=_typed(doc, "n_data", "an integer >= 0"),
-        data_digest=_typed(doc, "data_digest", "a string"),
-    )
+    trace = tuple(_trace_row(i, row) for i, row in enumerate(rows))
+    fields = {name: _typed(doc, name, what) for name, what in _FIT_FIELDS.items()}
+    fields["bic"] = float(fields["bic"])  # a JSON int bic loads as the equal float
+    return FitResult(params_star=params, objective_trace=trace, **fields)
 
 
 def serialize_comparison(matrix: ComparisonMatrix) -> str:

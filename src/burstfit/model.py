@@ -211,6 +211,13 @@ def _is_int(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _is_real(value) -> bool:
+    """A Python or numpy real number; not a bool, which would pass as 0 or 1."""
+    import numpy as np
+
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+
+
 def _as_times(tau):
     """Flatten tau to a vector of finite times >= 0, remembering its shape."""
     import numpy as np

@@ -1,9 +1,9 @@
-"""Log-gamma, digamma, and 1F1 with the derivatives of its log.
+"""Digamma, and 1F1 with the derivatives of its log.
 
 The interval density and its likelihood reduce to <exp(-w X)> for
 X ~ Beta(p, q), the confluent hypergeometric 1F1(p, p+q; -w).  This module
-owns those numerics: log-gamma, digamma, and a 1F1 evaluator with regime
-switching.  Every log 1F1 value comes from one series pass over the shapes
+owns those numerics: digamma and a 1F1 evaluator with regime switching;
+log-gamma is the standard library's math.lgamma.  Every log 1F1 value comes from one series pass over the shapes
 (p, q) as given, a sweep over sorted w that retires rows as they converge,
 which also returns the derivatives of log 1F1 in p, q and w that the
 likelihood gradient needs; a value is returned only if they settled too.
@@ -17,7 +17,6 @@ import numpy as np
 
 __all__ = [
     "PrecisionLossError",
-    "log_gamma",
     "digamma",
     "kummer_1f1",
 ]
@@ -32,14 +31,6 @@ def _require_finite(name: str, value: float) -> float:
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value!r}")
     return value
-
-
-def log_gamma(z: float) -> float:
-    """Natural log of the Gamma function for z > 0."""
-    z = _require_finite("z", z)
-    if z <= 0.0:
-        raise ValueError(f"log_gamma requires z > 0, got {z}")
-    return math.lgamma(z)
 
 
 def digamma(z: float) -> float:
@@ -161,8 +152,8 @@ def _gamma_ratio(p: float, q: float) -> tuple[float, float, float]:
     """(lead, tail, gap) with log Gamma(p+q)/Gamma(q) = lead - tail and
     psi(p+q) - psi(q) = gap.
 
-    Below _STIRLING_Q, lead and tail are log_gamma(p + q) and log_gamma(q),
-    and gap the difference of their digammas.  Each pair is two nearly
+    Below _STIRLING_Q, lead and tail are math.lgamma(p + q) and
+    math.lgamma(q), and gap the difference of their digammas.  Each pair is two nearly
     equal numbers of size q log q, so their difference loses the digits
     they share, and at q >> p the sum p + q rounds p away: at q = 1e12
     log F was off by up to 2e-3.  lead and tail are handed back apart, not
@@ -179,7 +170,7 @@ def _gamma_ratio(p: float, q: float) -> tuple[float, float, float]:
     the gap.
     """
     if q < _STIRLING_Q:
-        return log_gamma(p + q), log_gamma(q), digamma(p + q) - digamma(q)
+        return math.lgamma(p + q), math.lgamma(q), digamma(p + q) - digamma(q)
 
     def tails(x: float) -> tuple[float, float]:
         inv2 = 1.0 / (x * x)

@@ -13,6 +13,7 @@ private pieces, it computes what the package would.
 
 from __future__ import annotations
 
+import math
 import re
 from io import BytesIO
 
@@ -30,7 +31,6 @@ from burstfit.model import (
     refractory_eval,
 )
 from burstfit.simulate import _run_chain
-from burstfit.special import log_gamma
 
 
 def feasible(kernel: RefractoryKernel, grid) -> tuple[bool, int | None]:
@@ -127,5 +127,5 @@ def iti_tail_asymptote(params: ModelParams, tau):
     if t.size and t.min() <= 0.0:
         raise ValueError("tail asymptote needs tau > 0")
     a, b = params.a, params.b
-    log_amp = log_gamma(a + 1.0) - log_beta(a, b) - a * params.c
+    log_amp = math.lgamma(a + 1.0) - log_beta(a, b) - a * params.c
     return _restore(np.exp(log_amp - (a + 1.0) * np.log(t)), shape)

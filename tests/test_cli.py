@@ -24,11 +24,12 @@ from burstfit.io import (
     serialize_fit,
 )
 from burstfit.likelihood import ItiSet, ObjectiveValue
-from burstfit.model import ModelParams, RefractoryKernel, refractory_eval
+from burstfit.model import VARIANTS, ModelParams, RefractoryKernel, refractory_eval
 
 
-def _truth_artifact(path, params: ModelParams, data) -> None:
-    """Package known-true parameters as a fit artifact for the eval commands."""
+def _truth_artifact(path, params: ModelParams, data, bic: float = 0.0) -> None:
+    """Package known-true parameters as a fit artifact for the eval and
+    compare commands."""
     value = ObjectiveValue(0.0, 0.0, 0.0)
     result = FitResult(
         params_star=params,
@@ -36,7 +37,7 @@ def _truth_artifact(path, params: ModelParams, data) -> None:
         converged=True,
         reason="gradient tolerance",
         n_projections=0,
-        bic=0.0,
+        bic=bic,
         n_data=data.n,
         data_digest=data.digest,
     )
@@ -307,6 +308,49 @@ def test_compare_usage_errors(tmp_path):
               "--out", str(tmp_path / "h.txt")])
     assert exc.value.code == 2
     assert not (tmp_path / "c.json").exists() and not (tmp_path / "h.txt").exists()
+
+
+@pytest.mark.parametrize(
+    "bics, line",
+    [
+        ({"M1": 100.0, "M2": 112.0}, "favored: M1"),
+        ({"M1": 100.0, "M2": 110.0}, "favored: none"),  # the margin is strict
+        ({"M1": 100.0, "M2": 112.0, "M3": 108.0}, "favored: none"),
+    ],
+)
+def test_compare_names_the_best_fit_only_past_the_margin(tmp_path, capsys, bics, line):
+    """The best variant is favored only if it beats every rival by more
+    than the BIC margin of 10."""
+    data = ItiSet([0.5, 1.0, 2.0])
+    paths = []
+    for variant, bic in bics.items():
+        kernel = RefractoryKernel.log_spaced([0.0] * VARIANTS[variant].n_kernel_terms)
+        params = ModelParams(a=0.7, b=1.0, c=0.0, kernel=kernel, variant=variant)
+        paths.append(str(tmp_path / f"{variant}.json"))
+        _truth_artifact(Path(paths[-1]), params, data, bic=bic)
+    assert main(["compare", "--fits", *paths, "--out", str(tmp_path / "cmp.json")]) == 0
+    assert line in capsys.readouterr().out.splitlines()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["simulate", "--a", "0", "--events", "10"], "a must be positive and finite"),
+        (["simulate", "--gamma", "0.1,x", "--events", "10"], "bad kernel coefficient list"),
+        (["eval-density", "--fit", "m1.json", "--tau-grid", "1:x:3"], "bad grid spec"),
+        (["compare", "--fits", "m1.json", "m1.json"], "variant M1 appears twice"),
+    ],
+)
+def test_usage_errors_name_their_problem(tmp_path, capsys, monkeypatch, argv, message):
+    """Each exits 2 with its problem on stderr and writes no file."""
+    monkeypatch.chdir(tmp_path)
+    _truth_artifact(tmp_path / "m1.json", ModelParams(a=0.7, b=1.0, c=0.0, variant="M1"),
+                    ItiSet([0.5, 1.0]))
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out", "out.txt"])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == ["m1.json"]
 
 
 def test_compare_pool_never_outnumbers_its_fits(tmp_path, monkeypatch):

@@ -125,6 +125,16 @@ def test_fit_config_takes_integer_counts_only(field, bad):
     assert getattr(cfg, field) == 3
 
 
+@pytest.mark.parametrize("bad", [True, np.True_, "1e-6"])
+def test_fit_config_takes_a_real_tolerance_only(bad):
+    """A bool grad_tolerance used to run as a tolerance of 1, and a string
+    failed with TypeError; both are refused by name where they are set."""
+    with pytest.raises(ValueError, match="grad_tolerance must be positive and finite"):
+        FitConfig(grad_tolerance=bad)
+    # numpy floats are real numbers
+    assert FitConfig(grad_tolerance=np.float32(1e-3)).grad_tolerance == np.float32(1e-3)
+
+
 def test_fit_config_from_file(tmp_path):
     path = tmp_path / "fit.cfg"
     path.write_text(
@@ -307,6 +317,14 @@ def test_search_gate_rejects_precision_loss():
     u = np.array([math.log(0.7), math.log(200.0), 0.0])
     value, grad, _ = _search_objective(u, "M2", ItiSet(np.array([0.5, 301.0])))
     assert value is None and grad is None
+
+
+def test_fit_refuses_a_start_outside_the_model_domain():
+    """The same point given as init_params: the search gate refuses it, so
+    fit() stops at the start with ValueError, not a PrecisionLossError."""
+    start = ModelParams(a=0.7, b=200.0, c=0.0, variant="M2")
+    with pytest.raises(ValueError, match="^initial parameters are outside the model domain$"):
+        fit("M2", ItiSet(np.array([0.5, 301.0])), FitConfig(init_params=start))
 
 
 def test_search_gate_rejects_rate_overflow():

@@ -1,6 +1,7 @@
 """The public names: each is defined in one module, whose ``__all__``
 lists it, and reached from outside the tests; the package itself
-re-exports nothing; removed helpers stay removed."""
+re-exports nothing; removed helpers stay removed; every import in the
+package is used."""
 
 import ast
 import importlib
@@ -37,7 +38,7 @@ PUBLIC_NAMES = (
     "PrecisionLossError", "RefractoryKernel", "VARIANTS", "bic", "compare",
     "compute_itis", "default_constraint_grid", "deserialize_fit", "digamma", "fit",
     "gradient", "invert_R", "iti_density", "kummer_1f1", "load_timestamps",
-    "log_binned_histogram", "log_gamma", "log_likelihood", "objective", "refractory_eval",
+    "log_binned_histogram", "log_likelihood", "objective", "refractory_eval",
     "refractory_integral", "save_timestamps", "serialize_comparison", "serialize_fit",
     "simulate_continuous", "simulate_discrete",
 )
@@ -76,7 +77,7 @@ def test_package_import_loads_no_module_until_a_name_is_used():
         "import sys, burstfit\n"
         "print(sorted(m for m in sys.modules if m.startswith('burstfit.')))\n"
         "print(sorted(n for n in vars(burstfit) if not n.startswith('__')))\n"
-        "from burstfit.special import log_gamma\n"
+        "from burstfit.special import digamma\n"
         "print(sorted(m for m in sys.modules if m.startswith('burstfit.')))\n"
     )
     assert out.split("\n")[:3] == ["[]", "[]", "['burstfit.special']"]
@@ -110,6 +111,7 @@ def test_each_module_imports_alone(name):
         ("burstfit.fit", "_basis_feasible"),
         ("burstfit.io", "_open_mode"),
         ("burstfit.simulate", "SimConfig"),
+        ("burstfit.special", "log_gamma"),
     ],
 )
 def test_removed_helpers_stay_removed(module, name):
@@ -174,3 +176,45 @@ def test_every_public_name_has_a_caller():
     public = {n for name in MODULES for n in importlib.import_module(name).__all__}
     unreached = sorted(public - reached)
     assert not unreached, "public names only tests reach: " + ", ".join(unreached)
+
+
+def _import_scopes(tree: ast.Module):
+    """(scope, names its own import statements bind) for the module and
+    each function in it; an import inside a function binds in that
+    function, so it must be used there."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    for scope in [tree, *(n for n in ast.walk(tree) if isinstance(n, functions))]:
+        todo, bound = list(ast.iter_child_nodes(scope)), []
+        while todo:
+            node = todo.pop()
+            if isinstance(node, functions):
+                continue
+            if isinstance(node, ast.Import):
+                bound += [a.asname or a.name.split(".")[0] for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound += [a.asname or a.name for a in node.names]
+            todo.extend(ast.iter_child_nodes(node))
+        yield scope, bound
+
+
+def _used_names(scope: ast.AST) -> set[str]:
+    """Names a scope reads, counting those inside a string annotation."""
+    used, annotations = set(), []
+    for node in ast.walk(scope):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        annotations += filter(None, (getattr(node, "annotation", None), getattr(node, "returns", None)))
+    for node in (n for a in annotations for n in ast.walk(a)):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            used |= {n.id for n in ast.walk(ast.parse(node.value, mode="eval")) if isinstance(n, ast.Name)}
+    return used
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "src" / "burstfit").glob("*.py")), ids=lambda p: p.name)
+def test_every_import_is_used(path):
+    """Each name an import binds is read in the scope it is bound in: a
+    fold that leaves an import behind fails here."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    unused = sorted(set().union(*(set(bound) - _used_names(scope)
+                                  for scope, bound in _import_scopes(tree))))
+    assert not unused, "imported but never used: " + ", ".join(unused)

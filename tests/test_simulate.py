@@ -223,6 +223,21 @@ def test_both_samplers_refuse_a_non_integer_count_by_one_rule(sample, n_events, 
         sample(TestSimConfig.P, n_events=n_events, seed=0)
 
 
+@pytest.mark.parametrize("field", ["dt", "duration"])
+@pytest.mark.parametrize("bad", [True, np.True_, "0.5"])
+def test_discrete_sampler_takes_real_settings_only(field, bad, monkeypatch):
+    """A bool dt or duration is refused before any draw: True used to run
+    as 1 (a 1 s train, or dt = 1 refused only as too coarse), and a string
+    failed with TypeError.  numpy floats stay accepted."""
+    _refuse_draws(monkeypatch)
+    kwargs = {"dt": 1e-3, "duration": 5.0, field: bad}
+    with pytest.raises(ValueError, match=f"{field} must be positive and finite, got {bad}"):
+        simulate_discrete(TestSimConfig.P, seed=0, **kwargs)
+    monkeypatch.undo()
+    train = simulate_discrete(TestSimConfig.P, seed=0, duration=np.float32(5.0), dt=np.float32(1e-3))
+    assert isinstance(train, EventTrain)
+
+
 # ----------------------------------------------------------------------
 # discrete sampler
 # ----------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Tests for the numerics layer: log-gamma, digamma, the confluent
+"""Tests for the numerics layer: digamma, the confluent
 hypergeometric function on the negative axis with the derivatives its
 series pass returns, and the Beta-weighted quadrature oracle the tests
 check it against.
@@ -22,34 +22,14 @@ from burstfit.special import (
     _log_beta_laplace,
     digamma,
     kummer_1f1,
-    log_gamma,
 )
 
 EULER_GAMMA = 0.5772156649015329
 
 
 # ----------------------------------------------------------------------
-# log_gamma / digamma / log_beta
+# digamma / log_beta
 # ----------------------------------------------------------------------
-
-
-def test_log_gamma_exact_points():
-    assert log_gamma(1.0) == pytest.approx(0.0, abs=1e-14)
-    assert log_gamma(5.0) == pytest.approx(math.log(24.0), rel=1e-13)
-    assert log_gamma(0.5) == pytest.approx(0.5 * math.log(math.pi), rel=1e-13)
-
-
-def test_log_gamma_against_stdlib_over_wide_range():
-    rng = np.random.default_rng(7)
-    z = np.exp(rng.uniform(np.log(1e-3), np.log(1e6), size=300))
-    for zi in z:
-        assert log_gamma(float(zi)) == pytest.approx(math.lgamma(zi), rel=1e-12, abs=1e-12)
-
-
-@pytest.mark.parametrize("bad", [0.0, -1.0, -0.5, float("nan"), float("inf")])
-def test_log_gamma_domain_errors(bad):
-    with pytest.raises(ValueError):
-        log_gamma(bad)
 
 
 def test_digamma_known_values():
@@ -70,7 +50,7 @@ def test_digamma_recurrence_on_random_grid():
 def test_digamma_matches_log_gamma_derivative():
     for z in (0.3, 1.7, 4.2, 25.0, 300.0):
         h = 1e-6 * max(1.0, z)
-        fd = (log_gamma(z + h) - log_gamma(z - h)) / (2.0 * h)
+        fd = (math.lgamma(z + h) - math.lgamma(z - h)) / (2.0 * h)
         assert digamma(z) == pytest.approx(fd, rel=1e-7)
 
 
@@ -162,7 +142,7 @@ def test_kummer_closed_form_a1_b2():
 def test_kummer_asymptotic_leading_term_agreement():
     """At z = -1e4 the value sits within 1% of Gamma(b)/Gamma(b-a) |z|^-a."""
     a, b, z = 1.61, 2.61, -1e4
-    lead = math.exp(log_gamma(b) - log_gamma(b - a)) * abs(z) ** (-a)
+    lead = math.exp(math.lgamma(b) - math.lgamma(b - a)) * abs(z) ** (-a)
     assert kummer_1f1(a, b, z) == pytest.approx(lead, rel=0.01)
 
 
@@ -397,7 +377,7 @@ def test_series_pass_answers_with_b_below_an_ulp_of_a_plus_one(a, b, w, log_f, d
 # (p, q, w, log F, d/dq log F) for F = 1F1(p, p+q; -w) at large q, where
 # the asymptotic regime takes the Gamma ratio from Stirling's series.
 # Frozen from mpmath's hyp1f1 at 50 digits (d_q by mpmath.diff), agreeing
-# to at least 42 digits with 70.  log_gamma(p + q) - log_gamma(q) put log F
+# to at least 42 digits with 70.  lgamma(p + q) - lgamma(q) put log F
 # off by 1.1e-12 at q = 1e3, 1.8e-3 at 1e12 and 36.7 at the last row, a
 # point a fit reached with its direction cap removed; d_q was off by 5e-13
 # relative at 1e3 and by 100% at 1e15.
