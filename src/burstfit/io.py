@@ -17,13 +17,13 @@ timestamp files hold, and FitResult with its ObjectiveValue trace, what
 fit artifacts hold.  The samplers, the likelihood and the fitter import
 them from this module, which imports no module of the package at its
 top: it loads numpy (for the timestamp codec, the arrays and the
-histogram), ``model`` (to rebuild a fit's parameters), ``likelihood``
-(for the interval set ``compute_itis`` returns), ``json`` and
-``logging`` only inside the functions that use them.  So a command that
-reads or writes timestamps alone does not pay the import of the others,
-one that reads a fit artifact loads neither the fitter nor the
-likelihood, and reading and writing fit and comparison documents loads
-no numpy.
+histogram), ``model`` (to rebuild a fit's parameters and judge a bin
+count), ``likelihood`` (for the interval set ``compute_itis`` returns),
+``json`` and ``logging`` only inside the functions that use them.  So
+a command that reads or writes timestamps alone does not pay the import
+of the others, one that reads a fit artifact loads neither the fitter
+nor the likelihood, and reading and writing fit and comparison
+documents loads no numpy.
 """
 
 from __future__ import annotations
@@ -369,8 +369,10 @@ def log_binned_histogram(data: ItiSet, bins_per_decade: int = 8) -> LogBinnedHis
     """
     import numpy as np
 
-    if not 1 <= bins_per_decade <= _MAX_TABLE_ROWS:
-        raise ValueError(f"bins_per_decade must be 1 to the cap of {_MAX_TABLE_ROWS} table rows")
+    from .model import _is_int
+
+    if not (_is_int(bins_per_decade) and 1 <= bins_per_decade <= _MAX_TABLE_ROWS):
+        raise ValueError(f"bins_per_decade must be an integer from 1 to the cap of {_MAX_TABLE_ROWS} table rows")
     iv = data.intervals
     lo, hi = float(iv.min()), float(iv.max())
     step = 10.0 ** (1.0 / bins_per_decade)

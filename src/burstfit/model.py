@@ -14,11 +14,14 @@ The parameter records (RefractoryKernel, ModelParams, VariantSpec and
 VARIANTS) are plain Python.  numpy is imported inside the functions that
 evaluate or pack them, and ``special`` (1F1) inside ``iti_density``
 alone, so rebuilding a fit's parameters from its artifact loads neither.
+Every scalar a caller passes to the package is judged by ``_is_real`` or
+``_is_int`` (the ``numbers`` ABCs, bools excluded) before any ``float()``.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -43,6 +46,16 @@ _SLOWEST_TIMESCALE = {8: 1.0, 12: 1.5}
 _KERNEL_DUST = 1e-12
 
 
+def _is_int(value) -> bool:
+    """An Integral (int, np.int64, ...) but not a bool, which would pass as 0 or 1."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    """A Real (int, float, np.float32, ...) but not a bool; "0.5", np.True_ and 0-d arrays are none."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class RefractoryKernel:
     """Short-range rate modulation r(tau) = 1 + sum_k gamma_k exp(-alpha_k tau).
@@ -55,16 +68,16 @@ class RefractoryKernel:
     alpha: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
-        gamma = tuple(float(g) for g in self.gamma)
-        alpha = tuple(float(al) for al in self.alpha)
-        object.__setattr__(self, "gamma", gamma)
-        object.__setattr__(self, "alpha", alpha)
+        gamma, alpha = tuple(self.gamma), tuple(self.alpha)
         if len(gamma) != len(alpha):
             raise ValueError("gamma and alpha must have equal length")
-        if not all(math.isfinite(g) for g in gamma):
+        if not all(_is_real(g) and math.isfinite(g) for g in gamma):
             raise ValueError("kernel amplitudes must be finite")
-        if not all(al > 0.0 and math.isfinite(al) for al in alpha):
+        if not all(_is_real(al) and 0.0 < al < math.inf for al in alpha):
             raise ValueError("kernel decay rates must be positive and finite")
+        alpha = tuple(map(float, alpha))
+        object.__setattr__(self, "gamma", tuple(map(float, gamma)))
+        object.__setattr__(self, "alpha", alpha)
         if any(hi <= lo for hi, lo in zip(alpha, alpha[1:])):
             raise ValueError("kernel decay rates must be strictly decreasing")
 
@@ -85,7 +98,7 @@ class RefractoryKernel:
         50 ms to 1.5 s; a single amplitude sits at 50 ms.  A bank of any
         other size is built as RefractoryKernel(gamma, alpha).
         """
-        gamma = tuple(float(g) for g in gamma)
+        gamma = tuple(gamma)
         n = len(gamma)
         if n < 2:
             return cls(gamma, (1.0 / _FASTEST_TIMESCALE,) * n)
@@ -171,19 +184,13 @@ class ModelParams:
     variant: str | None = None
 
     def __post_init__(self) -> None:
-        a = float(self.a)
-        b = float(self.b)
-        c = float(self.c)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
-        if not (math.isfinite(a) and a > 0.0):
-            raise ValueError(f"a must be positive and finite, got {a}")
-        if not (math.isfinite(b) and b > 0.0):
-            raise ValueError(f"b must be positive and finite, got {b}")
-        if not math.isfinite(c):
-            raise ValueError(f"c must be finite, got {c}")
-        variant = self.variant or _infer_variant(self.kernel.alpha, b)
+        for name, floor, what in (("a", 0.0, "positive and finite"), ("b", 0.0, "positive and finite"),
+                                  ("c", -math.inf, "finite")):
+            value = getattr(self, name)
+            if not (_is_real(value) and floor < value < math.inf):
+                raise ValueError(f"{name} must be {what}, got {value!r}")
+            object.__setattr__(self, name, float(value))
+        variant = self.variant or _infer_variant(self.kernel.alpha, self.b)
         spec = VARIANTS.get(variant)
         if spec is None:
             if variant != "custom":
@@ -194,28 +201,14 @@ class ModelParams:
                     f"variant {variant} needs the kernel rates {spec.alpha}, "
                     f"kernel has {self.kernel.alpha}"
                 )
-            if not spec.free_b and b != 1.0:
-                raise ValueError(f"variant {variant} fixes b = 1, got b={b}")
+            if not spec.free_b and self.b != 1.0:
+                raise ValueError(f"variant {variant} fixes b = 1, got b={self.b}")
         object.__setattr__(self, "variant", variant)
 
     @property
     def rho(self) -> float:
         """Base event rate in Hz."""
         return math.exp(self.c)
-
-
-def _is_int(value) -> bool:
-    """A Python or numpy integer; not a bool, which would pass as 0 or 1."""
-    import numpy as np
-
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
-def _is_real(value) -> bool:
-    """A Python or numpy real number; not a bool, which would pass as 0 or 1."""
-    import numpy as np
-
-    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
 
 
 def _as_times(tau):

@@ -11,6 +11,8 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from .model import _is_int
+
 if TYPE_CHECKING:
     from .io import FitResult
 
@@ -25,10 +27,10 @@ BIC_PREFERENCE_MARGIN = 10.0
 
 
 def bic(objective_at_optimum: float, n_params: int, n_data: int) -> float:
-    """log(N) |theta| - 2 * objective, natural log."""
-    if n_data < 1:
+    """log(N) |theta| - 2 * objective, natural log, for integer counts >= 1."""
+    if not _is_int(n_data) or n_data < 1:
         raise ValueError("n_data must be at least 1")
-    if n_params < 1:
+    if not _is_int(n_params) or n_params < 1:
         raise ValueError("n_params must be at least 1")
     return math.log(n_data) * n_params - 2.0 * objective_at_optimum
 

@@ -27,10 +27,13 @@ class PrecisionLossError(ArithmeticError):
 
 
 def _require_finite(name: str, value: float) -> float:
-    value = float(value)
-    if not math.isfinite(value):
+    """value as a float once model._is_real (imported here, so that importing
+    this module loads no other) accepts it and it is finite."""
+    from .model import _is_real
+
+    if not (_is_real(value) and math.isfinite(value)):
         raise ValueError(f"{name} must be finite, got {value!r}")
-    return value
+    return float(value)
 
 
 def digamma(z: float) -> float:

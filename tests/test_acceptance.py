@@ -16,7 +16,7 @@ import pytest
 from beta_oracle import beta_expectation
 from burstfit import io as bio
 from burstfit.cli import main as cli_main
-from burstfit.fit import FitConfig, default_constraint_grid, fit
+from burstfit.fit import default_constraint_grid, fit
 from burstfit.likelihood import ItiSet, gradient, objective
 from burstfit.model import ModelParams, RefractoryKernel, iti_density, refractory_eval
 from burstfit.selection import compare

@@ -233,6 +233,21 @@ def test_fit_runtime_failure_leaves_no_output(tmp_path, capsys):
     assert not art.exists()
 
 
+def test_interrupt_exits_130_and_writes_nothing(tmp_path, monkeypatch):
+    """Ctrl-C during a command ends main with the shell's 130, not the
+    error exit 1 or a traceback, and no output file is written."""
+    events = tmp_path / "events.txt"
+    assert main(["simulate", "--events", "50", "--seed", "5", "--out", str(events)]) == 0
+
+    def interrupted(path):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr("burstfit.io.load_timestamps", interrupted)
+    out = tmp_path / "h.txt"
+    assert main(["hist", "--in", str(events), "--out", str(out)]) == 130
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["events.txt"]
+
+
 def test_compare_from_artifacts_and_refit(tmp_path, capsys):
     sim = tmp_path / "sim.txt"
     main(["simulate", "--a", "0.8", "--rho", "3", "--events", "1500",

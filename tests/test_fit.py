@@ -1,6 +1,7 @@
 """Tests for the constrained ascent loop: configuration parsing, the
 feasibility machinery, convergence behaviour and the fit contract."""
 
+import dataclasses
 import math
 import os
 import subprocess
@@ -36,7 +37,7 @@ from burstfit.model import (
     refractory_integral,
 )
 from burstfit.simulate import simulate_continuous
-from oracles import feasible, params_to_vector, vector_to_params
+from oracles import feasible, vector_to_params
 
 
 def _m1_data(n: int, seed: int, rho: float = 3.0, a: float = 0.7) -> ItiSet:
@@ -341,6 +342,44 @@ def test_search_gate_rejects_non_finite_objective():
     with np.errstate(over="ignore"):
         value, grad, _ = _search_objective(u, "M1", ItiSet(np.array([0.1, 1e10])))
     assert value is None and grad is None
+
+
+@pytest.mark.parametrize("broken", ["objective", "gradient"])
+def test_search_gate_rejects_a_non_finite_pass(monkeypatch, broken):
+    """A pass that returns a NaN objective, or an inf gradient entry, is
+    out of domain: the gate gives three Nones, and at the start fit()
+    stops with ValueError."""
+
+    def non_finite(*args):
+        value, grad, scores = _evaluate(*args)
+        if broken == "objective":
+            return dataclasses.replace(value, objective=math.nan), grad, scores
+        grad[2] = math.inf  # the c entry, which M1 keeps
+        return value, grad, scores
+
+    monkeypatch.setattr(sys.modules[fit.__module__], "_evaluate", non_finite)
+    data = ItiSet(np.array([0.1, 0.4, 2.0]))
+    assert _search_objective(np.array([math.log(0.7), 0.0]), "M1", data) == (None, None, None)
+    with pytest.raises(ValueError, match="^initial parameters are outside the model domain$"):
+        fit("M1", data)
+
+
+def test_ascent_map_is_the_identity_without_curvature():
+    """Zero scores on M1, which has no penalty, carry no curvature: the
+    map falls back to the identity instead of inverting zero."""
+    ascent = _ascent_map(np.zeros((3, 3)), _variant_spec("M1"), ItiSet(np.array([0.1, 0.4, 2.0])))
+    assert np.array_equal(ascent, np.eye(2))
+
+
+def test_fit_refuses_a_start_it_cannot_repair(monkeypatch):
+    """With no projection allowed, an M3 start whose fastest amplitude
+    drives the rate negative stays infeasible: fit() raises before any
+    likelihood pass."""
+    monkeypatch.setattr(sys.modules[fit.__module__], "_MAX_PROJ", 0)
+    kernel = RefractoryKernel.log_spaced([-3.0] + [0.0] * 7)
+    start = ModelParams(a=0.7, b=1.0, c=0.0, kernel=kernel, variant="M3")
+    with pytest.raises(ArithmeticError, match="^constraint repair did not terminate$"):
+        fit("M3", ItiSet(np.array([0.1, 0.4, 2.0])), FitConfig(init_params=start))
 
 
 # ----------------------------------------------------------------------

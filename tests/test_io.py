@@ -505,6 +505,27 @@ def test_write_atomic_leaves_nothing_when_the_content_fails(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["artifact.json"]
 
 
+def test_write_atomic_retries_a_taken_temp_name(tmp_path, monkeypatch):
+    """A temp name already on disk is never opened: write_atomic draws
+    another, the file holding the name keeps its bytes, and no other temp
+    file is left."""
+    path = tmp_path / "artifact.json"
+    taken = tmp_path / f".artifact.json.{bytes(6).hex()}"
+    taken.write_bytes(b"not ours")
+    draws, urandom = [], os.urandom
+
+    def repeat_once(n):
+        draws.append(n)
+        return bytes(6) if len(draws) == 1 else urandom(n)
+
+    monkeypatch.setattr(os, "urandom", repeat_once)
+    write_atomic(path, "x\n")
+    assert len(draws) == 2
+    assert path.read_text() == "x\n"
+    assert taken.read_bytes() == b"not ours"
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted([path.name, taken.name])
+
+
 @pytest.mark.parametrize("umask", [0o022, 0o077], ids=["022", "077"])
 def test_write_atomic_gives_the_mode_open_would(tmp_path, umask):
     """A new file gets 0666 less the umask, not mkstemp's 0600, and a

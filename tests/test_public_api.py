@@ -1,7 +1,8 @@
 """The public names: each is defined in one module, whose ``__all__``
 lists it, and reached from outside the tests; the package itself
 re-exports nothing; removed helpers stay removed; every import in the
-package is used."""
+package and its tests is used; every scalar a caller passes is judged
+by one rule."""
 
 import ast
 import importlib
@@ -11,13 +12,16 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import burstfit
 
-from burstfit.io import FitResult, LogBinnedHistogram
-from burstfit.model import RefractoryKernel, VariantSpec
-from burstfit.selection import ComparisonMatrix
+from burstfit.io import FitResult, LogBinnedHistogram, log_binned_histogram
+from burstfit.likelihood import ItiSet
+from burstfit.model import ModelParams, RefractoryKernel, VariantSpec
+from burstfit.selection import ComparisonMatrix, bic
+from burstfit.special import digamma, kummer_1f1
 from test_readme import _library_example
 
 MODULES = (
@@ -210,11 +214,57 @@ def _used_names(scope: ast.AST) -> set[str]:
     return used
 
 
-@pytest.mark.parametrize("path", sorted((ROOT / "src" / "burstfit").glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize("path", sorted([*(ROOT / "src" / "burstfit").glob("*.py"),
+                                          *(ROOT / "tests").glob("*.py")]), ids=lambda p: p.name)
 def test_every_import_is_used(path):
-    """Each name an import binds is read in the scope it is bound in: a
-    fold that leaves an import behind fails here."""
+    """Each name an import binds is read in the scope it is bound in, in
+    the package and in its tests: a fold that leaves an import behind
+    fails here."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
     unused = sorted(set().union(*(set(bound) - _used_names(scope)
                                   for scope, bound in _import_scopes(tree))))
     assert not unused, "imported but never used: " + ", ".join(unused)
+
+
+# Every public entry that takes a caller's scalar: (a call with the
+# scalar, the start of its refusal, whether it takes any real number or
+# an integer only).
+_SCALAR_ENTRIES = {
+    "ModelParams.a": (lambda v: ModelParams(a=v, b=1.0, c=0.0), "a must", True),
+    "ModelParams.b": (lambda v: ModelParams(a=1.0, b=v, c=0.0, variant="M2"), "b must", True),
+    "ModelParams.c": (lambda v: ModelParams(a=1.0, b=1.0, c=v), "c must", True),
+    "RefractoryKernel.gamma": (lambda v: RefractoryKernel((v,), (20.0,)), "kernel amplitudes", True),
+    "RefractoryKernel.alpha": (lambda v: RefractoryKernel((0.0,), (v,)), "kernel decay rates", True),
+    "RefractoryKernel.log_spaced": (lambda v: RefractoryKernel.log_spaced((v,)), "kernel amplitudes", True),
+    "digamma": (digamma, "z must", True),
+    "kummer_1f1.a": (lambda v: kummer_1f1(v, 5.0, -1.0), "a must", True),
+    "kummer_1f1.b": (lambda v: kummer_1f1(0.5, v, -1.0), "b must", True),
+    "log_binned_histogram": (lambda v: log_binned_histogram(ItiSet(np.array([0.5, 1.0, 20.0])), v),
+                             "bins_per_decade must", False),
+    "bic.n_params": (lambda v: bic(-3.0, v, 10), "n_params must", False),
+    "bic.n_data": (lambda v: bic(-3.0, 1, v), "n_data must", False),
+}
+_NOT_A_NUMBER = {"True": True, "np.True_": np.True_, "str": "2", "0-d array": np.array(2.0)}
+_NOT_AN_INTEGER = {**_NOT_A_NUMBER, "2.5": 2.5, "np.float32": np.float32(2.0)}
+
+
+@pytest.mark.parametrize("entry, bad", [
+    (entry, bad) for entry, (_, _, real) in _SCALAR_ENTRIES.items()
+    for bad in (_NOT_A_NUMBER if real else _NOT_AN_INTEGER)])
+def test_every_entry_refuses_a_scalar_that_is_no_number_by_name(entry, bad):
+    """A bool, numpy bool, numeric string or 0-d array passes no entry as
+    the number it converts to, and a fraction or float passes no count:
+    each raises ValueError naming the parameter."""
+    call, refusal, _ = _SCALAR_ENTRIES[entry]
+    with pytest.raises(ValueError, match=f"^{refusal}"):
+        call(_NOT_AN_INTEGER[bad])
+
+
+@pytest.mark.parametrize("entry", _SCALAR_ENTRIES)
+def test_every_entry_takes_numpy_scalars_as_the_python_number(entry):
+    """np.int64 at every entry, and np.float32 at the real ones, give what
+    the equal Python number gives (bic keeps numpy's float64 type)."""
+    call, _, real = _SCALAR_ENTRIES[entry]
+    expected = str(call(2.0 if real else 2))
+    for value in (np.int64(2), np.float32(2.0)) if real else (np.int64(2),):
+        assert str(call(value)) == expected
